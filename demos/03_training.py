@@ -50,7 +50,7 @@ row = freq.counts[0]
 print(f"position 0 hits {np.count_nonzero(row)} distinct slabs over {freq.rounds} rounds")
 
 # entropy of the empirical slab distribution, per position
-ent = entropy_proxy(freq).per_point + 0.0  # folds -0.0 into 0.0 for display
+ent = entropy_proxy(freq) + 0.0  # folds -0.0 into 0.0 for display
 print(f"entropy: min={ent.min():.2f} bits, max={ent.max():.2f} bits, "
       f"mean={ent.mean():.2f} bits (log2 of slab count = {math.log2(slabs.num_slabs):.2f})")
 
@@ -58,24 +58,24 @@ print(f"entropy: min={ent.min():.2f} bits, max={ent.max():.2f} bits, "
 # step 3: the full model, and what the trees buy
 
 model = train_model(spec, config, seed=11, keep_frequencies=True)
-sizes = [t.node_count for t in model.trees]
-depths = [t.max_search_steps() for t in model.trees]
-print(f"trees: nodes per position min={min(sizes)} max={max(sizes)}, "
+forest = model.forest  # all n trees in flat columns; tree i starts at node forest.offsets[i]
+sizes = [forest.node_count(i) for i in range(n)]
+depths = [forest.max_search_steps(i) for i in range(n)]
+print(f"trees: {model.total_nodes()} nodes in one forest, per position min={min(sizes)} max={max(sizes)}, "
       f"worst-case search steps max={max(depths)}")
 
 # every child subtree carries at most 2/3 of its parent's training mass
-ok = all(check_mu_reducing(t, model.frequencies, i, 2.0 / 3.0)
-         for i, t in enumerate(model.trees))
+ok = all(check_mu_reducing(forest, i, model.frequencies, 2.0 / 3.0) for i in range(n))
 print("all trees 2/3-mass-reducing:", ok)
 
 # a restricted search stops as soon as its interval is pinned down; compare
 # the mean step count against a search that must find the exact slab
 i = int(np.argmin(ent))
 weights = model.frequencies.counts[i].astype(float)
-full = simulate_restricted_search(model.trees[i], None, weights, trials=64, rng=SeededRng(1))
+full = simulate_restricted_search(forest, i, None, weights, trials=64, rng=SeededRng(1))
 print(f"most predictable position {i}: {full:.2f} mean steps to its exact slab")
 
 j = int(np.argmax(ent))
 weights = model.frequencies.counts[j].astype(float)
-full = simulate_restricted_search(model.trees[j], None, weights, trials=64, rng=SeededRng(2))
+full = simulate_restricted_search(forest, j, None, weights, trials=64, rng=SeededRng(2))
 print(f"least predictable position {j}: {full:.2f} mean steps to its exact slab")

@@ -26,14 +26,9 @@ from .distributions import (
 )
 from .engine import (
     BucketQueue,
-    EngineState,
-    EntropyReport,
     RunStats,
     entropy_proxy,
-    make_engine_state,
     run_maxima,
-    search_step,
-    update_step,
 )
 from .geometry import (
     BaselineStats,
@@ -49,7 +44,7 @@ from .geometry import (
 )
 from .learning import (
     FrequencyTable,
-    SearchTree,
+    SearchForest,
     SlabStructure,
     TrainedModel,
     TrainingConfig,
@@ -58,7 +53,6 @@ from .learning import (
     check_mu_reducing,
     collect_frequencies,
     load_model,
-    locate_leaf_slab,
     save_model,
     simulate_restricted_search,
     train_model,
@@ -71,8 +65,6 @@ __all__ = [
     "BucketQueue",
     "Certificate",
     "CertificateIndexError",
-    "EngineState",
-    "EntropyReport",
     "FiniteMixture",
     "FrequencyTable",
     "InputSet",
@@ -82,7 +74,7 @@ __all__ = [
     "RunStats",
     "ScenarioError",
     "ScenarioSpec",
-    "SearchTree",
+    "SearchForest",
     "SeededRng",
     "SlabStructure",
     "TrainedModel",
@@ -102,17 +94,13 @@ __all__ = [
     "load_model",
     "load_scenario_file",
     "loads_scenario",
-    "locate_leaf_slab",
-    "make_engine_state",
     "run_maxima",
     "sample_input",
     "save_model",
     "scenario_from_dict",
     "scenario_to_dict",
-    "search_step",
     "simulate_restricted_search",
     "sort_scan_maxima",
     "train_model",
-    "update_step",
     "verify_certificate",
 ]

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .geometry import Certificate, InputSet
+from .geometry import Certificate, InputSet, brute_force_maxima
 
 if TYPE_CHECKING:
     from .learning import FrequencyTable, TrainedModel
@@ -100,8 +100,7 @@ class RunStats:
     maximum, in the scheduler and in the update sweep (2 coordinate
     comparisons each).  update_sort_comparisons: key comparisons spent
     sorting update buffers; update_sorted_points: total buffered points
-    sorted.  wall_time_ns is filled by callers that time the run; the engine
-    itself never reads a clock.
+    sorted.
     """
 
     tree_steps: int = 0
@@ -110,22 +109,10 @@ class RunStats:
     find_max_scans: int = 0
     update_sorted_points: int = 0
     update_sort_comparisons: int = 0
-    wall_time_ns: int = 0
 
 
-@dataclass
-class EntropyReport:
-    """Empirical leaf-slab entropy (bits) per input position."""
-
-    per_point: np.ndarray
-
-    @property
-    def total(self) -> float:
-        return float(self.per_point.sum())
-
-
-def entropy_proxy(freq: "FrequencyTable") -> EntropyReport:
-    """Entropy of each position's empirical slab distribution.
+def entropy_proxy(freq: "FrequencyTable") -> np.ndarray:
+    """Entropy (bits) of each position's empirical slab distribution.
 
     The sum over positions tracks the expected certificate-verification cost
     of an optimal algorithm for the trained product distribution, so it is
@@ -142,7 +129,7 @@ def entropy_proxy(freq: "FrequencyTable") -> EntropyReport:
             term = block * np.log2(block)
         term[~np.isfinite(term)] = 0.0
         out[lo : lo + step] = -term.sum(axis=1)
-    return EntropyReport(per_point=out)
+    return out
 
 
 @dataclass
@@ -155,7 +142,7 @@ class EngineState:
     maxima_rev: list[int] = field(default_factory=list)  # rightmost maximum first
     dominators: dict[int, int] = field(default_factory=dict)
     phat: int = -1  # leftmost maximum found so far (largest y), -1 if none
-    node: list[int] = field(default_factory=list)  # current tree node, -1 = fallback/located
+    node: list[int] = field(default_factory=list)  # current forest node, -1 = fallback/located
     slab_lo: list[int] = field(default_factory=list)
     slab_hi: list[int] = field(default_factory=list)
     xs: list[float] = field(default_factory=list)
@@ -172,16 +159,37 @@ def make_engine_state(model: "TrainedModel", inp: InputSet) -> EngineState:
     state = EngineState(queue=queue, lam_hat=top)
     state.xs = inp.xs.tolist()
     state.ys = inp.ys.tolist()
+    split = model.forest.split
+    # every root covers [0, top] (the model checks its forest); a trivial tree is pure fallback from the start
+    state.node = [r if split[r] >= 0 else -1 for r in model.forest.offsets[:-1]]
+    state.slab_lo = [0] * n
+    state.slab_hi = [top] * n
     for i in range(n):
-        tree = model.trees[i]
-        if tree.lo[0] != 0 or tree.hi[0] != top:
-            raise ValueError(f"tree {i} root covers [{tree.lo[0]}, {tree.hi[0]}], expected [0, {top}]")
-        # a trivial tree may be pure fallback from the start
-        state.node.append(0 if tree.split[0] >= 0 else -1)
-        state.slab_lo.append(0)
-        state.slab_hi.append(top)
         queue.insert(i, top)
     return state
+
+
+def _merge_sort(a: list) -> tuple[list, int]:
+    """Stable merge sort of a; returns the sorted list and the key comparisons it made."""
+    if len(a) <= 1:
+        return a, 0
+    mid = len(a) // 2
+    left, comparisons = _merge_sort(a[:mid])
+    right, more = _merge_sort(a[mid:])
+    comparisons += more
+    out = []
+    li = ri = 0
+    while li < len(left) and ri < len(right):
+        comparisons += 1
+        if right[ri] < left[li]:
+            out.append(right[ri])
+            ri += 1
+        else:
+            out.append(left[li])
+            li += 1
+    out.extend(left[li:])
+    out.extend(right[ri:])
+    return out, comparisons
 
 
 def update_step(state: EngineState, stats: RunStats, new_lam_hat: int) -> None:
@@ -195,34 +203,8 @@ def update_step(state: EngineState, stats: RunStats, new_lam_hat: int) -> None:
     buf = state.buffer
     if buf:
         xs, ys = state.xs, state.ys
-        comparisons = 0
-        if len(buf) > 1:
-            keyed = [(xs[i], ys[i], i) for i in buf]
-
-            def merge_sort(a):
-                nonlocal comparisons
-                if len(a) <= 1:
-                    return a
-                mid = len(a) // 2
-                left = merge_sort(a[:mid])
-                right = merge_sort(a[mid:])
-                out = []
-                li = ri = 0
-                while li < len(left) and ri < len(right):
-                    comparisons += 1
-                    if right[ri] < left[li]:
-                        out.append(right[ri])
-                        ri += 1
-                    else:
-                        out.append(left[li])
-                        li += 1
-                out.extend(left[li:])
-                out.extend(right[ri:])
-                return out
-
-            ordered = [t[2] for t in merge_sort(keyed)]
-        else:
-            ordered = buf
+        keyed, comparisons = _merge_sort([(xs[i], ys[i], i) for i in buf])
+        ordered = [t[2] for t in keyed]
         stats.update_sorted_points += len(buf)
         stats.update_sort_comparisons += comparisons
 
@@ -285,16 +267,16 @@ def search_step(state: EngineState, model: "TrainedModel", stats: RunStats) -> b
         nid = state.node[i]
         stats.tree_steps += 1
         if nid >= 0:
-            tree = model.trees[i]
-            s = tree.split[nid]
+            forest = model.forest
+            s = forest.split[nid]
             if s > lo and px < blist[s - 1]:
-                child = tree.left[nid]
-                lo, hi = tree.lo[child], tree.hi[child]
-                state.node[i] = child if tree.split[child] >= 0 else -1
+                child = forest.left[nid]
+                lo, hi = forest.lo[child], forest.hi[child]
+                state.node[i] = child if forest.split[child] >= 0 else -1
             elif s < hi and px >= blist[s]:
-                child = tree.right[nid]
-                lo, hi = tree.lo[child], tree.hi[child]
-                state.node[i] = child if tree.split[child] >= 0 else -1
+                child = forest.right[nid]
+                lo, hi = forest.lo[child], forest.hi[child]
+                state.node[i] = child if forest.split[child] >= 0 else -1
             else:
                 lo = hi = s
                 state.node[i] = -1
@@ -333,19 +315,22 @@ def run_maxima(
         stats = RunStats()
     state = make_engine_state(model, inp)
     if debug_invariants:
-        _run_checked(state, model, inp, stats)
-    else:
-        while search_step(state, model, stats):
-            pass
-        update_step(state, stats, -1)
+        true_leaf = model.slabs.locate_array(inp.xs)
+        _check_frontier_invariant(state, inp, true_leaf)
+    last_lam = state.lam_hat
+    while search_step(state, model, stats):
+        if debug_invariants and state.lam_hat != last_lam:
+            last_lam = state.lam_hat
+            _check_frontier_invariant(state, inp, true_leaf)
+    update_step(state, stats, -1)
+    if debug_invariants:
+        _check_frontier_invariant(state, inp, true_leaf)
     stats.find_max_scans += state.queue.scan_steps
     maxima = tuple(reversed(state.maxima_rev))
     return Certificate(maxima=maxima, dominators=dict(state.dominators))
 
 
 def _check_frontier_invariant(state: EngineState, inp: InputSet, true_leaf: np.ndarray) -> None:
-    from .geometry import brute_force_maxima
-
     right = np.flatnonzero(true_leaf > state.lam_hat)
     expect: tuple[int, ...] = ()
     if right.size:
@@ -356,15 +341,3 @@ def _check_frontier_invariant(state: EngineState, inp: InputSet, true_leaf: np.n
         raise AssertionError(
             f"frontier invariant broken at slab {state.lam_hat}: staircase {got}, oracle says {expect}"
         )
-
-
-def _run_checked(state: EngineState, model: "TrainedModel", inp: InputSet, stats: RunStats) -> None:
-    true_leaf = model.slabs.locate_array(inp.xs)
-    last_lam = state.lam_hat
-    _check_frontier_invariant(state, inp, true_leaf)
-    while search_step(state, model, stats):
-        if state.lam_hat != last_lam:
-            last_lam = state.lam_hat
-            _check_frontier_invariant(state, inp, true_leaf)
-    update_step(state, stats, -1)
-    _check_frontier_invariant(state, inp, true_leaf)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -20,7 +21,7 @@ from .distributions import ScenarioSpec, SeededRng, sample_input, scenario_from_
 from .geometry import InputSet
 
 MODEL_FORMAT = "simax-model"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 
 
 class SlabStructure:
@@ -80,11 +81,6 @@ def build_slab_structure(inputs: Sequence[InputSet]) -> SlabStructure:
     pooled = np.sort(np.concatenate([inp.xs for inp in inputs]))
     picks = pooled[0 : n * k : k]  # positions 0, k, 2k, ..., (n-1)k
     return SlabStructure(np.unique(picks))
-
-
-def locate_leaf_slab(slabs: SlabStructure, x: float) -> int:
-    """Index of the leaf slab containing x (boundary values go right)."""
-    return slabs.locate(x)
 
 
 @dataclass
@@ -153,35 +149,35 @@ def collect_frequencies(spec: ScenarioSpec, slabs: SlabStructure, rounds: int, r
     return FrequencyTable(counts=counts, rounds=rounds)
 
 
-@dataclass
-class SearchTree:
-    """Partial weighted-median search tree over leaf-slab indices for one position.
+class SearchForest:
+    """The partial weighted-median search trees of all n positions, in flat int32 columns.
 
-    Parallel arrays describe nodes; node 0 is the root.  A node covers the
-    inclusive slab interval [lo, hi].  split >= 0 marks an internal node that
-    compares against the split slab: equal locates, smaller goes left, larger
-    goes right.  split == -1 with lo == hi is a located leaf; with lo < hi it
-    is a fallback region resolved by plain bisection on slab boundaries.
-    Subtrees whose training mass fell below the leaf threshold are not
-    expanded, which is what keeps total space near-linear.
+    Node j covers the inclusive leaf-slab interval [lo[j], hi[j]].  split[j]
+    >= 0 marks an internal node that compares against the split slab: equal
+    locates, smaller goes to left[j], larger to right[j] (node ids, -1 where
+    that side is empty).  split == -1 with lo == hi is a located leaf; with
+    lo < hi it is a fallback region resolved by plain bisection on slab
+    boundaries.  Position i owns nodes offsets[i] .. offsets[i+1]-1, and its
+    root is offsets[i].  Subtrees whose training mass fell below the leaf
+    threshold are not expanded, which is what keeps total space near-linear.
     """
 
-    num_slabs: int
-    lo: list[int]
-    hi: list[int]
-    split: list[int]
-    left: list[int]
-    right: list[int]
+    COLUMNS = ("lo", "hi", "split", "left", "right", "offsets")
+    __slots__ = ("num_slabs", *COLUMNS)
 
-    @property
-    def node_count(self) -> int:
-        return len(self.lo)
+    def __init__(self, num_slabs: int, lo=(), hi=(), split=(), left=(), right=(), offsets=(0,)):
+        self.num_slabs = num_slabs
+        for name, values in zip(self.COLUMNS, (lo, hi, split, left, right, offsets)):
+            try:
+                setattr(self, name, array("i", values))
+            except (TypeError, OverflowError):
+                raise ValueError(f"search forest column {name!r} must hold int32 values only") from None
 
-    def internal_nodes(self) -> list[int]:
-        return [i for i, s in enumerate(self.split) if s >= 0]
+    def node_count(self, i: int) -> int:
+        return self.offsets[i + 1] - self.offsets[i]
 
-    def max_search_steps(self) -> int:
-        """Worst-case steps to locate any leaf slab (tree edges + bisection probes)."""
+    def max_search_steps(self, i: int) -> int:
+        """Worst-case steps to locate any leaf slab in tree i (tree edges + bisection probes)."""
 
         def rec(nid: int) -> int:
             if self.split[nid] < 0:
@@ -193,54 +189,94 @@ class SearchTree:
                     best = max(best, 1 + rec(c))
             return best
 
-        return rec(0)
+        return rec(self.offsets[i])
+
+    def check(self, n: int) -> None:
+        """Raise ValueError unless this is n trees whose every search step shrinks the slab interval.
+
+        Every root covers all slabs, and an internal node's children come
+        later in its own tree and cover exactly the slabs left and right of
+        its split, so every search ends.
+        """
+        lo, hi, split, left, right = (np.frombuffer(getattr(self, c), dtype=np.int32) for c in self.COLUMNS[:-1])
+        offsets = np.frombuffer(self.offsets, dtype=np.int32).astype(np.int64)  # np.diff must not wrap
+        m, top = lo.size, self.num_slabs - 1
+        if not hi.size == split.size == left.size == right.size == m:
+            raise ValueError("search forest columns differ in length")
+        if offsets.size != n + 1:
+            raise ValueError(f"search forest has {offsets.size - 1} trees for n={n}")
+        if offsets[0] != 0 or offsets[-1] != m or (np.diff(offsets) < 1).any():
+            raise ValueError(f"search forest root offsets must rise strictly from 0 to {m}")
+
+        def fail(bad, nodes, what: str) -> None:
+            if bad.any():
+                raise ValueError(f"search forest node {nodes[np.argmax(bad)]} {what}")
+
+        every = np.arange(m)
+        fail((lo < 0) | (lo > hi) | (hi > top), every, f"has slab interval outside [0, {top}]")
+        inner = split >= 0
+        fail((split < -1) | (inner & ((split < lo) | (split > hi))), every, "has a split outside its interval")
+        roots = offsets[:-1]
+        fail((lo[roots] != 0) | (hi[roots] != top), roots, f"is a root not covering [0, {top}]")
+        end = np.repeat(offsets[1:], np.diff(offsets))  # one past the last node of each node's tree
+        for child, side, child_lo, child_hi in (
+            (left, inner & (split > lo), lo, split - 1),
+            (right, inner & (split < hi), split + 1, hi),
+        ):
+            fail((child >= 0) != side, every, "has a child where its split leaves no slab, or lacks one")
+            parents = np.flatnonzero(side)
+            c = child[parents]
+            fail((c <= parents) | (c >= end[parents]), parents, "has a child outside its tree or not after it")
+            fail((lo[c] != child_lo[parents]) | (hi[c] != child_hi[parents]), parents, "has a child not nested on its side")
 
 
-def build_search_tree(freq: FrequencyTable, i: int, leaf_threshold: int) -> SearchTree:
-    """Compile the partial search tree for position i from its frequency row.
+def build_search_tree(freq: FrequencyTable, i: int, leaf_threshold: int, forest: SearchForest | None = None) -> SearchForest:
+    """Append the partial search tree for position i, compiled from its frequency row, to forest.
 
-    Splits at the weighted median slab: the smallest slab index at which the
-    prefix mass reaches half the node's mass.  Both children then carry at
-    most half the parent's mass, so every non-split child is 2/3-reducing by
-    construction.  Intervals whose mass is below leaf_threshold stay
-    unexpanded fallback regions.
+    Trees go in position order, so forest must hold trees 0..i-1; a new
+    forest is started when none is given.  Splits at the weighted median
+    slab: the smallest slab index at which the prefix mass reaches half the
+    node's mass.  Both children then carry at most half the parent's mass,
+    so every non-split child is 2/3-reducing by construction.  Intervals
+    whose mass is below leaf_threshold stay unexpanded fallback regions.
     """
     if leaf_threshold < 1:
         raise ValueError("leaf_threshold must be >= 1")
+    if forest is None:
+        forest = SearchForest(freq.num_slabs)
+    if len(forest.offsets) != i + 1:
+        raise ValueError(f"forest holds {len(forest.offsets) - 1} trees, so tree {len(forest.offsets) - 1} comes next, not {i}")
     row = freq.counts[i]
     prefix = np.zeros(row.size + 1, dtype=np.int64)
     np.cumsum(row, out=prefix[1:])
-    lo_l: list[int] = []
-    hi_l: list[int] = []
-    split_l: list[int] = []
-    left_l: list[int] = []
-    right_l: list[int] = []
+    lo_c, hi_c, split_c, left_c, right_c = forest.lo, forest.hi, forest.split, forest.left, forest.right
 
     def build(lo: int, hi: int) -> int:
-        nid = len(lo_l)
-        lo_l.append(lo)
-        hi_l.append(hi)
-        split_l.append(-1)
-        left_l.append(-1)
-        right_l.append(-1)
+        nid = len(lo_c)
+        lo_c.append(lo)
+        hi_c.append(hi)
+        split_c.append(-1)
+        left_c.append(-1)
+        right_c.append(-1)
         count = int(prefix[hi + 1] - prefix[lo])
         if lo == hi or count < leaf_threshold:
             return nid
         target = int(prefix[lo]) + (count + 1) // 2
         lam = lo + int(np.searchsorted(prefix[lo + 1 : hi + 2], target, side="left"))
-        split_l[nid] = lam
+        split_c[nid] = lam
         if lam > lo:
-            left_l[nid] = build(lo, lam - 1)
+            left_c[nid] = build(lo, lam - 1)
         if lam < hi:
-            right_l[nid] = build(lam + 1, hi)
+            right_c[nid] = build(lam + 1, hi)
         return nid
 
     build(0, freq.num_slabs - 1)
-    return SearchTree(num_slabs=freq.num_slabs, lo=lo_l, hi=hi_l, split=split_l, left=left_l, right=right_l)
+    forest.offsets.append(len(lo_c))
+    return forest
 
 
-def check_mu_reducing(tree: SearchTree, freq: FrequencyTable, i: int, mu: float) -> bool:
-    """True iff every child subtree of every internal node carries at most mu times its parent's mass.
+def check_mu_reducing(forest: SearchForest, i: int, freq: FrequencyTable, mu: float) -> bool:
+    """True iff every child subtree of every internal node of tree i carries at most mu times its parent's mass.
 
     The split slab itself is a completed search, not a subproblem, so it is
     exempt; left and right children are checked whether they were expanded
@@ -251,32 +287,32 @@ def check_mu_reducing(tree: SearchTree, freq: FrequencyTable, i: int, mu: float)
     np.cumsum(row, out=prefix[1:])
 
     def mass(nid: int) -> int:
-        return int(prefix[tree.hi[nid] + 1] - prefix[tree.lo[nid]])
+        return int(prefix[forest.hi[nid] + 1] - prefix[forest.lo[nid]])
 
-    for nid in tree.internal_nodes():
+    for nid in range(forest.offsets[i], forest.offsets[i + 1]):
         parent = mass(nid)
-        for c in (tree.left[nid], tree.right[nid]):
+        for c in (forest.left[nid], forest.right[nid]):
             if c >= 0 and mass(c) > mu * parent:
                 return False
     return True
 
 
-def search_steps_to_leaf(tree: SearchTree, leaf: int, interval: tuple[int, int] | None) -> int:
-    """Steps a search for `leaf` takes; stops early once its current interval
-    fits inside `interval` (inclusive slab index pair), or at the exact leaf
-    when interval is None."""
-    if not 0 <= leaf < tree.num_slabs:
+def search_steps_to_leaf(forest: SearchForest, i: int, leaf: int, interval: tuple[int, int] | None) -> int:
+    """Steps a search in tree i for `leaf` takes; stops early once its current
+    interval fits inside `interval` (inclusive slab index pair), or at the
+    exact leaf when interval is None."""
+    if not 0 <= leaf < forest.num_slabs:
         raise ValueError(f"leaf {leaf} out of range")
     if interval is not None:
         ilo, ihi = interval
-        if not (0 <= ilo <= ihi < tree.num_slabs):
+        if not (0 <= ilo <= ihi < forest.num_slabs):
             raise ValueError(f"bad interval {interval!r}")
         if not ilo <= leaf <= ihi:
             raise ValueError(f"leaf {leaf} outside interval {interval!r}")
     steps = 0
-    nid = 0
-    lo, hi = tree.lo[0], tree.hi[0]
-    fallback = tree.split[0] < 0
+    nid = forest.offsets[i]
+    lo, hi = forest.lo[nid], forest.hi[nid]
+    fallback = forest.split[nid] < 0
     while True:
         if interval is not None and interval[0] <= lo and hi <= interval[1]:
             return steps
@@ -290,24 +326,25 @@ def search_steps_to_leaf(tree: SearchTree, leaf: int, interval: tuple[int, int] 
             else:
                 lo = mid + 1
             continue
-        s = tree.split[nid]
+        s = forest.split[nid]
         steps += 1
         if leaf == s:
             lo = hi = s
             continue
-        nid = tree.left[nid] if leaf < s else tree.right[nid]
-        lo, hi = tree.lo[nid], tree.hi[nid]
-        fallback = tree.split[nid] < 0
+        nid = forest.left[nid] if leaf < s else forest.right[nid]
+        lo, hi = forest.lo[nid], forest.hi[nid]
+        fallback = forest.split[nid] < 0
 
 
 def simulate_restricted_search(
-    tree: SearchTree,
+    forest: SearchForest,
+    i: int,
     interval: tuple[int, int] | None,
     weights,
     trials: int,
     rng: SeededRng,
 ) -> float:
-    """Mean step count over `trials` searches for leaves drawn from `weights`.
+    """Mean step count in tree i over `trials` searches for leaves drawn from `weights`.
 
     weights is a nonnegative vector over all leaf slabs with positive total
     mass; when interval is given the support must lie inside it.  interval
@@ -316,8 +353,8 @@ def simulate_restricted_search(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     w = np.asarray(weights, dtype=np.float64)
-    if w.shape != (tree.num_slabs,):
-        raise ValueError(f"weights must have length {tree.num_slabs}")
+    if w.shape != (forest.num_slabs,):
+        raise ValueError(f"weights must have length {forest.num_slabs}")
     if (w < 0).any() or not np.isfinite(w).all():
         raise ValueError("weights must be finite and nonnegative")
     total = w.sum()
@@ -325,15 +362,15 @@ def simulate_restricted_search(
         raise ValueError("weights must have positive total mass")
     if interval is not None:
         ilo, ihi = interval
-        if not (0 <= ilo <= ihi < tree.num_slabs):
+        if not (0 <= ilo <= ihi < forest.num_slabs):
             raise ValueError(f"bad interval {interval!r}")
         outside = np.flatnonzero(w)
         if outside.size and (outside[0] < ilo or outside[-1] > ihi):
             raise ValueError("weights have support outside the interval")
-    leaves = rng.generator.choice(tree.num_slabs, size=trials, p=w / total)
+    leaves = rng.generator.choice(forest.num_slabs, size=trials, p=w / total)
     total_steps = 0
     for leaf in leaves:
-        total_steps += search_steps_to_leaf(tree, int(leaf), interval)
+        total_steps += search_steps_to_leaf(forest, i, int(leaf), interval)
     return total_steps / trials
 
 
@@ -345,13 +382,14 @@ def simulate_restricted_search(
 class TrainedModel:
     """Everything the limiting phase needs, plus provenance for replay.
 
-    frequencies is kept only when training is asked to retain it (for audits
-    of the trees against their training counts); it is never serialized.
+    The forest is checked on construction.  frequencies is kept only when
+    training is asked to retain it (for audits of the trees against their
+    training counts); it is never serialized.
     """
 
     scenario: ScenarioSpec
     slabs: SlabStructure
-    trees: list[SearchTree]
+    forest: SearchForest
     epsilon: float
     delta: float
     seed: int
@@ -362,6 +400,13 @@ class TrainedModel:
     rng_algorithm: str = "pcg64"
     frequencies: FrequencyTable | None = None
 
+    def __post_init__(self):
+        if np.shape(self.entropy_per_point) != (self.n,):
+            raise ValueError(f"entropy_per_point has shape {np.shape(self.entropy_per_point)}, expected ({self.n},)")
+        if self.forest.num_slabs != self.slabs.num_slabs:
+            raise ValueError(f"search forest is over {self.forest.num_slabs} slabs, model has {self.slabs.num_slabs}")
+        self.forest.check(self.n)
+
     @property
     def n(self) -> int:
         return self.scenario.n
@@ -371,7 +416,7 @@ class TrainedModel:
         return float(self.entropy_per_point.sum())
 
     def total_nodes(self) -> int:
-        return sum(t.node_count for t in self.trees)
+        return len(self.forest.lo)
 
     def to_dict(self) -> dict:
         return {
@@ -386,9 +431,7 @@ class TrainedModel:
             "leaf_threshold": self.leaf_threshold,
             "scenario": scenario_to_dict(self.scenario),
             "boundaries": [float(b) for b in self.slabs.boundaries],
-            "trees": [
-                {"lo": t.lo, "hi": t.hi, "split": t.split, "left": t.left, "right": t.right} for t in self.trees
-            ],
+            "forest": {c: getattr(self.forest, c).tolist() for c in SearchForest.COLUMNS},
             "entropy_per_point": [float(h) for h in self.entropy_per_point],
             "entropy_total": self.entropy_total,
         }
@@ -397,36 +440,29 @@ class TrainedModel:
     def from_dict(cls, obj: dict) -> "TrainedModel":
         if not isinstance(obj, dict) or obj.get("format") != MODEL_FORMAT:
             raise ValueError("not a model file (bad or missing format tag)")
+        if obj.get("version") == 1:
+            raise ValueError("model file version 1 (per-position tree lists) is no longer read; retrain the model")
         if obj.get("version") != MODEL_VERSION:
             raise ValueError(f"unsupported model version {obj.get('version')!r}")
-        scenario = scenario_from_dict(obj["scenario"])
-        slabs = SlabStructure(obj["boundaries"])
-        trees = []
-        for t in obj["trees"]:
-            tree = SearchTree(
-                num_slabs=slabs.num_slabs,
-                lo=[int(v) for v in t["lo"]],
-                hi=[int(v) for v in t["hi"]],
-                split=[int(v) for v in t["split"]],
-                left=[int(v) for v in t["left"]],
-                right=[int(v) for v in t["right"]],
+        try:
+            slabs = SlabStructure(obj["boundaries"])
+            return cls(
+                scenario=scenario_from_dict(obj["scenario"]),
+                slabs=slabs,
+                forest=SearchForest(slabs.num_slabs, *(obj["forest"][c] for c in SearchForest.COLUMNS)),
+                epsilon=float(obj["epsilon"]),
+                delta=float(obj["delta"]),
+                seed=int(obj["seed"]),
+                slab_rounds=int(obj["slab_rounds"]),
+                tree_rounds=int(obj["tree_rounds"]),
+                leaf_threshold=int(obj["leaf_threshold"]),
+                entropy_per_point=np.asarray(obj["entropy_per_point"], dtype=np.float64),
+                rng_algorithm=str(obj.get("rng_algorithm", "pcg64")),
             )
-            trees.append(tree)
-        if len(trees) != scenario.n:
-            raise ValueError(f"model has {len(trees)} trees for n={scenario.n}")
-        return cls(
-            scenario=scenario,
-            slabs=slabs,
-            trees=trees,
-            epsilon=float(obj["epsilon"]),
-            delta=float(obj["delta"]),
-            seed=int(obj["seed"]),
-            slab_rounds=int(obj["slab_rounds"]),
-            tree_rounds=int(obj["tree_rounds"]),
-            leaf_threshold=int(obj["leaf_threshold"]),
-            entropy_per_point=np.asarray(obj["entropy_per_point"], dtype=np.float64),
-            rng_algorithm=str(obj.get("rng_algorithm", "pcg64")),
-        )
+        except KeyError as e:
+            raise ValueError(f"missing model field {e}") from None
+        except TypeError as e:
+            raise ValueError(f"malformed model file: {e}") from None
 
 
 def train_model(
@@ -449,21 +485,22 @@ def train_model(
     rounds = config.tree_rounds(n)
     freq = collect_frequencies(spec, slabs, rounds, rng)
     threshold = config.leaf_threshold(n)
-    trees = [build_search_tree(freq, i, threshold) for i in range(n)]
+    forest = SearchForest(slabs.num_slabs)
+    for i in range(n):
+        build_search_tree(freq, i, threshold, forest)
     from .engine import entropy_proxy  # deferred: engine imports this module's types
 
-    report = entropy_proxy(freq)
     return TrainedModel(
         scenario=spec,
         slabs=slabs,
-        trees=trees,
+        forest=forest,
         epsilon=config.epsilon,
         delta=config.delta,
         seed=int(seed),
         slab_rounds=k,
         tree_rounds=rounds,
         leaf_threshold=threshold,
-        entropy_per_point=report.per_point,
+        entropy_per_point=entropy_proxy(freq),
         frequencies=freq if keep_frequencies else None,
     )
 

@@ -94,7 +94,7 @@ def test_03_every_tree_edge_is_two_thirds_reducing(model_cache, capsys):
         freq = model.frequencies
         for i in range(model.n):
             checked += 1
-            if not check_mu_reducing(model.trees[i], freq, i, mu=2 / 3):
+            if not check_mu_reducing(model.forest, i, freq, mu=2 / 3):
                 bad += 1
     ok = bad == 0
     _report(capsys, 3, ok, f"{checked - bad}/{checked} trees 2/3-reducing across {len(jobs)} models (exact)")
@@ -125,7 +125,7 @@ def test_04_restricted_searches_run_near_entropy_bound(model_cache, capsys):
                     continue
                 made += 1
                 q_restricted = mass / freq.rounds
-                mean = simulate_restricted_search(model.trees[i], (lo, hi), weights, trials=32, rng=SeededRng(made))
+                mean = simulate_restricted_search(model.forest, i, (lo, hi), weights, trials=32, rng=SeededRng(made))
                 ratios.append(mean / (-math.log2(q_restricted) + 1.0))
             worst_mean = max(worst_mean, sum(ratios) / len(ratios))
             worst_instance = max(worst_instance, max(ratios))

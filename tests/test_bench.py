@@ -281,6 +281,16 @@ def test_model_file_is_versioned_json(tmp_path):
     main(["train", "--scenario", "uniform_square", "--n", "16", "--out", str(model_path)])
     obj = json.loads(model_path.read_text(encoding="utf-8"))
     assert obj["format"] == "simax-model"
-    assert obj["version"] == 1
+    assert obj["version"] == 2
     assert obj["rng_algorithm"] == "pcg64"
-    assert len(obj["trees"]) == 16
+    assert len(obj["forest"]["offsets"]) == 17  # n + 1 root offsets
+
+
+def test_cli_verify_reports_a_missing_model_field(tmp_path, capsys):
+    model_path = tmp_path / "model.json"
+    assert main(["train", "--scenario", "uniform_square", "--n", "16", "--out", str(model_path)]) == 0
+    obj = json.loads(model_path.read_text(encoding="utf-8"))
+    del obj["scenario"]
+    model_path.write_text(json.dumps(obj), encoding="utf-8")
+    assert main(["verify", "--model", str(model_path)]) == 1
+    assert "missing model field 'scenario'" in capsys.readouterr().err

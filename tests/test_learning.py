@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from simax import (
     FrequencyTable,
-    SearchTree,
+    SearchForest,
     SlabStructure,
     TrainedModel,
     TrainingConfig,
@@ -18,7 +18,6 @@ from simax import (
     check_mu_reducing,
     collect_frequencies,
     load_model,
-    locate_leaf_slab,
     run_maxima,
     sample_input,
     save_model,
@@ -85,11 +84,11 @@ def test_boundary_count_never_exceeds_n():
     assert len(slabs.boundary_list()) <= 32
 
 
-def test_locate_leaf_slab_half_open_rule():
+def test_locate_half_open_rule():
     slabs = SlabStructure([1.0, 2.0])
-    assert locate_leaf_slab(slabs, 0.5) == 0
-    assert locate_leaf_slab(slabs, 1.0) == 1  # boundary value belongs to the right slab
-    assert locate_leaf_slab(slabs, 5.0) == 2
+    assert slabs.locate(0.5) == 0
+    assert slabs.locate(1.0) == 1  # boundary value belongs to the right slab
+    assert slabs.locate(5.0) == 2
 
 
 @given(
@@ -174,38 +173,38 @@ def test_row_zero_frequencies_are_loosely_balanced(model_cache):
 
 def test_weighted_median_split_example():
     freq = FrequencyTable(counts=np.array([[4, 4, 8]], dtype=np.uint16), rounds=16)
-    tree = build_search_tree(freq, 0, leaf_threshold=1)
-    assert tree.split[0] == 1
-    assert tree.node_count == 3
-    left, right = tree.left[0], tree.right[0]
-    assert (tree.lo[left], tree.hi[left]) == (0, 0)
-    assert (tree.lo[right], tree.hi[right]) == (2, 2)
-    assert check_mu_reducing(tree, freq, 0, mu=2 / 3)
+    forest = build_search_tree(freq, 0, leaf_threshold=1)
+    assert forest.split[0] == 1
+    assert forest.node_count(0) == 3
+    left, right = forest.left[0], forest.right[0]
+    assert (forest.lo[left], forest.hi[left]) == (0, 0)
+    assert (forest.lo[right], forest.hi[right]) == (2, 2)
+    assert check_mu_reducing(forest, 0, freq, mu=2 / 3)
 
 
 def test_split_picks_smallest_majority_slab():
     # prefix reaches half the mass (5) already at slab 0
     freq = FrequencyTable(counts=np.array([[6, 1, 3]], dtype=np.uint16), rounds=10)
-    tree = build_search_tree(freq, 0, leaf_threshold=1)
-    assert tree.split[0] == 0
+    forest = build_search_tree(freq, 0, leaf_threshold=1)
+    assert forest.split[0] == 0
     # heavy tail on the right: slab 2 holds the weighted median
     freq2 = FrequencyTable(counts=np.array([[1, 1, 8]], dtype=np.uint16), rounds=10)
-    tree2 = build_search_tree(freq2, 0, leaf_threshold=1)
-    assert tree2.split[0] == 2
+    forest2 = build_search_tree(freq2, 0, leaf_threshold=1)
+    assert forest2.split[0] == 2
 
 
 def test_low_mass_region_stays_fallback():
     freq = FrequencyTable(counts=np.array([[1, 1, 1]], dtype=np.uint16), rounds=3)
-    tree = build_search_tree(freq, 0, leaf_threshold=5)
-    assert tree.node_count == 1
-    assert tree.split == [-1]
-    assert (tree.lo[0], tree.hi[0]) == (0, 2)
+    forest = build_search_tree(freq, 0, leaf_threshold=5)
+    assert forest.node_count(0) == 1
+    assert forest.split.tolist() == [-1]
+    assert (forest.lo[0], forest.hi[0]) == (0, 2)
 
 
 def test_uniform_counts_give_logarithmic_depth():
     freq = FrequencyTable(counts=np.ones((1, 256), dtype=np.uint16), rounds=256)
-    tree = build_search_tree(freq, 0, leaf_threshold=1)
-    assert tree.max_search_steps() <= 9  # median split halves the mass every level
+    forest = build_search_tree(freq, 0, leaf_threshold=1)
+    assert forest.max_search_steps(0) <= 9  # median split halves the mass every level
 
 
 def test_build_search_tree_rejects_bad_threshold():
@@ -220,98 +219,100 @@ def test_build_search_tree_rejects_bad_threshold():
 )
 def test_built_trees_are_always_two_thirds_reducing(counts, threshold):
     freq = FrequencyTable(counts=np.array([counts], dtype=np.uint16), rounds=max(1, sum(counts)))
-    tree = build_search_tree(freq, 0, threshold)
-    assert check_mu_reducing(tree, freq, 0, mu=2 / 3)
+    forest = build_search_tree(freq, 0, threshold)
+    assert check_mu_reducing(forest, 0, freq, mu=2 / 3)
     # children partition the parent slab minus the split leaf
-    for nid in tree.internal_nodes():
+    for nid in range(forest.node_count(0)):
+        if forest.split[nid] < 0:
+            continue
         covered = []
-        left, right = tree.left[nid], tree.right[nid]
+        left, right = forest.left[nid], forest.right[nid]
         if left >= 0:
-            covered.extend(range(tree.lo[left], tree.hi[left] + 1))
-        covered.append(tree.split[nid])
+            covered.extend(range(forest.lo[left], forest.hi[left] + 1))
+        covered.append(forest.split[nid])
         if right >= 0:
-            covered.extend(range(tree.lo[right], tree.hi[right] + 1))
-        assert covered == list(range(tree.lo[nid], tree.hi[nid] + 1))
+            covered.extend(range(forest.lo[right], forest.hi[right] + 1))
+        assert covered == list(range(forest.lo[nid], forest.hi[nid] + 1))
 
 
 def test_check_mu_reducing_flags_handmade_violation():
     # child holds 9 of the parent's 10: far above 2/3
     freq = FrequencyTable(counts=np.array([[9, 0, 1]], dtype=np.uint16), rounds=10)
-    tree = SearchTree(num_slabs=3, lo=[0, 0, 2], hi=[2, 0, 2], split=[1, -1, -1], left=[1, -1, -1], right=[2, -1, -1])
-    assert not check_mu_reducing(tree, freq, 0, mu=2 / 3)
-    assert check_mu_reducing(tree, freq, 0, mu=0.95)
+    forest = SearchForest(3, lo=[0, 0, 2], hi=[2, 0, 2], split=[1, -1, -1], left=[1, -1, -1], right=[2, -1, -1], offsets=[0, 3])
+    assert not check_mu_reducing(forest, 0, freq, mu=2 / 3)
+    assert check_mu_reducing(forest, 0, freq, mu=0.95)
 
 
 def test_single_node_tree_is_vacuously_reducing():
     freq = FrequencyTable(counts=np.array([[5]], dtype=np.uint16), rounds=5)
-    tree = build_search_tree(freq, 0, leaf_threshold=10)
-    assert check_mu_reducing(tree, freq, 0, mu=2 / 3)
+    forest = build_search_tree(freq, 0, leaf_threshold=10)
+    assert check_mu_reducing(forest, 0, freq, mu=2 / 3)
 
 
 # ---------------------------------------------------------------------------
 # searches
 
 
-def _four_slab_tree() -> SearchTree:
+def _four_slab_tree() -> SearchForest:
     freq = FrequencyTable(counts=np.array([[4, 4, 4, 4]], dtype=np.uint16), rounds=16)
     return build_search_tree(freq, 0, leaf_threshold=1)
 
 
 def test_search_terminates_immediately_when_root_fits_target():
-    tree = _four_slab_tree()
-    assert search_steps_to_leaf(tree, 3, interval=(0, 3)) == 0
+    forest = _four_slab_tree()
+    assert search_steps_to_leaf(forest, 0, 3, interval=(0, 3)) == 0
 
 
 def test_search_stops_at_containment_not_at_leaf():
-    tree = _four_slab_tree()
-    assert tree.split[0] == 1
-    assert search_steps_to_leaf(tree, 3, interval=(2, 3)) == 1  # one step reaches [2,3]
-    assert search_steps_to_leaf(tree, 3, interval=None) == 2  # exact location needs two
+    forest = _four_slab_tree()
+    assert forest.split[0] == 1
+    assert search_steps_to_leaf(forest, 0, 3, interval=(2, 3)) == 1  # one step reaches [2,3]
+    assert search_steps_to_leaf(forest, 0, 3, interval=None) == 2  # exact location needs two
 
 
 def test_search_locates_split_leaf_in_one_step():
-    tree = _four_slab_tree()
-    assert search_steps_to_leaf(tree, 1, interval=None) == 1
-    assert search_steps_to_leaf(tree, 0, interval=None) == 1
+    forest = _four_slab_tree()
+    assert search_steps_to_leaf(forest, 0, 1, interval=None) == 1
+    assert search_steps_to_leaf(forest, 0, 0, interval=None) == 1
 
 
 def test_fallback_region_is_resolved_by_bisection():
     freq = FrequencyTable(counts=np.ones((1, 4), dtype=np.uint16), rounds=4)
-    tree = build_search_tree(freq, 0, leaf_threshold=99)
-    assert tree.node_count == 1
+    forest = build_search_tree(freq, 0, leaf_threshold=99)
+    assert forest.node_count(0) == 1
     for leaf in range(4):
-        assert search_steps_to_leaf(tree, leaf, interval=None) == 2  # ceil(log2 4)
-    assert tree.max_search_steps() == 2
+        assert search_steps_to_leaf(forest, 0, leaf, interval=None) == 2  # ceil(log2 4)
+    assert forest.max_search_steps(0) == 2
 
 
 def test_search_argument_validation():
-    tree = _four_slab_tree()
+    forest = _four_slab_tree()
     with pytest.raises(ValueError, match="out of range"):
-        search_steps_to_leaf(tree, 4, interval=None)
+        search_steps_to_leaf(forest, 0, 4, interval=None)
     with pytest.raises(ValueError, match="bad interval"):
-        search_steps_to_leaf(tree, 0, interval=(2, 9))
+        search_steps_to_leaf(forest, 0, 0, interval=(2, 9))
     with pytest.raises(ValueError, match="outside interval"):
-        search_steps_to_leaf(tree, 0, interval=(1, 2))
+        search_steps_to_leaf(forest, 0, 0, interval=(1, 2))
 
 
 def test_simulate_restricted_search_validation():
-    tree = _four_slab_tree()
+    forest = _four_slab_tree()
     ok = np.array([1.0, 0, 0, 0])
     with pytest.raises(ValueError, match="trials"):
-        simulate_restricted_search(tree, None, ok, trials=0, rng=SeededRng(0))
+        simulate_restricted_search(forest, 0, None, ok, trials=0, rng=SeededRng(0))
     with pytest.raises(ValueError, match="length"):
-        simulate_restricted_search(tree, None, np.ones(3), trials=1, rng=SeededRng(0))
+        simulate_restricted_search(forest, 0, None, np.ones(3), trials=1, rng=SeededRng(0))
     with pytest.raises(ValueError, match="nonnegative"):
-        simulate_restricted_search(tree, None, np.array([1.0, -1, 0, 0]), trials=1, rng=SeededRng(0))
+        simulate_restricted_search(forest, 0, None, np.array([1.0, -1, 0, 0]), trials=1, rng=SeededRng(0))
     with pytest.raises(ValueError, match="positive total"):
-        simulate_restricted_search(tree, None, np.zeros(4), trials=1, rng=SeededRng(0))
+        simulate_restricted_search(forest, 0, None, np.zeros(4), trials=1, rng=SeededRng(0))
     with pytest.raises(ValueError, match="support outside"):
-        simulate_restricted_search(tree, (0, 1), np.array([0, 1.0, 1.0, 0]), trials=1, rng=SeededRng(0))
+        simulate_restricted_search(forest, 0, (0, 1), np.array([0, 1.0, 1.0, 0]), trials=1, rng=SeededRng(0))
 
 
 def test_trivial_tree_over_one_slab_needs_no_steps():
-    tree = SearchTree(num_slabs=1, lo=[0], hi=[0], split=[-1], left=[-1], right=[-1])
-    assert simulate_restricted_search(tree, None, np.array([1.0]), trials=5, rng=SeededRng(1)) == 0.0
+    forest = SearchForest(1, lo=[0], hi=[0], split=[-1], left=[-1], right=[-1], offsets=[0, 1])
+    assert simulate_restricted_search(forest, 0, None, np.array([1.0]), trials=5, rng=SeededRng(1)) == 0.0
 
 
 def test_full_searches_run_in_entropy_plus_one(model_cache):
@@ -323,7 +324,7 @@ def test_full_searches_run_in_entropy_plus_one(model_cache):
     for trial in range(40):
         i = int(picker.randint(256))
         weights = freq.counts[i].astype(np.float64)
-        mean = simulate_restricted_search(model.trees[i], None, weights, trials=32, rng=SeededRng(trial))
+        mean = simulate_restricted_search(model.forest, i, None, weights, trials=32, rng=SeededRng(trial))
         assert mean <= FULL_SEARCH_C * (model.entropy_per_point[i] + 1.0)
 
 
@@ -338,16 +339,16 @@ def test_model_structural_bounds(model_cache, kind):
         eps = model.epsilon
         per_point_cap = STORAGE_C * n**eps
         depth_cap = (1 + 3 * eps) * math.log2(model.slabs.num_slabs) + DEPTH_SLACK
-        for tree in model.trees:
-            assert tree.node_count <= per_point_cap
-            assert tree.max_search_steps() <= depth_cap
+        for i in range(n):
+            assert model.forest.node_count(i) <= per_point_cap
+            assert model.forest.max_search_steps(i) <= depth_cap
 
 
 def test_all_trained_trees_are_mu_reducing(model_cache):
     for kind in ("uniform_square", "staircase_line", "two_level"):
         model = model_cache(kind, 256)
         freq = model.frequencies
-        assert all(check_mu_reducing(model.trees[i], freq, i, mu=2 / 3) for i in range(model.n))
+        assert all(check_mu_reducing(model.forest, i, freq, mu=2 / 3) for i in range(model.n))
 
 
 # ---------------------------------------------------------------------------
@@ -395,10 +396,114 @@ def test_load_model_rejects_wrong_version_and_tree_count(tmp_path, model_cache):
     with pytest.raises(ValueError, match="version"):
         load_model(p)
     obj = model.to_dict()
-    obj["trees"] = obj["trees"][:-1]
+    obj["forest"]["offsets"] = obj["forest"]["offsets"][:-1]
     p.write_text(json.dumps(obj), encoding="utf-8")
-    with pytest.raises(ValueError, match="trees"):
+    with pytest.raises(ValueError, match="15 trees for n=16"):
         load_model(p)
+
+
+def _write_model(tmp_path, obj):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("field", ["scenario", "boundaries", "forest", "epsilon", "entropy_per_point"])
+def test_load_model_names_a_missing_field(tmp_path, model_cache, field):
+    obj = model_cache("uniform_square", 16).to_dict()
+    del obj[field]
+    with pytest.raises(ValueError, match=f"missing model field '{field}'"):
+        load_model(_write_model(tmp_path, obj))
+
+
+def test_load_model_names_a_missing_forest_column(tmp_path, model_cache):
+    obj = model_cache("uniform_square", 16).to_dict()
+    del obj["forest"]["split"]
+    with pytest.raises(ValueError, match="missing model field 'split'"):
+        load_model(_write_model(tmp_path, obj))
+
+
+def test_load_model_checks_entropy_length(tmp_path, model_cache):
+    obj = model_cache("uniform_square", 16).to_dict()
+    obj["entropy_per_point"] = [1.0]
+    with pytest.raises(ValueError, match="entropy_per_point"):
+        load_model(_write_model(tmp_path, obj))
+
+
+def test_load_model_rejects_non_integer_column_entries(tmp_path, model_cache):
+    obj = model_cache("uniform_square", 16).to_dict()
+    obj["forest"]["lo"][0] = 0.5
+    with pytest.raises(ValueError, match="'lo' must hold int32 values"):
+        load_model(_write_model(tmp_path, obj))
+
+
+def test_load_model_rejects_column_entries_outside_int32(tmp_path, model_cache):
+    obj = model_cache("uniform_square", 16).to_dict()
+    obj["forest"]["right"][0] = 2**31
+    with pytest.raises(ValueError, match="'right' must hold int32 values"):
+        load_model(_write_model(tmp_path, obj))
+
+
+def _cyclic_root_children(f, top):
+    f["left"][0] = f["right"][0] = 0
+
+
+def _split_past_last_slab(f, top):
+    f["split"][0] = top + 1
+
+
+def _left_child_reaches_the_split(f, top):
+    f["hi"][f["left"][0]] += 1
+
+
+def _children_swapped(f, top):
+    f["left"][0], f["right"][0] = f["right"][0], f["left"][0]
+
+
+def _child_in_the_next_tree(f, top):
+    f["right"][0] = f["offsets"][1]
+
+
+def _root_short_of_the_top_slab(f, top):
+    f["hi"][0] = top - 1
+
+
+def _root_offset_past_the_end(f, top):
+    f["offsets"][-1] += 1
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (_cyclic_root_children, "not after it"),
+        (_split_past_last_slab, "split outside its interval"),
+        (_left_child_reaches_the_split, "not nested on its side"),
+        (_children_swapped, "not nested on its side"),
+        (_child_in_the_next_tree, "outside its tree"),
+        (_root_short_of_the_top_slab, "root not covering"),
+        (_root_offset_past_the_end, "root offsets"),
+        (None, "version 1 .* retrain"),
+    ],
+)
+def test_load_model_rejects_corrupt_forests(tmp_path, model_cache, corrupt, message):
+    obj = model_cache("uniform_square", 64).to_dict()
+    assert obj["forest"]["split"][0] >= 0  # tree 0's root is an internal node
+    if corrupt is None:
+        obj["version"] = 1
+    else:
+        corrupt(obj["forest"], len(obj["boundaries"]))
+    with pytest.raises(ValueError, match=message):
+        load_model(_write_model(tmp_path, obj))
+
+
+def test_trees_are_appended_in_position_order():
+    freq = FrequencyTable(counts=np.ones((2, 4), dtype=np.uint16), rounds=4)
+    forest = build_search_tree(freq, 0, leaf_threshold=1)
+    with pytest.raises(ValueError, match="tree 1 comes next"):
+        build_search_tree(freq, 0, 1, forest)
+    build_search_tree(freq, 1, 1, forest)
+    forest.check(2)
+    assert forest.node_count(0) == forest.node_count(1) == len(forest.lo) // 2
 
 
 def test_loaded_model_drops_frequencies(tmp_path, model_cache):
