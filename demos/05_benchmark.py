@@ -20,7 +20,8 @@ from simax.bench import (
     write_rows_csv,
 )
 
-work = Path(tempfile.mkdtemp(prefix="simax-bench-"))
+scratch = tempfile.TemporaryDirectory(prefix="simax-bench-")  # removed when the script exits
+work = Path(scratch.name)
 
 # ---------------------------------------------------------------------------
 # train and persist one model per input size

@@ -138,10 +138,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ScenarioError, BenchError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
+    except (ValueError, OSError) as e:  # ScenarioError and BenchError are ValueErrors
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -122,7 +122,7 @@ def entropy_proxy(freq: "FrequencyTable") -> np.ndarray:
         raise ValueError("frequency table has no rounds")
     n = freq.counts.shape[0]
     out = np.empty(n, dtype=np.float64)
-    step = max(1, 2**22 // max(1, freq.counts.shape[1]))  # bound transient float block
+    step = max(1, 2**16 // max(1, freq.counts.shape[1]))  # bound transient float block
     for lo in range(0, n, step):
         block = freq.counts[lo : lo + step].astype(np.float64) / freq.rounds
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -160,7 +160,7 @@ def make_engine_state(model: "TrainedModel", inp: InputSet) -> EngineState:
     state.xs = inp.xs.tolist()
     state.ys = inp.ys.tolist()
     split = model.forest.split
-    # every root covers [0, top] (the model checks its forest); a trivial tree is pure fallback from the start
+    # every root covers [0, top] (decoding puts every root there); a trivial tree is pure fallback from the start
     state.node = [r if split[r] >= 0 else -1 for r in model.forest.offsets[:-1]]
     state.slab_lo = [0] * n
     state.slab_hi = [top] * n

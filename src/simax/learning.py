@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -21,7 +22,7 @@ from .distributions import ScenarioSpec, SeededRng, sample_input, scenario_from_
 from .geometry import InputSet
 
 MODEL_FORMAT = "simax-model"
-MODEL_VERSION = 2
+MODEL_VERSION = 3
 
 
 class SlabStructure:
@@ -152,26 +153,75 @@ def collect_frequencies(spec: ScenarioSpec, slabs: SlabStructure, rounds: int, r
 class SearchForest:
     """The partial weighted-median search trees of all n positions, in flat int32 columns.
 
-    Node j covers the inclusive leaf-slab interval [lo[j], hi[j]].  split[j]
-    >= 0 marks an internal node that compares against the split slab: equal
-    locates, smaller goes to left[j], larger to right[j] (node ids, -1 where
-    that side is empty).  split == -1 with lo == hi is a located leaf; with
-    lo < hi it is a fallback region resolved by plain bisection on slab
-    boundaries.  Position i owns nodes offsets[i] .. offsets[i+1]-1, and its
-    root is offsets[i].  Subtrees whose training mass fell below the leaf
-    threshold are not expanded, which is what keeps total space near-linear.
+    A tree is stored as its preorder split sequence: split >= 0 marks an
+    internal node that compares against that slab (equal locates, smaller
+    goes left, larger goes right), and -1 marks a node that is not expanded.
+    extend() decodes splits into the derived columns.  Node j covers the
+    inclusive leaf-slab interval [lo[j], hi[j]]; left[j] and right[j] are
+    its children's node ids, -1 where that side of the split is empty.  A
+    node with split -1 and lo == hi is a located leaf; with lo < hi it is a
+    fallback region resolved by plain bisection on slab boundaries.
+    Position i owns nodes offsets[i] .. offsets[i+1]-1, and its root is
+    offsets[i].  Subtrees whose training mass fell below the leaf threshold
+    are not expanded, which is what keeps total space near-linear.
     """
 
-    COLUMNS = ("lo", "hi", "split", "left", "right", "offsets")
-    __slots__ = ("num_slabs", *COLUMNS)
+    __slots__ = ("num_slabs", "lo", "hi", "split", "left", "right", "offsets")
 
-    def __init__(self, num_slabs: int, lo=(), hi=(), split=(), left=(), right=(), offsets=(0,)):
+    def __init__(self, num_slabs: int, splits=()):
         self.num_slabs = num_slabs
-        for name, values in zip(self.COLUMNS, (lo, hi, split, left, right, offsets)):
-            try:
-                setattr(self, name, array("i", values))
-            except (TypeError, OverflowError):
-                raise ValueError(f"search forest column {name!r} must hold int32 values only") from None
+        self.lo, self.hi, self.split, self.left, self.right = (array("i") for _ in range(5))
+        self.offsets = array("i", [0])
+        self.extend(splits)
+
+    def extend(self, splits) -> None:
+        """Append the trees whose preorder split sequences are concatenated in splits.
+
+        Every root covers all slabs, and an internal node's left and right
+        children cover the slabs left and right of its split, so a sequence
+        decodes only if every split lies inside its node's interval and the
+        last tree is complete; then every search step shrinks the slab
+        interval.  Raises ValueError, leaving the forest as it was, otherwise.
+        """
+        try:
+            splits = array("i", splits)
+        except (TypeError, OverflowError):
+            raise ValueError("search forest splits must be int32 values") from None
+        top = self.num_slabs - 1
+        lo_c, hi_c, split_c, left_c, right_c = columns = self.lo, self.hi, self.split, self.left, self.right
+        start = len(split_c)
+        add_lo, add_hi, add_left, add_right = lo_c.append, hi_c.append, left_c.append, right_c.append
+        pending = []  # (parent, its left or right column, lo, hi) of subtrees still to decode, next on top
+        push, pop = pending.append, pending.pop
+        parent, side, lo, hi = -1, None, 0, top
+        try:
+            for nid, s in enumerate(splits, start):
+                if parent >= 0:
+                    side[parent] = nid
+                add_lo(lo)
+                add_hi(hi)
+                add_left(-1)
+                add_right(-1)
+                if s != -1:
+                    if not lo <= s <= hi:
+                        raise ValueError(f"search forest node {nid} has a split outside its interval [{lo}, {hi}]: {s}")
+                    if s < hi:
+                        push((nid, right_c, s + 1, hi))
+                    if s > lo:
+                        push((nid, left_c, lo, s - 1))
+                if pending:
+                    parent, side, lo, hi = pop()
+                else:
+                    self.offsets.append(nid + 1)
+                    parent, side, lo, hi = -1, None, 0, top
+            if parent >= 0:
+                raise ValueError(f"search forest splits end inside tree {len(self.offsets) - 1}")
+            split_c.extend(splits)
+        except ValueError:
+            for column in columns:
+                del column[start:]
+            del self.offsets[bisect_right(self.offsets, start) :]
+            raise
 
     def node_count(self, i: int) -> int:
         return self.offsets[i + 1] - self.offsets[i]
@@ -191,44 +241,6 @@ class SearchForest:
 
         return rec(self.offsets[i])
 
-    def check(self, n: int) -> None:
-        """Raise ValueError unless this is n trees whose every search step shrinks the slab interval.
-
-        Every root covers all slabs, and an internal node's children come
-        later in its own tree and cover exactly the slabs left and right of
-        its split, so every search ends.
-        """
-        lo, hi, split, left, right = (np.frombuffer(getattr(self, c), dtype=np.int32) for c in self.COLUMNS[:-1])
-        offsets = np.frombuffer(self.offsets, dtype=np.int32).astype(np.int64)  # np.diff must not wrap
-        m, top = lo.size, self.num_slabs - 1
-        if not hi.size == split.size == left.size == right.size == m:
-            raise ValueError("search forest columns differ in length")
-        if offsets.size != n + 1:
-            raise ValueError(f"search forest has {offsets.size - 1} trees for n={n}")
-        if offsets[0] != 0 or offsets[-1] != m or (np.diff(offsets) < 1).any():
-            raise ValueError(f"search forest root offsets must rise strictly from 0 to {m}")
-
-        def fail(bad, nodes, what: str) -> None:
-            if bad.any():
-                raise ValueError(f"search forest node {nodes[np.argmax(bad)]} {what}")
-
-        every = np.arange(m)
-        fail((lo < 0) | (lo > hi) | (hi > top), every, f"has slab interval outside [0, {top}]")
-        inner = split >= 0
-        fail((split < -1) | (inner & ((split < lo) | (split > hi))), every, "has a split outside its interval")
-        roots = offsets[:-1]
-        fail((lo[roots] != 0) | (hi[roots] != top), roots, f"is a root not covering [0, {top}]")
-        end = np.repeat(offsets[1:], np.diff(offsets))  # one past the last node of each node's tree
-        for child, side, child_lo, child_hi in (
-            (left, inner & (split > lo), lo, split - 1),
-            (right, inner & (split < hi), split + 1, hi),
-        ):
-            fail((child >= 0) != side, every, "has a child where its split leaves no slab, or lacks one")
-            parents = np.flatnonzero(side)
-            c = child[parents]
-            fail((c <= parents) | (c >= end[parents]), parents, "has a child outside its tree or not after it")
-            fail((lo[c] != child_lo[parents]) | (hi[c] != child_hi[parents]), parents, "has a child not nested on its side")
-
 
 def build_search_tree(freq: FrequencyTable, i: int, leaf_threshold: int, forest: SearchForest | None = None) -> SearchForest:
     """Append the partial search tree for position i, compiled from its frequency row, to forest.
@@ -246,32 +258,25 @@ def build_search_tree(freq: FrequencyTable, i: int, leaf_threshold: int, forest:
         forest = SearchForest(freq.num_slabs)
     if len(forest.offsets) != i + 1:
         raise ValueError(f"forest holds {len(forest.offsets) - 1} trees, so tree {len(forest.offsets) - 1} comes next, not {i}")
-    row = freq.counts[i]
-    prefix = np.zeros(row.size + 1, dtype=np.int64)
-    np.cumsum(row, out=prefix[1:])
-    lo_c, hi_c, split_c, left_c, right_c = forest.lo, forest.hi, forest.split, forest.left, forest.right
+    prefix = np.zeros(freq.num_slabs + 1, dtype=np.int64)
+    np.cumsum(freq.counts[i], out=prefix[1:])
+    prefix = memoryview(prefix)  # indexes and bisects as plain ints, with no list copy of the row
+    splits: list[int] = []
 
-    def build(lo: int, hi: int) -> int:
-        nid = len(lo_c)
-        lo_c.append(lo)
-        hi_c.append(hi)
-        split_c.append(-1)
-        left_c.append(-1)
-        right_c.append(-1)
-        count = int(prefix[hi + 1] - prefix[lo])
+    def build(lo: int, hi: int) -> None:
+        count = prefix[hi + 1] - prefix[lo]
         if lo == hi or count < leaf_threshold:
-            return nid
-        target = int(prefix[lo]) + (count + 1) // 2
-        lam = lo + int(np.searchsorted(prefix[lo + 1 : hi + 2], target, side="left"))
-        split_c[nid] = lam
+            splits.append(-1)
+            return
+        lam = bisect_left(prefix, prefix[lo] + (count + 1) // 2, lo + 1, hi + 2) - 1
+        splits.append(lam)
         if lam > lo:
-            left_c[nid] = build(lo, lam - 1)
+            build(lo, lam - 1)
         if lam < hi:
-            right_c[nid] = build(lam + 1, hi)
-        return nid
+            build(lam + 1, hi)
 
     build(0, freq.num_slabs - 1)
-    forest.offsets.append(len(lo_c))
+    forest.extend(splits)
     return forest
 
 
@@ -382,9 +387,10 @@ def simulate_restricted_search(
 class TrainedModel:
     """Everything the limiting phase needs, plus provenance for replay.
 
-    The forest is checked on construction.  frequencies is kept only when
-    training is asked to retain it (for audits of the trees against their
-    training counts); it is never serialized.
+    Construction checks that the forest holds n trees over the model's
+    slabs; decoding already made each tree sound.  frequencies is kept only
+    when training is asked to retain it (for audits of the trees against
+    their training counts); it is never serialized.
     """
 
     scenario: ScenarioSpec
@@ -405,7 +411,8 @@ class TrainedModel:
             raise ValueError(f"entropy_per_point has shape {np.shape(self.entropy_per_point)}, expected ({self.n},)")
         if self.forest.num_slabs != self.slabs.num_slabs:
             raise ValueError(f"search forest is over {self.forest.num_slabs} slabs, model has {self.slabs.num_slabs}")
-        self.forest.check(self.n)
+        if len(self.forest.offsets) != self.n + 1:
+            raise ValueError(f"search forest has {len(self.forest.offsets) - 1} trees for n={self.n}")
 
     @property
     def n(self) -> int:
@@ -431,25 +438,22 @@ class TrainedModel:
             "leaf_threshold": self.leaf_threshold,
             "scenario": scenario_to_dict(self.scenario),
             "boundaries": [float(b) for b in self.slabs.boundaries],
-            "forest": {c: getattr(self.forest, c).tolist() for c in SearchForest.COLUMNS},
+            "forest": self.forest.split.tolist(),
             "entropy_per_point": [float(h) for h in self.entropy_per_point],
-            "entropy_total": self.entropy_total,
         }
 
     @classmethod
     def from_dict(cls, obj: dict) -> "TrainedModel":
         if not isinstance(obj, dict) or obj.get("format") != MODEL_FORMAT:
             raise ValueError("not a model file (bad or missing format tag)")
-        if obj.get("version") == 1:
-            raise ValueError("model file version 1 (per-position tree lists) is no longer read; retrain the model")
         if obj.get("version") != MODEL_VERSION:
-            raise ValueError(f"unsupported model version {obj.get('version')!r}")
+            raise ValueError(f"model file version {obj.get('version')!r} is not read (only version {MODEL_VERSION}); retrain the model")
         try:
             slabs = SlabStructure(obj["boundaries"])
             return cls(
                 scenario=scenario_from_dict(obj["scenario"]),
                 slabs=slabs,
-                forest=SearchForest(slabs.num_slabs, *(obj["forest"][c] for c in SearchForest.COLUMNS)),
+                forest=SearchForest(slabs.num_slabs, obj["forest"]),
                 epsilon=float(obj["epsilon"]),
                 delta=float(obj["delta"]),
                 seed=int(obj["seed"]),
@@ -507,8 +511,7 @@ def train_model(
 
 def save_model(model: TrainedModel, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model.to_dict(), fh, separators=(",", ":"))
-        fh.write("\n")
+        fh.write(json.dumps(model.to_dict(), separators=(",", ":")) + "\n")
 
 
 def load_model(path) -> TrainedModel:

@@ -17,7 +17,7 @@ from simax.bench import (
     write_rows_csv,
 )
 from simax.cli import main
-from simax.learning import load_model
+from simax.learning import SearchForest, load_model
 
 EXPECTED_HEADER = (
     "scenario,n,seed,phase,algorithm,tree_steps,dominance_checks,"
@@ -281,9 +281,10 @@ def test_model_file_is_versioned_json(tmp_path):
     main(["train", "--scenario", "uniform_square", "--n", "16", "--out", str(model_path)])
     obj = json.loads(model_path.read_text(encoding="utf-8"))
     assert obj["format"] == "simax-model"
-    assert obj["version"] == 2
+    assert obj["version"] == 3
     assert obj["rng_algorithm"] == "pcg64"
-    assert len(obj["forest"]["offsets"]) == 17  # n + 1 root offsets
+    assert all(type(s) is int for s in obj["forest"])  # one flat preorder split list
+    assert len(SearchForest(len(obj["boundaries"]) + 1, obj["forest"]).offsets) == 17  # holding n trees
 
 
 def test_cli_verify_reports_a_missing_model_field(tmp_path, capsys):

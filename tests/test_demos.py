@@ -18,7 +18,8 @@ def test_all_five_demos_are_found():
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(demo, tmp_path):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    # TMPDIR keeps the scratch directory 05_benchmark.py makes (and leaves behind) inside tmp_path
+    # TMPDIR puts the scratch directory 05_benchmark.py makes inside tmp_path, where its removal is checked
     env = dict(os.environ, PYTHONPATH=path, TMPDIR=str(tmp_path))
     proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    assert not list(tmp_path.glob("simax-bench-*"))

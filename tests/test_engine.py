@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_distributions import _dist_strategy
 
 from simax import (
     BucketQueue,
@@ -12,11 +15,13 @@ from simax import (
     SearchForest,
     SlabStructure,
     TrainedModel,
+    TrainingConfig,
     brute_force_maxima,
     entropy_proxy,
     run_maxima,
     sample_input,
     sort_scan_maxima,
+    train_model,
     verify_certificate,
 )
 from simax.distributions import PointMass, ScenarioSpec, SeededRng
@@ -24,11 +29,10 @@ from simax.engine import EngineState, make_engine_state, update_step
 from simax.geometry import InputSet
 
 
-def _fallback_model(n: int, boundaries, root_hi=None) -> TrainedModel:
-    """A model whose every tree is a bare fallback root over [0, root_hi]: pure bisection engine."""
+def _fallback_model(n: int, boundaries) -> TrainedModel:
+    """A model whose every tree is a bare fallback root over all slabs: pure bisection engine."""
     slabs = SlabStructure(boundaries)
-    hi = slabs.num_slabs - 1 if root_hi is None else root_hi
-    forest = SearchForest(slabs.num_slabs, [0] * n, [hi] * n, [-1] * n, [-1] * n, [-1] * n, range(n + 1))
+    forest = SearchForest(slabs.num_slabs, [-1] * n)
     spec = ScenarioSpec("fixed", tuple(PointMass(float(i), 0.0) for i in range(n)))
     return TrainedModel(
         scenario=spec,
@@ -131,11 +135,6 @@ def test_engine_state_validates_sizes():
         make_engine_state(model, InputSet([0.0], [0.0]))
 
 
-def test_model_rejects_partial_root_coverage():
-    with pytest.raises(ValueError, match=r"root not covering \[0, 2\]"):
-        _fallback_model(2, [1.0, 2.0], root_hi=1)
-
-
 def test_pure_fallback_model_matches_oracle():
     model = _fallback_model(6, [1.0, 2.0, 3.0, 4.0])
     inp = InputSet([0.5, 1.5, 2.5, 3.5, 4.5, 2.0], [3.0, 5.0, 1.0, 4.0, 2.0, 6.0])
@@ -155,6 +154,19 @@ def test_trained_engine_agrees_with_both_oracles(model_cache):
             assert verify_certificate(inp, cert)
             assert cert.maxima_set() == brute_force_maxima(inp).maxima_set()
             assert cert.maxima == sort_scan_maxima(inp).maxima
+
+
+@settings(deadline=None)
+@given(dists=st.lists(_dist_strategy(), min_size=1, max_size=10), seed=st.integers(0, 2**16))
+def test_trained_engine_matches_sort_scan_on_custom_scenarios(dists, seed):
+    # quarter-grid coordinates: point masses sit on slab boundaries, and x and y ties are common
+    spec = ScenarioSpec("custom", tuple(dists))
+    model = train_model(spec, TrainingConfig(rounds_cap=20), seed=seed)
+    for t in range(3):
+        inp = sample_input(spec, SeededRng(seed + t))
+        cert = run_maxima(model, inp, debug_invariants=True)
+        assert cert.maxima == sort_scan_maxima(inp).maxima
+        assert verify_certificate(inp, cert)
 
 
 def test_duplicate_heavy_input_is_handled(model_cache):

@@ -235,10 +235,42 @@ def test_built_trees_are_always_two_thirds_reducing(counts, threshold):
         assert covered == list(range(forest.lo[nid], forest.hi[nid] + 1))
 
 
+@given(
+    rows=st.lists(st.lists(st.integers(0, 30), min_size=6, max_size=6), min_size=1, max_size=4),
+    threshold=st.integers(1, 20),
+)
+def test_built_forest_decodes_from_its_splits_alone(rows, threshold):
+    freq = FrequencyTable(counts=np.array(rows, dtype=np.uint16), rounds=30)
+    built = SearchForest(freq.num_slabs)
+    for i in range(freq.n):
+        build_search_tree(freq, i, threshold, built)
+    decoded = SearchForest(freq.num_slabs, built.split)
+    for column in ("lo", "hi", "split", "left", "right", "offsets"):
+        assert getattr(decoded, column) == getattr(built, column)
+
+
+def test_search_forest_decodes_preorder_splits():
+    forest = SearchForest(4, [1, -1, -1, -1])  # root splits at 1; left leaf [0, 0], right fallback [2, 3]; tree 2 is bare
+    assert forest.lo.tolist() == [0, 0, 2, 0]
+    assert forest.hi.tolist() == [3, 0, 3, 3]
+    assert forest.left.tolist() == [1, -1, -1, -1]
+    assert forest.right.tolist() == [2, -1, -1, -1]
+    assert forest.offsets.tolist() == [0, 3, 4]
+
+
+def test_failed_extend_leaves_the_forest_as_it_was():
+    forest = SearchForest(4, [1, -1, -1])
+    for bad in ([-1, 2, 3], [2, -1]):  # a split outside its node's interval; an incomplete tree
+        with pytest.raises(ValueError):
+            forest.extend(bad)
+        assert forest.split.tolist() == [1, -1, -1] and forest.offsets.tolist() == [0, 3]
+        assert len(forest.lo) == len(forest.hi) == len(forest.left) == len(forest.right) == 3
+
+
 def test_check_mu_reducing_flags_handmade_violation():
     # child holds 9 of the parent's 10: far above 2/3
     freq = FrequencyTable(counts=np.array([[9, 0, 1]], dtype=np.uint16), rounds=10)
-    forest = SearchForest(3, lo=[0, 0, 2], hi=[2, 0, 2], split=[1, -1, -1], left=[1, -1, -1], right=[2, -1, -1], offsets=[0, 3])
+    forest = SearchForest(3, [1, -1, -1])
     assert not check_mu_reducing(forest, 0, freq, mu=2 / 3)
     assert check_mu_reducing(forest, 0, freq, mu=0.95)
 
@@ -311,7 +343,7 @@ def test_simulate_restricted_search_validation():
 
 
 def test_trivial_tree_over_one_slab_needs_no_steps():
-    forest = SearchForest(1, lo=[0], hi=[0], split=[-1], left=[-1], right=[-1], offsets=[0, 1])
+    forest = SearchForest(1, [-1])
     assert simulate_restricted_search(forest, 0, None, np.array([1.0]), trials=5, rng=SeededRng(1)) == 0.0
 
 
@@ -396,7 +428,7 @@ def test_load_model_rejects_wrong_version_and_tree_count(tmp_path, model_cache):
     with pytest.raises(ValueError, match="version"):
         load_model(p)
     obj = model.to_dict()
-    obj["forest"]["offsets"] = obj["forest"]["offsets"][:-1]
+    obj["forest"] = obj["forest"][: model.forest.offsets[15]]  # node ids are split list indices
     p.write_text(json.dumps(obj), encoding="utf-8")
     with pytest.raises(ValueError, match="15 trees for n=16"):
         load_model(p)
@@ -416,13 +448,6 @@ def test_load_model_names_a_missing_field(tmp_path, model_cache, field):
         load_model(_write_model(tmp_path, obj))
 
 
-def test_load_model_names_a_missing_forest_column(tmp_path, model_cache):
-    obj = model_cache("uniform_square", 16).to_dict()
-    del obj["forest"]["split"]
-    with pytest.raises(ValueError, match="missing model field 'split'"):
-        load_model(_write_model(tmp_path, obj))
-
-
 def test_load_model_checks_entropy_length(tmp_path, model_cache):
     obj = model_cache("uniform_square", 16).to_dict()
     obj["entropy_per_point"] = [1.0]
@@ -432,66 +457,69 @@ def test_load_model_checks_entropy_length(tmp_path, model_cache):
 
 def test_load_model_rejects_non_integer_column_entries(tmp_path, model_cache):
     obj = model_cache("uniform_square", 16).to_dict()
-    obj["forest"]["lo"][0] = 0.5
-    with pytest.raises(ValueError, match="'lo' must hold int32 values"):
+    obj["forest"][0] = 0.5
+    with pytest.raises(ValueError, match="splits must be int32 values"):
         load_model(_write_model(tmp_path, obj))
 
 
 def test_load_model_rejects_column_entries_outside_int32(tmp_path, model_cache):
     obj = model_cache("uniform_square", 16).to_dict()
-    obj["forest"]["right"][0] = 2**31
-    with pytest.raises(ValueError, match="'right' must hold int32 values"):
+    obj["forest"][0] = 2**31
+    with pytest.raises(ValueError, match="splits must be int32 values"):
         load_model(_write_model(tmp_path, obj))
 
 
-def _cyclic_root_children(f, top):
-    f["left"][0] = f["right"][0] = 0
+# corruptions of a model file whose tree 0 has an internal root, i.e. the file's forest starts [s, ...] with s >= 0
 
 
-def _split_past_last_slab(f, top):
-    f["split"][0] = top + 1
+def _split_past_last_slab(obj):
+    obj["forest"][0] = len(obj["boundaries"]) + 1
 
 
-def _left_child_reaches_the_split(f, top):
-    f["hi"][f["left"][0]] += 1
+def _split_below_minus_one(obj):
+    obj["forest"][0] = -2
 
 
-def _children_swapped(f, top):
-    f["left"][0], f["right"][0] = f["right"][0], f["left"][0]
+def _left_child_reaches_the_split(obj):
+    obj["forest"][1] = obj["forest"][0]  # node 1 is the root's left child, or its right one when the root splits at 0
 
 
-def _child_in_the_next_tree(f, top):
-    f["right"][0] = f["offsets"][1]
+def _tree_0_missing_a_node(obj):
+    del obj["forest"][1]
 
 
-def _root_short_of_the_top_slab(f, top):
-    f["hi"][0] = top - 1
+def _one_trailing_split(obj):
+    obj["forest"].append(-1)
 
 
-def _root_offset_past_the_end(f, top):
-    f["offsets"][-1] += 1
+def _last_tree_incomplete(obj):
+    del obj["forest"][-1]
+
+
+def _version_2(obj):
+    obj["version"] = 2
 
 
 @pytest.mark.parametrize(
     "corrupt, message",
     [
-        (_cyclic_root_children, "not after it"),
         (_split_past_last_slab, "split outside its interval"),
-        (_left_child_reaches_the_split, "not nested on its side"),
-        (_children_swapped, "not nested on its side"),
-        (_child_in_the_next_tree, "outside its tree"),
-        (_root_short_of_the_top_slab, "root not covering"),
-        (_root_offset_past_the_end, "root offsets"),
+        (_split_below_minus_one, "split outside its interval"),
+        (_left_child_reaches_the_split, "split outside its interval"),
+        (_tree_0_missing_a_node, "search forest"),  # later splits shift into the wrong nodes
+        (_one_trailing_split, "65 trees for n=64"),
+        (_last_tree_incomplete, "end inside tree 63"),
         (None, "version 1 .* retrain"),
+        (_version_2, "version 2 .* retrain"),
     ],
 )
 def test_load_model_rejects_corrupt_forests(tmp_path, model_cache, corrupt, message):
     obj = model_cache("uniform_square", 64).to_dict()
-    assert obj["forest"]["split"][0] >= 0  # tree 0's root is an internal node
+    assert obj["forest"][0] >= 0  # tree 0's root is an internal node
     if corrupt is None:
         obj["version"] = 1
     else:
-        corrupt(obj["forest"], len(obj["boundaries"]))
+        corrupt(obj)
     with pytest.raises(ValueError, match=message):
         load_model(_write_model(tmp_path, obj))
 
@@ -502,7 +530,7 @@ def test_trees_are_appended_in_position_order():
     with pytest.raises(ValueError, match="tree 1 comes next"):
         build_search_tree(freq, 0, 1, forest)
     build_search_tree(freq, 1, 1, forest)
-    forest.check(2)
+    assert len(forest.offsets) == 3
     assert forest.node_count(0) == forest.node_count(1) == len(forest.lo) // 2
 
 
