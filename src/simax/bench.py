@@ -10,28 +10,13 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .distributions import SeededRng, sample_input
 from .engine import RunStats, run_maxima
 from .geometry import BaselineStats, InputSet, brute_force_maxima, sort_scan_maxima, verify_certificate
 from .learning import TrainedModel
-
-CSV_HEADER = [
-    "scenario",
-    "n",
-    "seed",
-    "phase",
-    "algorithm",
-    "tree_steps",
-    "dominance_checks",
-    "sort_comparisons",
-    "update_sorted_points",
-    "entropy_total",
-    "wall_time_ns",
-    "verified",
-]
 
 ALGORITHMS = ("self_improving", "sort_scan", "brute_force")
 
@@ -63,20 +48,7 @@ class ReportRow:
 
     def to_csv(self) -> list[str]:
         verified = "skipped" if self.verified is None else ("true" if self.verified else "false")
-        return [
-            self.scenario,
-            str(self.n),
-            str(self.seed),
-            self.phase,
-            self.algorithm,
-            str(self.tree_steps),
-            str(self.dominance_checks),
-            str(self.sort_comparisons),
-            str(self.update_sorted_points),
-            repr(self.entropy_total),
-            str(self.wall_time_ns),
-            verified,
-        ]
+        return [str(getattr(self, f.name)) for f in fields(self)[:-1]] + [verified]
 
     @classmethod
     def from_csv(cls, record: dict, where: str) -> "ReportRow":
@@ -84,25 +56,17 @@ class ReportRow:
             verified_raw = record["verified"]
             if verified_raw not in ("true", "false", "skipped"):
                 raise ValueError(f"bad verified value {verified_raw!r}")
-            return cls(
-                scenario=record["scenario"],
-                n=int(record["n"]),
-                seed=int(record["seed"]),
-                phase=record["phase"],
-                algorithm=record["algorithm"],
-                tree_steps=int(record["tree_steps"]),
-                dominance_checks=int(record["dominance_checks"]),
-                sort_comparisons=int(record["sort_comparisons"]),
-                update_sorted_points=int(record["update_sorted_points"]),
-                entropy_total=float(record["entropy_total"]),
-                wall_time_ns=int(record["wall_time_ns"]),
-                verified=None if verified_raw == "skipped" else verified_raw == "true",
-            )
+            parsed = {f.name: _PARSE[f.type](record[f.name]) for f in fields(cls)[:-1]}
+            return cls(**parsed, verified=None if verified_raw == "skipped" else verified_raw == "true")
         except (KeyError, ValueError) as e:
             raise BenchError(f"{where}: malformed row: {e}") from None
 
     def work_per_point(self) -> float:
         return (self.tree_steps + self.dominance_checks + self.sort_comparisons) / self.n
+
+
+CSV_HEADER = [f.name for f in fields(ReportRow)]
+_PARSE = {"str": str, "int": int, "float": float}  # ReportRow's annotations, read as strings
 
 
 @dataclass

@@ -22,73 +22,80 @@ if TYPE_CHECKING:
 
 
 class BucketQueue:
-    """Max-priority queue over a bounded integer key range with lazy scanning.
+    """Max-priority queue over a bounded integer key range: lazy per-key lists with read heads.
 
-    Keys may only decrease after insertion (checked), which lets a single
-    downward cursor amortize every find_max over the whole run: the cursor
-    moves at most num_keys steps in total.  Elements with equal keys come out
-    in FIFO order; an element whose key is lowered re-enters at the back of
-    its new bucket.  find_max on an empty queue returns None.
+    key[elem] is the element's current key, -1 once deleted, and a bucket
+    entry is live while it equals that bucket's key: decrease_key appends to
+    the new bucket and delete only resets the key.  Keys may only decrease
+    (checked), so one downward cursor serves every find_max, moving at most
+    num_keys steps in total.  Equal keys come out FIFO; an element that is
+    moved or re-inserted joins the back of its bucket.
     """
 
-    __slots__ = ("_buckets", "_keys", "_cursor", "scan_steps")
+    __slots__ = ("buckets", "heads", "key", "cursor", "scan_steps")
 
     def __init__(self, num_keys: int):
         if num_keys < 1:
             raise ValueError("num_keys must be >= 1")
-        self._buckets: list[dict] = [{} for _ in range(num_keys)]
-        self._keys: dict = {}
-        self._cursor = -1
+        self.buckets: list[list] = [[] for _ in range(num_keys)]
+        self.heads = [0] * num_keys  # entries before the head are consumed
+        self.key: dict = {}
+        self.cursor = -1
         self.scan_steps = 0  # cumulative downward cursor movement
 
     def __len__(self) -> int:
-        return len(self._keys)
+        return sum(k >= 0 for k in self.key.values())
 
     def __contains__(self, elem) -> bool:
-        return elem in self._keys
+        return self.key.get(elem, -1) >= 0
 
     def key_of(self, elem) -> int:
-        return self._keys[elem]
+        if elem not in self:
+            raise KeyError(f"element {elem!r} is not queued")
+        return self.key[elem]
 
     def insert(self, elem, key: int) -> None:
-        if elem in self._keys:
+        if elem in self:
             raise ValueError(f"element {elem!r} is already queued")
-        if not 0 <= key < len(self._buckets):
-            raise ValueError(f"key {key} out of range [0, {len(self._buckets)})")
-        self._buckets[key][elem] = None
-        self._keys[elem] = key
-        if key > self._cursor:
-            self._cursor = key
+        if not 0 <= key < len(self.buckets):
+            raise ValueError(f"key {key} out of range [0, {len(self.buckets)})")
+        if elem in self.key:  # a returning element: its stale entries must not come back to life
+            for bucket, head in zip(self.buckets, self.heads):
+                bucket[head:] = [e for e in bucket[head:] if e != elem]
+        self.buckets[key].append(elem)
+        self.key[elem] = key
+        if key > self.cursor:
+            self.cursor = key
 
     def find_max(self):
         """(element, key) with the largest key, FIFO on ties; None when empty."""
-        buckets = self._buckets
-        cursor = self._cursor
-        while cursor >= 0 and not buckets[cursor]:
-            cursor -= 1
+        buckets, heads, key = self.buckets, self.heads, self.key
+        m = self.cursor
+        while m >= 0:
+            bucket = buckets[m]
+            h = heads[m]
+            while h < len(bucket) and key[bucket[h]] != m:
+                h += 1
+            heads[m] = h
+            if h < len(bucket):
+                break
+            m -= 1
             self.scan_steps += 1
-        self._cursor = cursor
-        if cursor < 0:
-            return None
-        return next(iter(buckets[cursor])), cursor
+        self.cursor = m
+        return None if m < 0 else (bucket[h], m)
 
     def decrease_key(self, elem, new_key: int) -> None:
-        old = self._keys.get(elem)
-        if old is None:
-            raise KeyError(f"element {elem!r} is not queued")
+        old = self.key_of(elem)
         if new_key >= old:
             raise ValueError(f"key for {elem!r} may only decrease ({old} -> {new_key})")
         if new_key < 0:
             raise ValueError(f"key {new_key} out of range")
-        del self._buckets[old][elem]
-        self._buckets[new_key][elem] = None
-        self._keys[elem] = new_key
+        self.buckets[new_key].append(elem)
+        self.key[elem] = new_key
 
     def delete(self, elem) -> None:
-        key = self._keys.pop(elem, None)
-        if key is None:
-            raise KeyError(f"element {elem!r} is not queued")
-        del self._buckets[key][elem]
+        self.key_of(elem)  # raises KeyError unless queued
+        self.key[elem] = -1
 
 
 @dataclass
@@ -134,7 +141,10 @@ def entropy_proxy(freq: "FrequencyTable") -> np.ndarray:
 
 @dataclass
 class EngineState:
-    """Mutable run state: the scheduler queue plus per-point search positions."""
+    """Mutable run state: the scheduler queue plus per-point search positions.
+
+    A queued point's key is the hi end of its slab interval; slab_lo holds the lo end.
+    """
 
     queue: BucketQueue
     lam_hat: int
@@ -144,7 +154,6 @@ class EngineState:
     phat: int = -1  # leftmost maximum found so far (largest y), -1 if none
     node: list[int] = field(default_factory=list)  # current forest node, -1 = fallback/located
     slab_lo: list[int] = field(default_factory=list)
-    slab_hi: list[int] = field(default_factory=list)
     xs: list[float] = field(default_factory=list)
     ys: list[float] = field(default_factory=list)
 
@@ -153,19 +162,19 @@ def make_engine_state(model: "TrainedModel", inp: InputSet) -> EngineState:
     if model.n != inp.n:
         raise ValueError(f"model is for n={model.n}, input has n={inp.n}")
     n = inp.n
-    num_slabs = model.slabs.num_slabs
-    top = num_slabs - 1
-    queue = BucketQueue(num_slabs)
+    top = model.slabs.num_slabs - 1
+    queue = BucketQueue(top + 1)
+    # insert(i, top) for every point, in order, done in bulk
+    queue.buckets[top] = list(range(n))
+    queue.key = dict.fromkeys(range(n), top)
+    queue.cursor = top
     state = EngineState(queue=queue, lam_hat=top)
     state.xs = inp.xs.tolist()
     state.ys = inp.ys.tolist()
-    split = model.forest.split
+    roots = np.frombuffer(model.forest.offsets, dtype=np.intc)[:-1]
     # every root covers [0, top] (decoding puts every root there); a trivial tree is pure fallback from the start
-    state.node = [r if split[r] >= 0 else -1 for r in model.forest.offsets[:-1]]
+    state.node = np.where(np.frombuffer(model.forest.split, dtype=np.intc)[roots] >= 0, roots, -1).tolist()
     state.slab_lo = [0] * n
-    state.slab_hi = [top] * n
-    for i in range(n):
-        queue.insert(i, top)
     return state
 
 
@@ -231,73 +240,6 @@ def update_step(state: EngineState, stats: RunStats, new_lam_hat: int) -> None:
     state.lam_hat = new_lam_hat
 
 
-def search_step(state: EngineState, model: "TrainedModel", stats: RunStats) -> bool:
-    """Advance the rightmost scheduled point by one unit of work.
-
-    Returns False when the queue is empty.  One call does at most: an update
-    (when the frontier moves left), one dominance check, and one search
-    advance; a located point in the frontier slab is handed to the buffer.
-    """
-    queue = state.queue
-    top = queue.find_max()
-    if top is None:
-        return False
-    i, m = top
-    if m < state.lam_hat:
-        update_step(state, stats, m)
-
-    phat = state.phat
-    if phat >= 0:
-        xs, ys = state.xs, state.ys
-        px = xs[i]
-        py = ys[i]
-        hx = xs[phat]
-        hy = ys[phat]
-        stats.dominance_checks += 1
-        if hx >= px and hy >= py and (hx > px or hy > py):
-            queue.delete(i)
-            state.dominators[i] = phat
-            return True
-
-    lo = state.slab_lo[i]
-    hi = state.slab_hi[i]
-    if lo != hi:
-        px = state.xs[i]
-        blist = model.slabs.boundary_list()
-        nid = state.node[i]
-        stats.tree_steps += 1
-        if nid >= 0:
-            forest = model.forest
-            s = forest.split[nid]
-            if s > lo and px < blist[s - 1]:
-                child = forest.left[nid]
-                lo, hi = forest.lo[child], forest.hi[child]
-                state.node[i] = child if forest.split[child] >= 0 else -1
-            elif s < hi and px >= blist[s]:
-                child = forest.right[nid]
-                lo, hi = forest.lo[child], forest.hi[child]
-                state.node[i] = child if forest.split[child] >= 0 else -1
-            else:
-                lo = hi = s
-                state.node[i] = -1
-        else:
-            mid = (lo + hi) // 2
-            if px < blist[mid]:
-                hi = mid
-            else:
-                lo = mid + 1
-        state.slab_lo[i] = lo
-        state.slab_hi[i] = hi
-        if hi < m:
-            queue.decrease_key(i, hi)
-            stats.decrease_keys += 1
-
-    if lo == hi and lo == state.lam_hat:
-        queue.delete(i)
-        state.buffer.append(i)
-    return True
-
-
 def run_maxima(
     model: "TrainedModel",
     inp: InputSet,
@@ -306,10 +248,14 @@ def run_maxima(
 ) -> Certificate:
     """Compute the maxima certificate for one input using the trained model.
 
-    Deterministic given (model, input).  With debug_invariants the run checks,
-    at every frontier move, that the staircase found so far is exactly the
-    true staircase of the points right of the frontier (quadratic oracle
-    work, debugging only).
+    The queue's cursor m walks the buckets right to left, and the first live
+    point of bucket m moves the frontier there (update_step).  Each advance
+    of the rightmost point is one dominance check against the leftmost
+    maximum so far plus one search step, until the point is dominated,
+    buffered in the frontier slab, or stepped left of m.  Deterministic given
+    (model, input).  With debug_invariants the run checks, at every frontier
+    move, that the staircase found so far is exactly the true staircase of
+    the points right of the frontier (quadratic oracle work, debugging only).
     """
     if stats is None:
         stats = RunStats()
@@ -317,15 +263,75 @@ def run_maxima(
     if debug_invariants:
         true_leaf = model.slabs.locate_array(inp.xs)
         _check_frontier_invariant(state, inp, true_leaf)
-    last_lam = state.lam_hat
-    while search_step(state, model, stats):
-        if debug_invariants and state.lam_hat != last_lam:
-            last_lam = state.lam_hat
-            _check_frontier_invariant(state, inp, true_leaf)
+    queue = state.queue
+    buckets, key = queue.buckets, queue.key
+    xs, ys, node, slab_lo = state.xs, state.ys, state.node, state.slab_lo
+    buffer, dominators = state.buffer, state.dominators
+    split, right = model.forest.split, model.forest.right
+    blist = model.slabs.boundary_list()
+    lam_hat = state.lam_hat
+    phat = hx = hy = -1
+    steps = checks = decreases = 0
+    start = queue.cursor
+    for m in range(start, -1, -1):
+        # nothing joins bucket m while the cursor is on it: keys only fall below m
+        for i in buckets[m]:
+            if key[i] != m:
+                continue  # stale: i was stepped left of m or deleted
+            if m < lam_hat:
+                update_step(state, stats, m)
+                lam_hat, phat = m, state.phat
+                hx, hy = xs[phat], ys[phat]  # not read while phat is -1
+                if debug_invariants:
+                    _check_frontier_invariant(state, inp, true_leaf)
+            px, py = xs[i], ys[i]
+            lo, hi, nid = slab_lo[i], m, node[i]
+            while True:  # i stays the rightmost point until it leaves bucket m
+                if phat >= 0:
+                    checks += 1
+                    if hx >= px and hy >= py and (hx > px or hy > py):
+                        key[i] = -1
+                        dominators[i] = phat
+                        break
+                if lo != hi:
+                    steps += 1
+                    if nid >= 0:
+                        s = split[nid]
+                        if s > lo and px < blist[s - 1]:
+                            hi = s - 1
+                            nid += 1  # preorder: the left child follows its parent
+                        elif s < hi and px >= blist[s]:
+                            lo = s + 1
+                            nid = right[nid]
+                        else:
+                            lo = hi = s
+                        if lo == hi or split[nid] < 0:
+                            nid = -1
+                    else:
+                        mid = (lo + hi) // 2
+                        if px < blist[mid]:
+                            hi = mid
+                        else:
+                            lo = mid + 1
+                    if hi < m:
+                        key[i] = hi
+                        buckets[hi].append(i)
+                        decreases += 1
+                        slab_lo[i], node[i] = lo, nid
+                        break
+                if lo == hi:
+                    key[i] = -1
+                    buffer.append(i)
+                    break
+    queue.cursor = -1
+    queue.scan_steps += start + 1  # one downward move past each bucket
+    stats.tree_steps += steps
+    stats.dominance_checks += checks
+    stats.decrease_keys += decreases
     update_step(state, stats, -1)
     if debug_invariants:
         _check_frontier_invariant(state, inp, true_leaf)
-    stats.find_max_scans += state.queue.scan_steps
+    stats.find_max_scans += queue.scan_steps
     maxima = tuple(reversed(state.maxima_rev))
     return Certificate(maxima=maxima, dominators=dict(state.dominators))
 

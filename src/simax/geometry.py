@@ -9,7 +9,9 @@ have to be trusted blindly.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -207,50 +209,63 @@ def sort_scan_maxima(inp: InputSet, stats: BaselineStats | None = None) -> Certi
 # verification
 
 
+def _index_array(values: list, n: int, names: tuple[str, ...]) -> np.ndarray:
+    """values as an int64 array; CertificateIndexError names the first entry that is not an int in [0, n).
+
+    Entry k is a names[k % len(names)] index.  Types are checked before the
+    conversion, which would truncate 1.5 to 1 and turn True into 1.
+    """
+    if all(issubclass(t, (int, np.integer)) and not issubclass(t, bool) for t in set(map(type, values))):
+        with suppress(OverflowError):
+            arr = np.array(values, dtype=np.int64)
+            if not arr.size or (arr.min() >= 0 and arr.max() < n):
+                return arr
+    for k, v in enumerate(values):
+        if not isinstance(v, (int, np.integer)) or isinstance(v, bool) or not 0 <= v < n:
+            raise CertificateIndexError(f"{names[k % len(names)]} index {v!r} is not an int in [0, {n})")
+
+
 def check_certificate(inp: InputSet, cert: Certificate) -> str | None:
-    """Linear-time certificate check; None if valid, else a failure reason.
+    """Linear-time certificate check; None if valid, else the first failure reason.
 
     Raises CertificateIndexError when the certificate refers to indices the
-    input does not have (a malformed certificate, not merely a wrong one).
+    input does not have, or to non-integer ones (a malformed certificate,
+    not merely a wrong one).
     """
     n = inp.n
     xs, ys = inp.xs, inp.ys
-    for i in cert.maxima:
-        if not 0 <= i < n:
-            raise CertificateIndexError(f"maxima index {i} out of range for n={n}")
-    for i, j in cert.dominators.items():
-        if not 0 <= i < n:
-            raise CertificateIndexError(f"dominated index {i} out of range for n={n}")
-        if not 0 <= j < n:
-            raise CertificateIndexError(f"dominator index {j} out of range for n={n}")
+    maxima = _index_array(cert.maxima, n, ("maxima",))
+    pairs = _index_array(list(chain.from_iterable(cert.dominators.items())), n, ("dominated", "dominator"))
+    dominated, dominator = pairs[0::2], pairs[1::2]
 
-    if not cert.maxima:
+    if not maxima.size:
         return "no maxima listed (a nonempty input always has at least one)"
     seen = np.zeros(n, dtype=bool)
-    for i in cert.maxima:
-        if seen[i]:
-            return f"index {i} listed twice among maxima"
-        seen[i] = True
-    for i in cert.dominators:
-        if seen[i]:
-            return f"index {i} is both maximal and dominated"
-        seen[i] = True
+    seen[maxima] = True
+    if np.count_nonzero(seen) < maxima.size:
+        order = np.argsort(maxima, kind="stable")
+        repeats = order[1:][maxima[order[1:]] == maxima[order[:-1]]]  # every occurrence after the first
+        return f"index {maxima[repeats.min()]} listed twice among maxima"
+    both = seen[dominated]
+    if both.any():
+        return f"index {dominated[both.argmax()]} is both maximal and dominated"
+    seen[dominated] = True
     if not seen.all():
-        missing = int(np.flatnonzero(~seen)[0])
-        return f"index {missing} missing from the certificate"
+        return f"index {int(np.flatnonzero(~seen)[0])} missing from the certificate"
 
     # staircase shape: strictly right and strictly down, duplicates exempt
-    for a, b in zip(cert.maxima, cert.maxima[1:]):
-        if xs[a] == xs[b] and ys[a] == ys[b]:
-            continue
-        if not (xs[a] < xs[b] and ys[a] > ys[b]):
-            return f"maxima {a} and {b} do not step down the staircase"
+    ax, ay, bx, by = xs[maxima[:-1]], ys[maxima[:-1]], xs[maxima[1:]], ys[maxima[1:]]
+    bad = ~(((ax == bx) & (ay == by)) | ((ax < bx) & (ay > by)))
+    if bad.any():
+        k = bad.argmax()
+        return f"maxima {maxima[k]} and {maxima[k + 1]} do not step down the staircase"
 
-    for i, j in cert.dominators.items():
-        if i == j:
-            return f"index {i} listed as its own dominator"
-        if not dominates(inp.point(j), inp.point(i)):
-            return f"index {j} does not dominate index {i}"
+    dx, dy, wx, wy = xs[dominated], ys[dominated], xs[dominator], ys[dominator]
+    bad = ~((wx >= dx) & (wy >= dy) & ((wx > dx) | (wy > dy)))  # also flags i == j
+    if bad.any():
+        k = bad.argmax()
+        i, j = dominated[k], dominator[k]
+        return f"index {i} listed as its own dominator" if i == j else f"index {j} does not dominate index {i}"
     return None
 
 

@@ -156,90 +156,96 @@ class SearchForest:
     A tree is stored as its preorder split sequence: split >= 0 marks an
     internal node that compares against that slab (equal locates, smaller
     goes left, larger goes right), and -1 marks a node that is not expanded.
-    extend() decodes splits into the derived columns.  Node j covers the
-    inclusive leaf-slab interval [lo[j], hi[j]]; left[j] and right[j] are
-    its children's node ids, -1 where that side of the split is empty.  A
-    node with split -1 and lo == hi is a located leaf; with lo < hi it is a
-    fallback region resolved by plain bisection on slab boundaries.
-    Position i owns nodes offsets[i] .. offsets[i+1]-1, and its root is
-    offsets[i].  Subtrees whose training mass fell below the leaf threshold
-    are not expanded, which is what keeps total space near-linear.
+    A root covers all slabs and a child the slabs on its side of the split,
+    so node intervals follow from the path and are not stored.  A left child
+    is the node after its parent; right[j] is node j's right child, -1 if
+    none.  An unexpanded node over one slab is a located leaf, over more a
+    fallback region resolved by bisection.  Position i owns nodes
+    offsets[i] .. offsets[i+1]-1, rooted at offsets[i].  Subtrees whose
+    training mass fell below the leaf threshold are not expanded, which is
+    what keeps total space near-linear.
     """
 
-    __slots__ = ("num_slabs", "lo", "hi", "split", "left", "right", "offsets")
+    __slots__ = ("num_slabs", "split", "right", "offsets")
 
     def __init__(self, num_slabs: int, splits=()):
         self.num_slabs = num_slabs
-        self.lo, self.hi, self.split, self.left, self.right = (array("i") for _ in range(5))
+        self.split, self.right = array("i"), array("i")
         self.offsets = array("i", [0])
         self.extend(splits)
 
     def extend(self, splits) -> None:
         """Append the trees whose preorder split sequences are concatenated in splits.
 
-        Every root covers all slabs, and an internal node's left and right
-        children cover the slabs left and right of its split, so a sequence
-        decodes only if every split lies inside its node's interval and the
-        last tree is complete; then every search step shrinks the slab
-        interval.  Raises ValueError, leaving the forest as it was, otherwise.
+        A sequence decodes only if every split lies inside its node's
+        interval and the last tree is complete; then every search step
+        shrinks the slab interval.  Raises ValueError, leaving the forest as
+        it was, otherwise.
         """
         try:
             splits = array("i", splits)
         except (TypeError, OverflowError):
             raise ValueError("search forest splits must be int32 values") from None
         top = self.num_slabs - 1
-        lo_c, hi_c, split_c, left_c, right_c = columns = self.lo, self.hi, self.split, self.left, self.right
-        start = len(split_c)
-        add_lo, add_hi, add_left, add_right = lo_c.append, hi_c.append, left_c.append, right_c.append
-        pending = []  # (parent, its left or right column, lo, hi) of subtrees still to decode, next on top
+        right, offsets = self.right, self.offsets
+        start = len(right)
+        add_right = right.append
+        pending = []  # (node whose right child it is or -1 for a left child, lo, hi) of subtrees still to decode, next on top
         push, pop = pending.append, pending.pop
-        parent, side, lo, hi = -1, None, 0, top
+        parent, lo, hi = -1, 0, top
         try:
             for nid, s in enumerate(splits, start):
                 if parent >= 0:
-                    side[parent] = nid
-                add_lo(lo)
-                add_hi(hi)
-                add_left(-1)
+                    right[parent] = nid
                 add_right(-1)
                 if s != -1:
                     if not lo <= s <= hi:
                         raise ValueError(f"search forest node {nid} has a split outside its interval [{lo}, {hi}]: {s}")
                     if s < hi:
-                        push((nid, right_c, s + 1, hi))
+                        push((nid, s + 1, hi))
                     if s > lo:
-                        push((nid, left_c, lo, s - 1))
+                        push((-1, lo, s - 1))
                 if pending:
-                    parent, side, lo, hi = pop()
+                    parent, lo, hi = pop()
                 else:
-                    self.offsets.append(nid + 1)
-                    parent, side, lo, hi = -1, None, 0, top
-            if parent >= 0:
-                raise ValueError(f"search forest splits end inside tree {len(self.offsets) - 1}")
-            split_c.extend(splits)
+                    offsets.append(nid + 1)
+                    parent, lo, hi = -1, 0, top
+            if offsets[-1] != len(right):
+                raise ValueError(f"search forest splits end inside tree {len(offsets) - 1}")
+            self.split.extend(splits)
         except ValueError:
-            for column in columns:
-                del column[start:]
-            del self.offsets[bisect_right(self.offsets, start) :]
+            del right[start:]
+            del offsets[bisect_right(offsets, start) :]
             raise
 
     def node_count(self, i: int) -> int:
         return self.offsets[i + 1] - self.offsets[i]
 
+    def intervals(self, i: int) -> list[tuple[int, int]]:
+        """The inclusive slab interval (lo, hi) of every node of tree i, in node order."""
+        out, pending = [], [(0, self.num_slabs - 1)]
+        for nid in range(self.offsets[i], self.offsets[i + 1]):
+            lo, hi = pending.pop()
+            out.append((lo, hi))
+            s = self.split[nid]
+            if s >= 0:
+                if s < hi:
+                    pending.append((s + 1, hi))
+                if s > lo:
+                    pending.append((lo, s - 1))
+        return out
+
     def max_search_steps(self, i: int) -> int:
         """Worst-case steps to locate any leaf slab in tree i (tree edges + bisection probes)."""
 
-        def rec(nid: int) -> int:
-            if self.split[nid] < 0:
-                w = self.hi[nid] - self.lo[nid] + 1
-                return 0 if w == 1 else math.ceil(math.log2(w))
-            best = 1  # locating at the split slab costs this step alone
-            for c in (self.left[nid], self.right[nid]):
-                if c >= 0:
-                    best = max(best, 1 + rec(c))
-            return best
+        def rec(nid: int, lo: int, hi: int) -> int:
+            s = self.split[nid]
+            if s < 0:
+                return math.ceil(math.log2(hi - lo + 1))
+            # locating at the split slab costs this step alone
+            return 1 + max(rec(nid + 1, lo, s - 1) if s > lo else 0, rec(self.right[nid], s + 1, hi) if s < hi else 0)
 
-        return rec(self.offsets[i])
+        return rec(self.offsets[i], 0, self.num_slabs - 1)
 
 
 def build_search_tree(freq: FrequencyTable, i: int, leaf_threshold: int, forest: SearchForest | None = None) -> SearchForest:
@@ -291,14 +297,13 @@ def check_mu_reducing(forest: SearchForest, i: int, freq: FrequencyTable, mu: fl
     prefix = np.zeros(row.size + 1, dtype=np.int64)
     np.cumsum(row, out=prefix[1:])
 
-    def mass(nid: int) -> int:
-        return int(prefix[forest.hi[nid] + 1] - prefix[forest.lo[nid]])
+    def mass(lo: int, hi: int) -> int:
+        return int(prefix[hi + 1] - prefix[lo])
 
-    for nid in range(forest.offsets[i], forest.offsets[i + 1]):
-        parent = mass(nid)
-        for c in (forest.left[nid], forest.right[nid]):
-            if c >= 0 and mass(c) > mu * parent:
-                return False
+    for nid, (lo, hi) in enumerate(forest.intervals(i), forest.offsets[i]):
+        s = forest.split[nid]
+        if s >= 0 and max(mass(lo, s - 1), mass(s + 1, hi)) > mu * mass(lo, hi):
+            return False
     return True
 
 
@@ -316,7 +321,7 @@ def search_steps_to_leaf(forest: SearchForest, i: int, leaf: int, interval: tupl
             raise ValueError(f"leaf {leaf} outside interval {interval!r}")
     steps = 0
     nid = forest.offsets[i]
-    lo, hi = forest.lo[nid], forest.hi[nid]
+    lo, hi = 0, forest.num_slabs - 1
     fallback = forest.split[nid] < 0
     while True:
         if interval is not None and interval[0] <= lo and hi <= interval[1]:
@@ -336,8 +341,7 @@ def search_steps_to_leaf(forest: SearchForest, i: int, leaf: int, interval: tupl
         if leaf == s:
             lo = hi = s
             continue
-        nid = forest.left[nid] if leaf < s else forest.right[nid]
-        lo, hi = forest.lo[nid], forest.hi[nid]
+        nid, lo, hi = (nid + 1, lo, s - 1) if leaf < s else (forest.right[nid], s + 1, hi)
         fallback = forest.split[nid] < 0
 
 
@@ -423,7 +427,7 @@ class TrainedModel:
         return float(self.entropy_per_point.sum())
 
     def total_nodes(self) -> int:
-        return len(self.forest.lo)
+        return len(self.forest.split)
 
     def to_dict(self) -> dict:
         return {

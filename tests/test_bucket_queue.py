@@ -165,3 +165,21 @@ def test_scan_steps_amortize_over_a_full_drain():
         else:
             q.decrease_key(elem, key - 1)
     assert q.scan_steps <= n
+
+
+def test_deleted_element_reinserted_into_its_bucket_goes_to_the_back():
+    # its old entry still sits ahead of "b" in bucket 2; it must not count as live again
+    q = BucketQueue(3)
+    q.insert("a", 2)
+    q.insert("b", 2)
+    q.delete("a")
+    q.insert("a", 2)
+    assert q.find_max() == ("b", 2)
+    q.delete("b")
+    assert q.find_max() == ("a", 2)
+    q.decrease_key("a", 1)
+    q.insert("c", 1)
+    q.delete("a")
+    q.insert("a", 1)  # re-entering a lower bucket behind "c" as well
+    assert q.find_max() == ("c", 1)
+    assert len(q) == 2

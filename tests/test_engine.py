@@ -25,6 +25,7 @@ from simax import (
     verify_certificate,
 )
 from simax.distributions import PointMass, ScenarioSpec, SeededRng
+from simax import engine
 from simax.engine import EngineState, make_engine_state, update_step
 from simax.geometry import InputSet
 
@@ -203,6 +204,41 @@ def test_stats_accumulate_across_runs(model_cache):
     first = stats.tree_steps
     run_maxima(model, inp, stats)
     assert stats.tree_steps == 2 * first
+
+
+def test_debug_run_checks_the_frontier_at_every_move(model_cache, monkeypatch):
+    model = model_cache("two_level", 256)
+    inp = sample_input(model.scenario, SeededRng(5))
+    calls = {"check": 0, "update": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(engine, "_check_frontier_invariant", counted("check", engine._check_frontier_invariant))
+    monkeypatch.setattr(engine, "update_step", counted("update", engine.update_step))
+    run_maxima(model, inp, debug_invariants=True)
+    # once before the first move, after every update_step, and never in between
+    assert calls["update"] > 2 and calls["check"] == calls["update"] + 1
+
+
+def test_debug_run_catches_an_update_that_drops_a_maximum(model_cache, monkeypatch):
+    model = model_cache("two_level", 256)
+    inp = sample_input(model.scenario, SeededRng(5))
+    real_update = engine.update_step
+
+    def lossy_update(state, stats, new_lam_hat):
+        real_update(state, stats, new_lam_hat)
+        if len(state.maxima_rev) > 1:
+            state.maxima_rev.pop(0)
+
+    monkeypatch.setattr(engine, "update_step", lossy_update)
+    run_maxima(model, inp)  # unchecked, the broken staircase goes by unnoticed
+    with pytest.raises(AssertionError, match="frontier invariant"):
+        run_maxima(model, inp, debug_invariants=True)
 
 
 def test_single_occupied_slab_degenerates_gracefully():

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from simax import (
@@ -147,6 +147,119 @@ def test_verify_raises_on_out_of_range_indices():
         check_certificate(inp, Certificate(maxima=(1,), dominators={0: 7}))
     with pytest.raises(CertificateIndexError):
         check_certificate(inp, Certificate(maxima=(1,), dominators={-3: 1}))
+
+
+@pytest.mark.parametrize("bad", [0.0, 1.5, np.float64(1.0), True, "1", None, 2**70, -(2**70), 2**64 - 1, np.uint64(2**64 - 1)])
+def test_verify_raises_on_indices_that_are_not_ints_in_range(bad):
+    # (1,) with dominators {0: 1} is valid, so a checker that truncated 1.5 to 1 or wrapped a big int would accept
+    inp = InputSet.from_points([(0, 0), (1, 1)])
+    for cert in (
+        Certificate(maxima=(bad,), dominators={0: 1}),
+        Certificate(maxima=(1,), dominators={bad: 1}),
+        Certificate(maxima=(1,), dominators={0: bad}),
+    ):
+        with pytest.raises(CertificateIndexError):
+            check_certificate(inp, cert)
+
+
+def test_numpy_integer_indices_are_accepted():
+    inp = InputSet.from_points([(0, 0), (1, 1)])
+    assert check_certificate(inp, Certificate(maxima=(np.int64(1),), dominators={np.int32(0): np.uint8(1)})) is None
+
+
+def _reference_check_certificate(inp, cert):
+    """The per-item checker check_certificate replaced, kept as its oracle (integer test added)."""
+    n = inp.n
+    xs, ys = inp.xs, inp.ys
+
+    def index(i):
+        return isinstance(i, (int, np.integer)) and not isinstance(i, bool) and 0 <= i < n
+
+    for i in cert.maxima:
+        if not index(i):
+            raise CertificateIndexError(f"maxima index {i!r}")
+    for i, j in cert.dominators.items():
+        if not index(i) or not index(j):
+            raise CertificateIndexError(f"dominators entry {i!r}: {j!r}")
+    if not cert.maxima:
+        return "no maxima listed (a nonempty input always has at least one)"
+    seen = np.zeros(n, dtype=bool)
+    for i in cert.maxima:
+        if seen[i]:
+            return f"index {i} listed twice among maxima"
+        seen[i] = True
+    for i in cert.dominators:
+        if seen[i]:
+            return f"index {i} is both maximal and dominated"
+        seen[i] = True
+    if not seen.all():
+        return f"index {int(np.flatnonzero(~seen)[0])} missing from the certificate"
+    for a, b in zip(cert.maxima, cert.maxima[1:]):
+        if xs[a] == xs[b] and ys[a] == ys[b]:
+            continue
+        if not (xs[a] < xs[b] and ys[a] > ys[b]):
+            return f"maxima {a} and {b} do not step down the staircase"
+    for i, j in cert.dominators.items():
+        if i == j:
+            return f"index {i} listed as its own dominator"
+        if not dominates(inp.point(j), inp.point(i)):
+            return f"index {j} does not dominate index {i}"
+    return None
+
+
+@st.composite
+def corrupted_certificates(draw):
+    inp = draw(point_sets(max_n=12))
+    n = inp.n
+    cert = draw(st.sampled_from([brute_force_maxima, sort_scan_maxima]))(inp)
+    maxima, dominators = list(cert.maxima), dict(cert.dominators)
+    index = st.integers(0, n - 1)
+    bad_index = st.sampled_from([n, n + 3, -1, 2**70, 0.0, 1.5, True, np.int64(n)])
+    for _ in range(draw(st.integers(1, 3))):
+        ops = ["drop", "duplicate", "swap", "promote", "self", "liar", "bad_maximum", "bad_dominated", "bad_dominator", "empty"]
+        op = draw(st.sampled_from(ops))
+        if op == "drop" and maxima:
+            maxima.pop(draw(st.integers(0, len(maxima) - 1)))
+        elif op == "duplicate" and maxima:  # a run of maxima listed again somewhere
+            lo = draw(st.integers(0, len(maxima) - 1))
+            run = maxima[lo : draw(st.integers(lo + 1, len(maxima)))]
+            at = draw(st.integers(0, len(maxima)))
+            maxima[at:at] = run
+        elif op == "promote" and dominators:  # a dominated point listed as a maximum instead
+            i = draw(st.sampled_from(sorted(dominators)))
+            del dominators[i]
+            maxima.insert(draw(st.integers(0, len(maxima))), i)
+        elif op == "swap" and len(maxima) > 1:
+            k = draw(st.integers(0, len(maxima) - 2))
+            maxima[k], maxima[k + 1] = maxima[k + 1], maxima[k]
+        elif op == "self":
+            i = draw(index)
+            dominators[i] = i
+        elif op == "liar":
+            dominators[draw(index)] = draw(index)
+        elif op == "bad_maximum":
+            maxima.insert(draw(st.integers(0, len(maxima))), draw(bad_index))
+        elif op == "bad_dominated":
+            dominators[draw(bad_index)] = draw(index)
+        elif op == "bad_dominator":
+            dominators[draw(index)] = draw(bad_index)
+        elif op == "empty":
+            maxima = []
+    return inp, Certificate(maxima=tuple(maxima), dominators=dominators)
+
+
+def _outcome(check, inp, cert):
+    try:
+        return check(inp, cert)
+    except CertificateIndexError:
+        return CertificateIndexError
+
+
+@settings(max_examples=500)
+@given(corrupted_certificates())
+def test_check_certificate_matches_the_per_item_oracle(case):
+    inp, cert = case
+    assert _outcome(check_certificate, inp, cert) == _outcome(_reference_check_certificate, inp, cert)
 
 
 def test_verify_rejects_empty_maxima():

@@ -176,9 +176,8 @@ def test_weighted_median_split_example():
     forest = build_search_tree(freq, 0, leaf_threshold=1)
     assert forest.split[0] == 1
     assert forest.node_count(0) == 3
-    left, right = forest.left[0], forest.right[0]
-    assert (forest.lo[left], forest.hi[left]) == (0, 0)
-    assert (forest.lo[right], forest.hi[right]) == (2, 2)
+    assert forest.right[0] == 2  # the left child is node 1, right after its parent
+    assert forest.intervals(0) == [(0, 2), (0, 0), (2, 2)]
     assert check_mu_reducing(forest, 0, freq, mu=2 / 3)
 
 
@@ -198,7 +197,7 @@ def test_low_mass_region_stays_fallback():
     forest = build_search_tree(freq, 0, leaf_threshold=5)
     assert forest.node_count(0) == 1
     assert forest.split.tolist() == [-1]
-    assert (forest.lo[0], forest.hi[0]) == (0, 2)
+    assert forest.intervals(0) == [(0, 2)]
 
 
 def test_uniform_counts_give_logarithmic_depth():
@@ -221,18 +220,23 @@ def test_built_trees_are_always_two_thirds_reducing(counts, threshold):
     freq = FrequencyTable(counts=np.array([counts], dtype=np.uint16), rounds=max(1, sum(counts)))
     forest = build_search_tree(freq, 0, threshold)
     assert check_mu_reducing(forest, 0, freq, mu=2 / 3)
-    # children partition the parent slab minus the split leaf
-    for nid in range(forest.node_count(0)):
-        if forest.split[nid] < 0:
+    # children partition the parent slab minus the split leaf; the left child is the next node
+    intervals = forest.intervals(0)
+    for nid, (lo, hi) in enumerate(intervals):
+        s = forest.split[nid]
+        if s < 0:
+            assert forest.right[nid] == -1
             continue
         covered = []
-        left, right = forest.left[nid], forest.right[nid]
-        if left >= 0:
-            covered.extend(range(forest.lo[left], forest.hi[left] + 1))
-        covered.append(forest.split[nid])
-        if right >= 0:
-            covered.extend(range(forest.lo[right], forest.hi[right] + 1))
-        assert covered == list(range(forest.lo[nid], forest.hi[nid] + 1))
+        if s > lo:
+            covered.extend(range(intervals[nid + 1][0], intervals[nid + 1][1] + 1))
+        covered.append(s)
+        if s < hi:
+            rlo, rhi = intervals[forest.right[nid]]
+            covered.extend(range(rlo, rhi + 1))
+        else:
+            assert forest.right[nid] == -1
+        assert covered == list(range(lo, hi + 1))
 
 
 @given(
@@ -245,26 +249,25 @@ def test_built_forest_decodes_from_its_splits_alone(rows, threshold):
     for i in range(freq.n):
         build_search_tree(freq, i, threshold, built)
     decoded = SearchForest(freq.num_slabs, built.split)
-    for column in ("lo", "hi", "split", "left", "right", "offsets"):
+    for column in ("split", "right", "offsets"):
         assert getattr(decoded, column) == getattr(built, column)
 
 
 def test_search_forest_decodes_preorder_splits():
     forest = SearchForest(4, [1, -1, -1, -1])  # root splits at 1; left leaf [0, 0], right fallback [2, 3]; tree 2 is bare
-    assert forest.lo.tolist() == [0, 0, 2, 0]
-    assert forest.hi.tolist() == [3, 0, 3, 3]
-    assert forest.left.tolist() == [1, -1, -1, -1]
+    assert forest.intervals(0) == [(0, 3), (0, 0), (2, 3)] and forest.intervals(1) == [(0, 3)]
     assert forest.right.tolist() == [2, -1, -1, -1]
     assert forest.offsets.tolist() == [0, 3, 4]
 
 
 def test_failed_extend_leaves_the_forest_as_it_was():
     forest = SearchForest(4, [1, -1, -1])
-    for bad in ([-1, 2, 3], [2, -1]):  # a split outside its node's interval; an incomplete tree
+    # a split outside its node's interval; a tree cut short inside a right subtree, and inside a left one
+    for bad in ([-1, 2, 3], [2, -1], [3]):
         with pytest.raises(ValueError):
             forest.extend(bad)
         assert forest.split.tolist() == [1, -1, -1] and forest.offsets.tolist() == [0, 3]
-        assert len(forest.lo) == len(forest.hi) == len(forest.left) == len(forest.right) == 3
+        assert forest.right.tolist() == [2, -1, -1]
 
 
 def test_check_mu_reducing_flags_handmade_violation():
@@ -531,7 +534,7 @@ def test_trees_are_appended_in_position_order():
         build_search_tree(freq, 0, 1, forest)
     build_search_tree(freq, 1, 1, forest)
     assert len(forest.offsets) == 3
-    assert forest.node_count(0) == forest.node_count(1) == len(forest.lo) // 2
+    assert forest.node_count(0) == forest.node_count(1) == len(forest.split) // 2
 
 
 def test_loaded_model_drops_frequencies(tmp_path, model_cache):
