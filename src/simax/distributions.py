@@ -9,8 +9,9 @@ PCG64 stream so every experiment is replayable from (scenario, seed).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -24,7 +25,7 @@ class ScenarioError(ValueError):
 
 def _require_finite(value: float, where: str) -> float:
     value = float(value)
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise ScenarioError(f"{where}: must be finite, got {value!r}")
     return value
 
@@ -62,7 +63,7 @@ class FiniteMixture:
         )
         weights = tuple(float(w) for w in self.weights)
         for k, w in enumerate(weights):
-            if not (np.isfinite(w) and w > 0):
+            if not (math.isfinite(w) and w > 0):
                 raise ScenarioError(f"finite_mixture.weights[{k}]: must be positive, got {w!r}")
         total = sum(weights)
         if abs(total - 1.0) > 1e-9:
@@ -126,6 +127,10 @@ class ScenarioSpec:
     @property
     def n(self) -> int:
         return len(self.per_point)
+
+    @cached_property
+    def _sampler(self) -> _CompiledSampler:
+        return _CompiledSampler(self)
 
 
 class SeededRng:
@@ -250,14 +255,9 @@ class _CompiledSampler:
         return InputSet(xs, ys)
 
 
-@lru_cache(maxsize=64)
-def _compile(spec: ScenarioSpec) -> _CompiledSampler:
-    return _CompiledSampler(spec)
-
-
 def sample_input(spec: ScenarioSpec, rng: SeededRng) -> InputSet:
     """Draw one input set from the scenario, advancing the stream."""
-    return _compile(spec).sample(rng)
+    return spec._sampler.sample(rng)
 
 
 # ---------------------------------------------------------------------------

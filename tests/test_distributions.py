@@ -15,6 +15,7 @@ from simax import (
     UniformSegment,
     brute_force_maxima,
     build_scenario,
+    distributions,
     dumps_scenario,
     loads_scenario,
     sample_input,
@@ -49,6 +50,20 @@ def test_rect_and_segment_validation():
         UniformSegment(0.0, np.nan, 1.0, 1.0)
     with pytest.raises(ScenarioError, match="finite"):
         PointMass(np.inf, 0.0)
+
+
+def test_finite_check_converts_before_checking():
+    # float() runs first, so anything it takes is accepted and it raises for the rest
+    assert PointMass("2.5", np.float32(1.0)) == PointMass(2.5, 1.0)
+    for bad in ("inf", "-inf", "nan", np.float32(np.nan)):
+        with pytest.raises(ScenarioError, match=r"point_mass\.x: must be finite"):
+            PointMass(bad, 0.0)
+    with pytest.raises(TypeError):
+        PointMass(None, 0.0)
+    with pytest.raises(OverflowError):
+        PointMass(10**400, 0.0)
+    with pytest.raises(ScenarioError, match=r"weights\[1\]: must be positive"):
+        FiniteMixture(atoms=((0, 0), (1, 1)), weights=(1.0, "nan"))
 
 
 def test_scenario_requires_points():
@@ -201,6 +216,40 @@ def test_mixture_sampling_hits_only_atoms_with_expected_rates():
             assert x in (0.0, 5.0)
         hits += int(inp.xs[0] == 5.0)
     assert abs(hits / trials - 0.75) < 0.05
+
+
+class _UnhashableSpec(ScenarioSpec):
+    def __hash__(self):
+        raise AssertionError("a draw hashed the scenario")
+
+    def __eq__(self, other):
+        raise AssertionError("a draw compared the scenario")
+
+
+def test_sampler_is_compiled_once_per_spec_without_hashing_it(monkeypatch):
+    built = []
+
+    class CountingSampler(distributions._CompiledSampler):
+        def __init__(self, spec):
+            built.append(spec)
+            super().__init__(spec)
+
+    monkeypatch.setattr(distributions, "_CompiledSampler", CountingSampler)
+    spec = _UnhashableSpec("u", build_scenario("two_level", 8).per_point)
+    rng = SeededRng(4)
+    for _ in range(100):
+        sample_input(spec, rng)
+    assert len(built) == 1 and built[0] is spec
+
+
+def test_equal_specs_draw_alike_from_their_own_samplers():
+    a = build_scenario("staircase_line", 16)
+    b = loads_scenario(dumps_scenario(a))
+    assert a == b and a is not b
+    for seed in (0, 7):
+        x, y = sample_input(a, SeededRng(seed)), sample_input(b, SeededRng(seed))
+        assert np.array_equal(x.xs, y.xs) and np.array_equal(x.ys, y.ys)
+    assert a._sampler is not b._sampler
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -410,6 +411,21 @@ def test_model_round_trip_preserves_behavior(tmp_path, model_cache):
     cert = run_maxima(loaded, inp)
     assert cert.maxima == run_maxima(model, inp).maxima
     assert cert.maxima_set() == brute_force_maxima(inp).maxima_set()
+
+
+# sha256 of save_model's bytes for the conftest models (n=256, seed 101, eps 0.5)
+PINNED_MODEL_SHA256 = {
+    "staircase_line": "0b9d5ba726c819b7be7bcc7b1ead19f9da07269502004c0bb0611f9aa0c89d2d",
+    "two_level": "65eaee0c54cfe47f2a57fe6fd6ab6160721eab03d7a9f42ebb77c47f8fe90823",
+    "uniform_square": "4c894d03a40cc26a36e72739796313a62a3151aac064b500bb672d6c5ac58815",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED_MODEL_SHA256))
+def test_pinned_model_bytes(tmp_path, model_cache, kind):
+    path = tmp_path / "model.json"
+    save_model(model_cache(kind, 256), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_MODEL_SHA256[kind]
 
 
 def test_load_model_rejects_foreign_files(tmp_path):
