@@ -58,7 +58,7 @@ print(f"entropy: min={ent.min():.2f} bits, max={ent.max():.2f} bits, "
 # step 3: the full model, and what the trees buy
 
 model = train_model(spec, config, seed=11, keep_frequencies=True)
-forest = model.forest  # all n trees in flat columns; tree i starts at node forest.offsets[i]
+forest = model.forest  # all n trees in flat columns, in level order; tree i's root is node i
 sizes = [forest.node_count(i) for i in range(n)]
 depths = [forest.max_search_steps(i) for i in range(n)]
 print(f"trees: {model.total_nodes()} nodes in one forest, per position min={min(sizes)} max={max(sizes)}, "

@@ -11,7 +11,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .bench import BenchError, ExperimentPlan, read_rows_csv, run_trials, write_report, write_rows_csv
+from .bench import BRUTE_FORCE_LIMIT, BenchError, ExperimentPlan, read_rows_csv, run_trials, write_report, write_rows_csv
 from .distributions import ScenarioError, build_scenario, load_scenario_file, sample_input, SeededRng
 from .engine import RunStats, run_maxima
 from .geometry import brute_force_maxima, check_certificate, sort_scan_maxima
@@ -84,7 +84,7 @@ def cmd_verify(args) -> int:
     if reason is not None:
         print(f"FAIL: certificate invalid for seed {args.seed}: {reason}")
         return 1
-    reference = brute_force_maxima(inp) if model.n <= 4096 else sort_scan_maxima(inp)
+    reference = brute_force_maxima(inp) if model.n <= BRUTE_FORCE_LIMIT else sort_scan_maxima(inp)
     if cert.maxima_set() != reference.maxima_set():
         print(f"FAIL: maxima disagree with the reference oracle for seed {args.seed}")
         return 1

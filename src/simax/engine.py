@@ -171,9 +171,8 @@ def make_engine_state(model: "TrainedModel", inp: InputSet) -> EngineState:
     state = EngineState(queue=queue, lam_hat=top)
     state.xs = inp.xs.tolist()
     state.ys = inp.ys.tolist()
-    roots = np.frombuffer(model.forest.offsets, dtype=np.intc)[:-1]
-    # every root covers [0, top] (decoding puts every root there); a trivial tree is pure fallback from the start
-    state.node = np.where(np.frombuffer(model.forest.split, dtype=np.intc)[roots] >= 0, roots, -1).tolist()
+    # root i is node i and covers [0, top]; a trivial tree is pure fallback from the start
+    state.node = np.where(np.frombuffer(model.forest.split, dtype=np.intc, count=n) >= 0, np.arange(n), -1).tolist()
     state.slab_lo = [0] * n
     return state
 
@@ -299,7 +298,7 @@ def run_maxima(
                         s = split[nid]
                         if s > lo and px < blist[s - 1]:
                             hi = s - 1
-                            nid += 1  # preorder: the left child follows its parent
+                            nid = right[nid] - 1  # the left child sits just before the right-child slot
                         elif s < hi and px >= blist[s]:
                             lo = s + 1
                             nid = right[nid]

@@ -12,17 +12,17 @@ from __future__ import annotations
 import json
 import math
 from array import array
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from . import engine
 from .distributions import ScenarioSpec, SeededRng, sample_input, scenario_from_dict, scenario_to_dict
 from .geometry import InputSet
 
 MODEL_FORMAT = "simax-model"
-MODEL_VERSION = 3
+MODEL_VERSION = 4
 
 
 class SlabStructure:
@@ -89,13 +89,12 @@ class TrainingConfig:
     """Knobs for the training phase.
 
     epsilon trades space for limiting-phase optimality (more rounds, bigger
-    trees); delta is the accuracy slack in the frequency estimates; c_rounds
-    scales the round count; rounds_cap bounds it regardless.
+    trees); delta is the accuracy slack in the frequency estimates;
+    rounds_cap bounds the round count regardless.
     """
 
     epsilon: float = 0.5
     delta: float = 0.5
-    c_rounds: float = 1.0
     rounds_cap: int = 10_000
 
     def __post_init__(self):
@@ -103,8 +102,6 @@ class TrainingConfig:
             raise ValueError("epsilon must be in (0, 1]")
         if not 0 < self.delta < 1:
             raise ValueError("delta must be in (0, 1)")
-        if self.c_rounds <= 0:
-            raise ValueError("c_rounds must be positive")
         if self.rounds_cap < 1:
             raise ValueError("rounds_cap must be >= 1")
 
@@ -112,7 +109,7 @@ class TrainingConfig:
         return max(1, math.ceil(math.log2(n)))
 
     def tree_rounds(self, n: int) -> int:
-        raw = self.c_rounds * self.delta**-2 * n**self.epsilon * self.slab_rounds(n)
+        raw = self.delta**-2 * n**self.epsilon * self.slab_rounds(n)
         return min(math.ceil(raw), self.rounds_cap)
 
     def leaf_threshold(self, n: int) -> int:
@@ -150,140 +147,133 @@ def collect_frequencies(spec: ScenarioSpec, slabs: SlabStructure, rounds: int, r
     return FrequencyTable(counts=counts, rounds=rounds)
 
 
+def _children(lo: np.ndarray, hi: np.ndarray, split: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The slab intervals of one level's children, in level order: parent order, left child before right.
+
+    kept flags, in two slots per node, whether its left and its right child
+    exist; lo and hi are the intervals of the children that do.
+    """
+    inner = split >= 0
+    kept = np.column_stack((inner & (split > lo), inner & (split < hi))).ravel()
+    return kept, np.column_stack((lo, split + 1)).ravel()[kept], np.column_stack((split - 1, hi)).ravel()[kept]
+
+
 class SearchForest:
     """The partial weighted-median search trees of all n positions, in flat int32 columns.
 
-    A tree is stored as its preorder split sequence: split >= 0 marks an
-    internal node that compares against that slab (equal locates, smaller
-    goes left, larger goes right), and -1 marks a node that is not expanded.
-    A root covers all slabs and a child the slabs on its side of the split,
-    so node intervals follow from the path and are not stored.  A left child
-    is the node after its parent; right[j] is node j's right child, -1 if
-    none.  An unexpanded node over one slab is a located leaf, over more a
-    fallback region resolved by bisection.  Position i owns nodes
-    offsets[i] .. offsets[i+1]-1, rooted at offsets[i].  Subtrees whose
-    training mass fell below the leaf threshold are not expanded, which is
-    what keeps total space near-linear.
+    The trees are stored together in level order: node i is position i's
+    root, then come all depth-1 nodes in parent order (left child before
+    right), then all depth-2 nodes, and so on.  split >= 0 marks an internal
+    node that compares against that slab (equal locates, smaller goes left,
+    larger goes right), and -1 marks a node that is not expanded.  A root
+    covers all slabs and a child the slabs on its side of the split, so node
+    intervals follow from the parent and are not stored.  right[j] is the
+    slot of node j's right child: its left child, if any, is node
+    right[j] - 1 and its right child, if any, node right[j]; -1 when j is
+    not expanded.  An unexpanded node over one slab is a located leaf, over
+    more a fallback region resolved by bisection.  Subtrees whose training
+    mass fell below the leaf threshold are not expanded, which is what keeps
+    total space near-linear.
     """
 
-    __slots__ = ("num_slabs", "split", "right", "offsets")
+    __slots__ = ("num_slabs", "n", "split", "right")
 
-    def __init__(self, num_slabs: int, splits=()):
-        self.num_slabs = num_slabs
-        self.split, self.right = array("i"), array("i")
-        self.offsets = array("i", [0])
-        self.extend(splits)
+    def __init__(self, num_slabs: int, n: int, splits):
+        """Decode the level-order split list of n trees, one numpy pass per depth.
 
-    def extend(self, splits) -> None:
-        """Append the trees whose preorder split sequences are concatenated in splits.
-
-        A sequence decodes only if every split lies inside its node's
-        interval and the last tree is complete; then every search step
-        shrinks the slab interval.  Raises ValueError, leaving the forest as
-        it was, otherwise.
+        The list decodes only if every split is -1 or lies inside its node's
+        interval, so that every search step shrinks the slab interval, and
+        if it ends with its last level.  Raises ValueError otherwise.
         """
         try:
-            splits = array("i", splits)
+            self.split = array("i", splits)
         except (TypeError, OverflowError):
             raise ValueError("search forest splits must be int32 values") from None
-        top = self.num_slabs - 1
-        right, offsets = self.right, self.offsets
-        start = len(right)
-        add_right = right.append
-        pending = []  # (node whose right child it is or -1 for a left child, lo, hi) of subtrees still to decode, next on top
-        push, pop = pending.append, pending.pop
-        parent, lo, hi = -1, 0, top
-        try:
-            for nid, s in enumerate(splits, start):
-                if parent >= 0:
-                    right[parent] = nid
-                add_right(-1)
-                if s != -1:
-                    if not lo <= s <= hi:
-                        raise ValueError(f"search forest node {nid} has a split outside its interval [{lo}, {hi}]: {s}")
-                    if s < hi:
-                        push((nid, s + 1, hi))
-                    if s > lo:
-                        push((-1, lo, s - 1))
-                if pending:
-                    parent, lo, hi = pop()
-                else:
-                    offsets.append(nid + 1)
-                    parent, lo, hi = -1, 0, top
-            if offsets[-1] != len(right):
-                raise ValueError(f"search forest splits end inside tree {len(offsets) - 1}")
-            self.split.extend(splits)
-        except ValueError:
-            del right[start:]
-            del offsets[bisect_right(offsets, start) :]
-            raise
+        self.num_slabs, self.n = num_slabs, n
+        self.right = array("i", [-1]) * len(self.split)
+        split, right = np.frombuffer(self.split, dtype=np.intc), np.frombuffer(self.right, dtype=np.intc)
+        lo, hi = np.zeros(n, dtype=np.intc), np.full(n, num_slabs - 1, dtype=np.intc)
+        start, end, depth = 0, n, 0
+        while start < end:  # a child's interval is narrower than its parent's, so there are at most num_slabs levels
+            if end > split.size:
+                raise ValueError(f"search forest splits end inside level {depth}")
+            s = split[start:end]
+            bad = np.flatnonzero((s != -1) & ((s < lo) | (s > hi)))
+            if bad.size:
+                j = bad[0]
+                raise ValueError(f"search forest node {start + j} has a split outside its interval [{lo[j]}, {hi[j]}]: {s[j]}")
+            kept, lo, hi = _children(lo, hi, s)
+            right[start:end] = np.where(s >= 0, end + np.cumsum(kept, dtype=np.intc)[::2], -1)
+            start, end, depth = end, end + lo.size, depth + 1
+        if end != split.size:
+            raise ValueError(f"search forest splits go on past its last level: {split.size - end} more")
 
-    def node_count(self, i: int) -> int:
-        return self.offsets[i + 1] - self.offsets[i]
-
-    def intervals(self, i: int) -> list[tuple[int, int]]:
-        """The inclusive slab interval (lo, hi) of every node of tree i, in node order."""
-        out, pending = [], [(0, self.num_slabs - 1)]
-        for nid in range(self.offsets[i], self.offsets[i + 1]):
-            lo, hi = pending.pop()
-            out.append((lo, hi))
-            s = self.split[nid]
+    def walk(self, i: int):
+        """Yield (node, lo, hi, depth) for every node of tree i, in preorder down from root i."""
+        if not 0 <= i < self.n:
+            raise ValueError(f"tree {i} out of range for {self.n} trees")
+        split, right = self.split, self.right
+        pending = [(i, 0, self.num_slabs - 1, 0)]
+        while pending:
+            nid, lo, hi, depth = pending.pop()
+            yield nid, lo, hi, depth
+            s = split[nid]
             if s >= 0:
                 if s < hi:
-                    pending.append((s + 1, hi))
+                    pending.append((right[nid], s + 1, hi, depth + 1))
                 if s > lo:
-                    pending.append((lo, s - 1))
-        return out
+                    pending.append((right[nid] - 1, lo, s - 1, depth + 1))
+
+    def node_count(self, i: int) -> int:
+        return sum(1 for _ in self.walk(i))
+
+    def intervals(self, i: int) -> list[tuple[int, int]]:
+        """The inclusive slab interval (lo, hi) of every node of tree i, in preorder."""
+        return [(lo, hi) for _, lo, hi, _ in self.walk(i)]
 
     def max_search_steps(self, i: int) -> int:
         """Worst-case steps to locate any leaf slab in tree i (tree edges + bisection probes)."""
-
-        def rec(nid: int, lo: int, hi: int) -> int:
-            s = self.split[nid]
-            if s < 0:
-                return math.ceil(math.log2(hi - lo + 1))
-            # locating at the split slab costs this step alone
-            return 1 + max(rec(nid + 1, lo, s - 1) if s > lo else 0, rec(self.right[nid], s + 1, hi) if s < hi else 0)
-
-        return rec(self.offsets[i], 0, self.num_slabs - 1)
+        # a search ends at an internal node's split slab with that node's step, or at a fallback node after bisecting
+        return max(d + (1 if self.split[nid] >= 0 else math.ceil(math.log2(hi - lo + 1))) for nid, lo, hi, d in self.walk(i))
 
 
-def build_search_tree(freq: FrequencyTable, i: int, leaf_threshold: int, forest: SearchForest | None = None) -> SearchForest:
-    """Append the partial search tree for position i, compiled from its frequency row, to forest.
+def build_search_tree(freq: FrequencyTable, leaf_threshold: int) -> array:
+    """The level-order split list (see SearchForest) of every position's partial search tree.
 
-    Trees go in position order, so forest must hold trees 0..i-1; a new
-    forest is started when none is given.  Splits at the weighted median
-    slab: the smallest slab index at which the prefix mass reaches half the
-    node's mass.  Both children then carry at most half the parent's mass,
-    so every non-split child is 2/3-reducing by construction.  Intervals
-    whose mass is below leaf_threshold stay unexpanded fallback regions.
+    A node splits at its weighted median slab: the smallest slab index at
+    which the prefix mass reaches half the node's mass.  Both children then
+    carry at most half the parent's mass, so every non-split child is
+    2/3-reducing by construction.  Intervals whose mass is below
+    leaf_threshold stay unexpanded fallback regions.  Rows go in blocks of
+    at most 2**16 cells, and a block's trees grow one depth at a time: one
+    searchsorted over the block's flattened prefix sums finds every median.
     """
     if leaf_threshold < 1:
         raise ValueError("leaf_threshold must be >= 1")
-    if forest is None:
-        forest = SearchForest(freq.num_slabs)
-    if len(forest.offsets) != i + 1:
-        raise ValueError(f"forest holds {len(forest.offsets) - 1} trees, so tree {len(forest.offsets) - 1} comes next, not {i}")
-    prefix = np.zeros(freq.num_slabs + 1, dtype=np.int64)
-    np.cumsum(freq.counts[i], out=prefix[1:])
-    prefix = memoryview(prefix)  # indexes and bisects as plain ints, with no list copy of the row
-    splits: list[int] = []
-
-    def build(lo: int, hi: int) -> None:
-        count = prefix[hi + 1] - prefix[lo]
-        if lo == hi or count < leaf_threshold:
-            splits.append(-1)
-            return
-        lam = bisect_left(prefix, prefix[lo] + (count + 1) // 2, lo + 1, hi + 2) - 1
-        splits.append(lam)
-        if lam > lo:
-            build(lo, lam - 1)
-        if lam < hi:
-            build(lam + 1, hi)
-
-    build(0, freq.num_slabs - 1)
-    forest.extend(splits)
-    return forest
+    n, num_slabs = freq.counts.shape
+    levels: list[list[np.ndarray]] = []  # levels[d] holds each block's depth-d splits
+    step = max(1, 2**16 // num_slabs)
+    for first in range(0, n, step):
+        block = freq.counts[first : first + step]
+        prefix = np.zeros(block.size + 1, dtype=np.int64)
+        np.cumsum(block.ravel(), out=prefix[1:])
+        # one entry per node of the current depth: prefix[base + k] is the mass of the block before slab k of the node's row
+        base = np.arange(block.shape[0], dtype=np.int64) * num_slabs
+        lo, hi = np.zeros(base.size, dtype=np.intc), np.full(base.size, num_slabs - 1, dtype=np.intc)
+        depth = 0
+        while base.size:
+            below = prefix[base + lo]
+            count = prefix[base + hi + 1] - below
+            inner = (lo < hi) & (count >= leaf_threshold)
+            split = np.full(base.size, -1, dtype=np.intc)
+            split[inner] = np.searchsorted(prefix, below[inner] + (count[inner] + 1) // 2) - base[inner] - 1
+            if depth == len(levels):
+                levels.append([])
+            levels[depth].append(split)
+            kept, lo, hi = _children(lo, hi, split)
+            base = base[np.flatnonzero(kept) // 2]
+            depth += 1
+    return array("i", np.concatenate([s for level in levels for s in level]).tobytes())
 
 
 def check_mu_reducing(forest: SearchForest, i: int, freq: FrequencyTable, mu: float) -> bool:
@@ -300,7 +290,7 @@ def check_mu_reducing(forest: SearchForest, i: int, freq: FrequencyTable, mu: fl
     def mass(lo: int, hi: int) -> int:
         return int(prefix[hi + 1] - prefix[lo])
 
-    for nid, (lo, hi) in enumerate(forest.intervals(i), forest.offsets[i]):
+    for nid, lo, hi, _ in forest.walk(i):
         s = forest.split[nid]
         if s >= 0 and max(mass(lo, s - 1), mass(s + 1, hi)) > mu * mass(lo, hi):
             return False
@@ -311,6 +301,8 @@ def search_steps_to_leaf(forest: SearchForest, i: int, leaf: int, interval: tupl
     """Steps a search in tree i for `leaf` takes; stops early once its current
     interval fits inside `interval` (inclusive slab index pair), or at the
     exact leaf when interval is None."""
+    if not 0 <= i < forest.n:
+        raise ValueError(f"tree {i} out of range for {forest.n} trees")
     if not 0 <= leaf < forest.num_slabs:
         raise ValueError(f"leaf {leaf} out of range")
     if interval is not None:
@@ -320,8 +312,7 @@ def search_steps_to_leaf(forest: SearchForest, i: int, leaf: int, interval: tupl
         if not ilo <= leaf <= ihi:
             raise ValueError(f"leaf {leaf} outside interval {interval!r}")
     steps = 0
-    nid = forest.offsets[i]
-    lo, hi = 0, forest.num_slabs - 1
+    nid, lo, hi = i, 0, forest.num_slabs - 1
     fallback = forest.split[nid] < 0
     while True:
         if interval is not None and interval[0] <= lo and hi <= interval[1]:
@@ -341,7 +332,7 @@ def search_steps_to_leaf(forest: SearchForest, i: int, leaf: int, interval: tupl
         if leaf == s:
             lo = hi = s
             continue
-        nid, lo, hi = (nid + 1, lo, s - 1) if leaf < s else (forest.right[nid], s + 1, hi)
+        nid, lo, hi = (forest.right[nid] - 1, lo, s - 1) if leaf < s else (forest.right[nid], s + 1, hi)
         fallback = forest.split[nid] < 0
 
 
@@ -415,8 +406,8 @@ class TrainedModel:
             raise ValueError(f"entropy_per_point has shape {np.shape(self.entropy_per_point)}, expected ({self.n},)")
         if self.forest.num_slabs != self.slabs.num_slabs:
             raise ValueError(f"search forest is over {self.forest.num_slabs} slabs, model has {self.slabs.num_slabs}")
-        if len(self.forest.offsets) != self.n + 1:
-            raise ValueError(f"search forest has {len(self.forest.offsets) - 1} trees for n={self.n}")
+        if self.forest.n != self.n:
+            raise ValueError(f"search forest has {self.forest.n} trees for n={self.n}")
 
     @property
     def n(self) -> int:
@@ -454,10 +445,11 @@ class TrainedModel:
             raise ValueError(f"model file version {obj.get('version')!r} is not read (only version {MODEL_VERSION}); retrain the model")
         try:
             slabs = SlabStructure(obj["boundaries"])
+            scenario = scenario_from_dict(obj["scenario"])
             return cls(
-                scenario=scenario_from_dict(obj["scenario"]),
+                scenario=scenario,
                 slabs=slabs,
-                forest=SearchForest(slabs.num_slabs, obj["forest"]),
+                forest=SearchForest(slabs.num_slabs, scenario.n, obj["forest"]),
                 epsilon=float(obj["epsilon"]),
                 delta=float(obj["delta"]),
                 seed=int(obj["seed"]),
@@ -493,23 +485,22 @@ def train_model(
     rounds = config.tree_rounds(n)
     freq = collect_frequencies(spec, slabs, rounds, rng)
     threshold = config.leaf_threshold(n)
-    forest = SearchForest(slabs.num_slabs)
-    for i in range(n):
-        build_search_tree(freq, i, threshold, forest)
-    from .engine import entropy_proxy  # deferred: engine imports this module's types
-
+    splits = build_search_tree(freq, threshold)
+    entropy = engine.entropy_proxy(freq)
+    if not keep_frequencies:
+        freq = None  # free the n x num_slabs table before the forest is decoded, so the two never coexist
     return TrainedModel(
         scenario=spec,
         slabs=slabs,
-        forest=forest,
+        forest=SearchForest(slabs.num_slabs, n, splits),
         epsilon=config.epsilon,
         delta=config.delta,
         seed=int(seed),
         slab_rounds=k,
         tree_rounds=rounds,
         leaf_threshold=threshold,
-        entropy_per_point=entropy_proxy(freq),
-        frequencies=freq if keep_frequencies else None,
+        entropy_per_point=entropy,
+        frequencies=freq,
     )
 
 

@@ -281,10 +281,10 @@ def test_model_file_is_versioned_json(tmp_path):
     main(["train", "--scenario", "uniform_square", "--n", "16", "--out", str(model_path)])
     obj = json.loads(model_path.read_text(encoding="utf-8"))
     assert obj["format"] == "simax-model"
-    assert obj["version"] == 3
+    assert obj["version"] == 4
     assert obj["rng_algorithm"] == "pcg64"
-    assert all(type(s) is int for s in obj["forest"])  # one flat preorder split list
-    assert len(SearchForest(len(obj["boundaries"]) + 1, obj["forest"]).offsets) == 17  # holding n trees
+    assert all(type(s) is int for s in obj["forest"])  # one flat level-order split list
+    SearchForest(len(obj["boundaries"]) + 1, 16, obj["forest"])  # decodes as exactly n trees, or raises
 
 
 def test_cli_verify_reports_a_missing_model_field(tmp_path, capsys):

@@ -33,7 +33,7 @@ from simax.geometry import InputSet
 def _fallback_model(n: int, boundaries) -> TrainedModel:
     """A model whose every tree is a bare fallback root over all slabs: pure bisection engine."""
     slabs = SlabStructure(boundaries)
-    forest = SearchForest(slabs.num_slabs, [-1] * n)
+    forest = SearchForest(slabs.num_slabs, n, [-1] * n)
     spec = ScenarioSpec("fixed", tuple(PointMass(float(i), 0.0) for i in range(n)))
     return TrainedModel(
         scenario=spec,

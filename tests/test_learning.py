@@ -1,6 +1,8 @@
+import dataclasses
 import hashlib
 import json
 import math
+from bisect import bisect_left
 
 import numpy as np
 import pytest
@@ -121,7 +123,7 @@ def test_locate_array_matches_scalar_locate():
 def test_training_config_budgets():
     cfg = TrainingConfig()
     assert cfg.slab_rounds(1024) == 10
-    # c * delta^-2 * n^eps * ceil(log2 n) = 1 * 4 * 32 * 10
+    # delta^-2 * n^eps * ceil(log2 n) = 4 * 32 * 10
     assert cfg.tree_rounds(1024) == 1280
     assert cfg.leaf_threshold(1024) == 50
     capped = TrainingConfig(rounds_cap=100)
@@ -135,8 +137,6 @@ def test_training_config_validation():
         TrainingConfig(epsilon=1.5)
     with pytest.raises(ValueError):
         TrainingConfig(delta=1.0)
-    with pytest.raises(ValueError):
-        TrainingConfig(c_rounds=0)
     with pytest.raises(ValueError):
         TrainingConfig(rounds_cap=0)
 
@@ -172,12 +172,43 @@ def test_row_zero_frequencies_are_loosely_balanced(model_cache):
 # search tree construction
 
 
+def _build_forest(freq: FrequencyTable, leaf_threshold: int) -> SearchForest:
+    return SearchForest(freq.num_slabs, freq.n, build_search_tree(freq, leaf_threshold))
+
+
+def _preorder_reference(row, leaf_threshold: int) -> list[int]:
+    """One row's weighted-median tree as a preorder split list, built by recursion as model version 3 stored it."""
+    prefix = [0]
+    for c in row:
+        prefix.append(prefix[-1] + int(c))
+    splits: list[int] = []
+
+    def build(lo: int, hi: int) -> None:
+        count = prefix[hi + 1] - prefix[lo]
+        if lo == hi or count < leaf_threshold:
+            splits.append(-1)
+            return
+        lam = bisect_left(prefix, prefix[lo] + (count + 1) // 2, lo + 1, hi + 2) - 1
+        splits.append(lam)
+        if lam > lo:
+            build(lo, lam - 1)
+        if lam < hi:
+            build(lam + 1, hi)
+
+    build(0, len(row) - 1)
+    return splits
+
+
+def _preorder(forest: SearchForest, i: int) -> list[int]:
+    return [forest.split[nid] for nid, *_ in forest.walk(i)]
+
+
 def test_weighted_median_split_example():
     freq = FrequencyTable(counts=np.array([[4, 4, 8]], dtype=np.uint16), rounds=16)
-    forest = build_search_tree(freq, 0, leaf_threshold=1)
+    forest = _build_forest(freq, leaf_threshold=1)
     assert forest.split[0] == 1
     assert forest.node_count(0) == 3
-    assert forest.right[0] == 2  # the left child is node 1, right after its parent
+    assert forest.right[0] == 2  # the right child's slot; the left child, node 1, sits just before it
     assert forest.intervals(0) == [(0, 2), (0, 0), (2, 2)]
     assert check_mu_reducing(forest, 0, freq, mu=2 / 3)
 
@@ -185,17 +216,17 @@ def test_weighted_median_split_example():
 def test_split_picks_smallest_majority_slab():
     # prefix reaches half the mass (5) already at slab 0
     freq = FrequencyTable(counts=np.array([[6, 1, 3]], dtype=np.uint16), rounds=10)
-    forest = build_search_tree(freq, 0, leaf_threshold=1)
+    forest = _build_forest(freq, leaf_threshold=1)
     assert forest.split[0] == 0
     # heavy tail on the right: slab 2 holds the weighted median
     freq2 = FrequencyTable(counts=np.array([[1, 1, 8]], dtype=np.uint16), rounds=10)
-    forest2 = build_search_tree(freq2, 0, leaf_threshold=1)
+    forest2 = _build_forest(freq2, leaf_threshold=1)
     assert forest2.split[0] == 2
 
 
 def test_low_mass_region_stays_fallback():
     freq = FrequencyTable(counts=np.array([[1, 1, 1]], dtype=np.uint16), rounds=3)
-    forest = build_search_tree(freq, 0, leaf_threshold=5)
+    forest = _build_forest(freq, leaf_threshold=5)
     assert forest.node_count(0) == 1
     assert forest.split.tolist() == [-1]
     assert forest.intervals(0) == [(0, 2)]
@@ -203,14 +234,14 @@ def test_low_mass_region_stays_fallback():
 
 def test_uniform_counts_give_logarithmic_depth():
     freq = FrequencyTable(counts=np.ones((1, 256), dtype=np.uint16), rounds=256)
-    forest = build_search_tree(freq, 0, leaf_threshold=1)
+    forest = _build_forest(freq, leaf_threshold=1)
     assert forest.max_search_steps(0) <= 9  # median split halves the mass every level
 
 
 def test_build_search_tree_rejects_bad_threshold():
     freq = FrequencyTable(counts=np.ones((1, 4), dtype=np.uint16), rounds=4)
     with pytest.raises(ValueError, match="leaf_threshold"):
-        build_search_tree(freq, 0, leaf_threshold=0)
+        build_search_tree(freq, leaf_threshold=0)
 
 
 @given(
@@ -219,24 +250,23 @@ def test_build_search_tree_rejects_bad_threshold():
 )
 def test_built_trees_are_always_two_thirds_reducing(counts, threshold):
     freq = FrequencyTable(counts=np.array([counts], dtype=np.uint16), rounds=max(1, sum(counts)))
-    forest = build_search_tree(freq, 0, threshold)
+    forest = _build_forest(freq, threshold)
     assert check_mu_reducing(forest, 0, freq, mu=2 / 3)
-    # children partition the parent slab minus the split leaf; the left child is the next node
-    intervals = forest.intervals(0)
-    for nid, (lo, hi) in enumerate(intervals):
+    # children partition the parent slab minus the split leaf; the left child sits just before the right-child slot
+    intervals = {nid: (lo, hi) for nid, lo, hi, _ in forest.walk(0)}
+    assert sorted(intervals) == list(range(len(forest.split)))
+    for nid, (lo, hi) in intervals.items():
         s = forest.split[nid]
         if s < 0:
             assert forest.right[nid] == -1
             continue
         covered = []
         if s > lo:
-            covered.extend(range(intervals[nid + 1][0], intervals[nid + 1][1] + 1))
+            covered.extend(range(intervals[forest.right[nid] - 1][0], intervals[forest.right[nid] - 1][1] + 1))
         covered.append(s)
         if s < hi:
             rlo, rhi = intervals[forest.right[nid]]
             covered.extend(range(rlo, rhi + 1))
-        else:
-            assert forest.right[nid] == -1
         assert covered == list(range(lo, hi + 1))
 
 
@@ -246,42 +276,89 @@ def test_built_trees_are_always_two_thirds_reducing(counts, threshold):
 )
 def test_built_forest_decodes_from_its_splits_alone(rows, threshold):
     freq = FrequencyTable(counts=np.array(rows, dtype=np.uint16), rounds=30)
-    built = SearchForest(freq.num_slabs)
-    for i in range(freq.n):
-        build_search_tree(freq, i, threshold, built)
-    decoded = SearchForest(freq.num_slabs, built.split)
-    for column in ("split", "right", "offsets"):
-        assert getattr(decoded, column) == getattr(built, column)
+    forest = _build_forest(freq, threshold)
+    # level order: node ids run through depth 0, then depth 1, ..., and tree by tree within a depth
+    order = sorted((nid, depth, i) for i in range(freq.n) for nid, _, _, depth in forest.walk(i))
+    assert [nid for nid, _, _ in order] == list(range(len(forest.split)))
+    assert [(depth, i) for _, depth, i in order] == sorted((depth, i) for _, depth, i in order)
+    assert all(next(forest.walk(i))[0] == i for i in range(freq.n))  # root i is node i
 
 
-def test_search_forest_decodes_preorder_splits():
-    forest = SearchForest(4, [1, -1, -1, -1])  # root splits at 1; left leaf [0, 0], right fallback [2, 3]; tree 2 is bare
+def _tables(max_rows: int = 5, max_slabs: int = 12):
+    """Frequency rows over 1..max_slabs slabs, some of them all zero."""
+    return st.integers(1, max_slabs).flatmap(
+        lambda k: st.lists(st.one_of(st.just([0] * k), st.lists(st.integers(0, 30), min_size=k, max_size=k)), min_size=1, max_size=max_rows)
+    )
+
+
+@given(rows=_tables(), threshold=st.integers(1, 20))
+def test_level_order_forest_matches_the_preorder_reference(rows, threshold):
+    freq = FrequencyTable(counts=np.array(rows, dtype=np.uint16), rounds=30)
+    forest = _build_forest(freq, threshold)
+    for i, row in enumerate(rows):
+        assert _preorder(forest, i) == _preorder_reference(row, threshold)
+
+
+def test_trees_spanning_several_row_blocks_match_the_reference():
+    counts = np.random.default_rng(5).integers(0, 40, size=(600, 300), dtype=np.uint16)  # 218 rows to a 2**16-cell block
+    freq = FrequencyTable(counts=counts, rounds=40)
+    forest = _build_forest(freq, leaf_threshold=50)
+    assert all(_preorder(forest, i) == _preorder_reference(counts[i], 50) for i in range(freq.n))
+
+
+# sha256 of each conftest model's (n=256, seed 101, eps 0.5) splits, tree by tree in preorder: version 3's forest list
+PREORDER_SPLITS_SHA256 = {
+    "staircase_line": (4351, "da33af2a10c90975ecd1552574c9bf1d068b2a3959ac6a3fc25b58b1fb7f57d2"),
+    "two_level": (1278, "001ac22cb75be291ffd2686c5ea4deeebbe1c3edae8a63811c6ec15f4eb54abb"),
+    "uniform_square": (7936, "1a1dd1910238163da5ec805969a4d2c03b51276472999d010119adbe639f74b5"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PREORDER_SPLITS_SHA256))
+def test_trees_survive_the_level_order_format(model_cache, kind):
+    model = model_cache(kind, 256)
+    splits = [s for i in range(model.n) for s in _preorder(model.forest, i)]
+    digest = hashlib.sha256(json.dumps(splits, separators=(",", ":")).encode()).hexdigest()
+    assert (len(splits), digest) == PREORDER_SPLITS_SHA256[kind]
+
+
+def test_search_forest_decodes_level_order_splits():
+    forest = SearchForest(4, 2, [1, -1, -1, -1])  # root 0 splits at 1; root 1 is bare; then root 0's left leaf [0, 0] and right fallback [2, 3]
     assert forest.intervals(0) == [(0, 3), (0, 0), (2, 3)] and forest.intervals(1) == [(0, 3)]
-    assert forest.right.tolist() == [2, -1, -1, -1]
-    assert forest.offsets.tolist() == [0, 3, 4]
+    assert forest.right.tolist() == [3, -1, -1, -1]
+    assert forest.n == 2 and forest.node_count(0) == 3 and forest.node_count(1) == 1
 
 
-def test_failed_extend_leaves_the_forest_as_it_was():
-    forest = SearchForest(4, [1, -1, -1])
-    # a split outside its node's interval; a tree cut short inside a right subtree, and inside a left one
-    for bad in ([-1, 2, 3], [2, -1], [3]):
-        with pytest.raises(ValueError):
-            forest.extend(bad)
-        assert forest.split.tolist() == [1, -1, -1] and forest.offsets.tolist() == [0, 3]
-        assert forest.right.tolist() == [2, -1, -1]
+@pytest.mark.parametrize(
+    "n, splits, message",
+    [
+        (1, [-1, 2, 3], "past its last level: 2 more"),  # one bare tree and two stray nodes
+        (1, [1, -1, 4], "node 2 has a split outside its interval \\[2, 3\\]: 4"),
+        (1, [2, -1], "end inside level 1"),  # the root's right child is missing
+        (1, [1, -1, 3], "end inside level 2"),  # node 2 splits at its top slab, so it has a left child
+        (2, [3], "end inside level 0"),
+        (1, [0.5], "splits must be int32 values"),
+        (1, ["1"], "splits must be int32 values"),
+        (1, [None], "splits must be int32 values"),
+    ],
+    ids=["stray nodes", "split outside", "no right child", "no left child", "no root", "float", "string", "None"],
+)
+def test_search_forest_rejects_malformed_splits(n, splits, message):
+    with pytest.raises(ValueError, match=message):
+        SearchForest(4, n, splits)
 
 
 def test_check_mu_reducing_flags_handmade_violation():
     # child holds 9 of the parent's 10: far above 2/3
     freq = FrequencyTable(counts=np.array([[9, 0, 1]], dtype=np.uint16), rounds=10)
-    forest = SearchForest(3, [1, -1, -1])
+    forest = SearchForest(3, 1, [1, -1, -1])
     assert not check_mu_reducing(forest, 0, freq, mu=2 / 3)
     assert check_mu_reducing(forest, 0, freq, mu=0.95)
 
 
 def test_single_node_tree_is_vacuously_reducing():
     freq = FrequencyTable(counts=np.array([[5]], dtype=np.uint16), rounds=5)
-    forest = build_search_tree(freq, 0, leaf_threshold=10)
+    forest = _build_forest(freq, leaf_threshold=10)
     assert check_mu_reducing(forest, 0, freq, mu=2 / 3)
 
 
@@ -291,7 +368,7 @@ def test_single_node_tree_is_vacuously_reducing():
 
 def _four_slab_tree() -> SearchForest:
     freq = FrequencyTable(counts=np.array([[4, 4, 4, 4]], dtype=np.uint16), rounds=16)
-    return build_search_tree(freq, 0, leaf_threshold=1)
+    return _build_forest(freq, leaf_threshold=1)
 
 
 def test_search_terminates_immediately_when_root_fits_target():
@@ -314,7 +391,7 @@ def test_search_locates_split_leaf_in_one_step():
 
 def test_fallback_region_is_resolved_by_bisection():
     freq = FrequencyTable(counts=np.ones((1, 4), dtype=np.uint16), rounds=4)
-    forest = build_search_tree(freq, 0, leaf_threshold=99)
+    forest = _build_forest(freq, leaf_threshold=99)
     assert forest.node_count(0) == 1
     for leaf in range(4):
         assert search_steps_to_leaf(forest, 0, leaf, interval=None) == 2  # ceil(log2 4)
@@ -329,6 +406,11 @@ def test_search_argument_validation():
         search_steps_to_leaf(forest, 0, 0, interval=(2, 9))
     with pytest.raises(ValueError, match="outside interval"):
         search_steps_to_leaf(forest, 0, 0, interval=(1, 2))
+    # node 1 exists but is no root: a one-tree forest has no tree 1
+    with pytest.raises(ValueError, match="tree 1 out of range"):
+        search_steps_to_leaf(forest, 1, 0, interval=None)
+    with pytest.raises(ValueError, match="tree 1 out of range"):
+        forest.node_count(1)
 
 
 def test_simulate_restricted_search_validation():
@@ -347,7 +429,7 @@ def test_simulate_restricted_search_validation():
 
 
 def test_trivial_tree_over_one_slab_needs_no_steps():
-    forest = SearchForest(1, [-1])
+    forest = SearchForest(1, 1, [-1])
     assert simulate_restricted_search(forest, 0, None, np.array([1.0]), trials=5, rng=SeededRng(1)) == 0.0
 
 
@@ -415,9 +497,9 @@ def test_model_round_trip_preserves_behavior(tmp_path, model_cache):
 
 # sha256 of save_model's bytes for the conftest models (n=256, seed 101, eps 0.5)
 PINNED_MODEL_SHA256 = {
-    "staircase_line": "0b9d5ba726c819b7be7bcc7b1ead19f9da07269502004c0bb0611f9aa0c89d2d",
-    "two_level": "65eaee0c54cfe47f2a57fe6fd6ab6160721eab03d7a9f42ebb77c47f8fe90823",
-    "uniform_square": "4c894d03a40cc26a36e72739796313a62a3151aac064b500bb672d6c5ac58815",
+    "staircase_line": "e4b137b11b050afdd4338ac783f5ecbc44897b41ee032fc97026b0113263ab72",
+    "two_level": "18b625bc2569c45aa8bfee5fad8a377d7513647cd8fe9488283cce861fedb382",
+    "uniform_square": "dc097dd33f288cf58d5e2d77d7fe70132e3c5d114b43063da215957e2b5ed8ff",
 }
 
 
@@ -446,11 +528,8 @@ def test_load_model_rejects_wrong_version_and_tree_count(tmp_path, model_cache):
     p.write_text(json.dumps(obj), encoding="utf-8")
     with pytest.raises(ValueError, match="version"):
         load_model(p)
-    obj = model.to_dict()
-    obj["forest"] = obj["forest"][: model.forest.offsets[15]]  # node ids are split list indices
-    p.write_text(json.dumps(obj), encoding="utf-8")
     with pytest.raises(ValueError, match="15 trees for n=16"):
-        load_model(p)
+        dataclasses.replace(model, forest=SearchForest(model.slabs.num_slabs, 15, [-1] * 15))
 
 
 def _write_model(tmp_path, obj):
@@ -488,7 +567,8 @@ def test_load_model_rejects_column_entries_outside_int32(tmp_path, model_cache):
         load_model(_write_model(tmp_path, obj))
 
 
-# corruptions of a model file whose tree 0 has an internal root, i.e. the file's forest starts [s, ...] with s >= 0
+# corruptions of a model file whose tree 0 has an internal root, i.e. the file's forest starts [s, ...] with s >= 0;
+# node n is then root 0's first child
 
 
 def _split_past_last_slab(obj):
@@ -500,23 +580,28 @@ def _split_below_minus_one(obj):
 
 
 def _left_child_reaches_the_split(obj):
-    obj["forest"][1] = obj["forest"][0]  # node 1 is the root's left child, or its right one when the root splits at 0
+    n = len(obj["entropy_per_point"])
+    obj["forest"][n] = obj["forest"][0]  # root 0's left child, or its right one when the root splits at 0
 
 
 def _tree_0_missing_a_node(obj):
-    del obj["forest"][1]
+    del obj["forest"][len(obj["entropy_per_point"])]
 
 
 def _one_trailing_split(obj):
     obj["forest"].append(-1)
 
 
-def _last_tree_incomplete(obj):
+def _last_level_truncated(obj):
     del obj["forest"][-1]
 
 
 def _version_2(obj):
     obj["version"] = 2
+
+
+def _version_3(obj):
+    obj["version"] = 3
 
 
 @pytest.mark.parametrize(
@@ -526,10 +611,11 @@ def _version_2(obj):
         (_split_below_minus_one, "split outside its interval"),
         (_left_child_reaches_the_split, "split outside its interval"),
         (_tree_0_missing_a_node, "search forest"),  # later splits shift into the wrong nodes
-        (_one_trailing_split, "65 trees for n=64"),
-        (_last_tree_incomplete, "end inside tree 63"),
+        (_one_trailing_split, "past its last level: 1 more"),
+        (_last_level_truncated, "end inside level"),
         (None, "version 1 .* retrain"),
         (_version_2, "version 2 .* retrain"),
+        (_version_3, "version 3 .* retrain"),
     ],
 )
 def test_load_model_rejects_corrupt_forests(tmp_path, model_cache, corrupt, message):
@@ -541,16 +627,6 @@ def test_load_model_rejects_corrupt_forests(tmp_path, model_cache, corrupt, mess
         corrupt(obj)
     with pytest.raises(ValueError, match=message):
         load_model(_write_model(tmp_path, obj))
-
-
-def test_trees_are_appended_in_position_order():
-    freq = FrequencyTable(counts=np.ones((2, 4), dtype=np.uint16), rounds=4)
-    forest = build_search_tree(freq, 0, leaf_threshold=1)
-    with pytest.raises(ValueError, match="tree 1 comes next"):
-        build_search_tree(freq, 0, 1, forest)
-    build_search_tree(freq, 1, 1, forest)
-    assert len(forest.offsets) == 3
-    assert forest.node_count(0) == forest.node_count(1) == len(forest.split) // 2
 
 
 def test_loaded_model_drops_frequencies(tmp_path, model_cache):
