@@ -104,13 +104,6 @@ class UniformSegment:
 
 PointDistribution = Union[PointMass, FiniteMixture, UniformRect, UniformSegment]
 
-_KIND_NAMES = {
-    PointMass: "point_mass",
-    FiniteMixture: "finite_mixture",
-    UniformRect: "uniform_rect",
-    UniformSegment: "uniform_segment",
-}
-
 
 @dataclass(frozen=True)
 class ScenarioSpec:

@@ -1,11 +1,14 @@
-"""Limiting-phase maxima engine: interleaved slab searches over a bucket queue.
+"""Limiting-phase maxima engine: interleaved slab searches in one right-to-left sweep.
 
 All points walk their per-position search trees toward their leaf slab, but
-the scheduler always advances a point in the rightmost unresolved slab.  The
-leftmost maximum found so far dominates-checks every scheduled point, so
-points doomed to be dominated usually die after O(1) steps instead of paying
-for a full location.  Discovered maxima accumulate left to right, giving the
-same certificate shape as the baselines.
+the engine always advances a point in the rightmost unresolved slab.  Each
+point sits in the bucket of the hi end of its slab interval, and the sweep
+drains the buckets once from the last slab down to slab 0.  The leftmost
+maximum found so far dominates-checks every advanced point, so points doomed
+to be dominated usually die after O(1) steps instead of paying for a full
+location.  Discovered maxima accumulate left to right, giving the same
+certificate shape as the baselines.  BucketQueue is the general monotone
+queue the package exports; the sweep needs none of it.
 """
 
 from __future__ import annotations
@@ -100,14 +103,16 @@ class BucketQueue:
 
 @dataclass
 class RunStats:
-    """Operation counters for one engine run.
+    """Operation counters for one engine run; a RunStats passed to several runs sums them.
 
     tree_steps: search-tree or bisection advances (at most 2 coordinate
     comparisons each).  dominance_checks: checks against the current leftmost
-    maximum, in the scheduler and in the update sweep (2 coordinate
-    comparisons each).  update_sort_comparisons: key comparisons spent
-    sorting update buffers; update_sorted_points: total buffered points
-    sorted.
+    maximum, in the sweep and in the update sweep (2 coordinate comparisons
+    each).  decrease_keys: moves of a point to a lower bucket, one each time
+    a search step leaves its interval's hi end left of the bucket being
+    drained.  find_max_scans: buckets the sweep passes, which is num_slabs
+    per run.  update_sorted_points: total buffered points sorted;
+    update_sort_comparisons: key comparisons spent sorting them.
     """
 
     tree_steps: int = 0
@@ -141,12 +146,13 @@ def entropy_proxy(freq: "FrequencyTable") -> np.ndarray:
 
 @dataclass
 class EngineState:
-    """Mutable run state: the scheduler queue plus per-point search positions.
+    """Mutable run state: the per-slab buckets plus per-point search positions.
 
-    A queued point's key is the hi end of its slab interval; slab_lo holds the lo end.
+    buckets[m] holds the points whose slab interval ends at slab m, in
+    arrival order; slab_lo holds each point's lo end.
     """
 
-    queue: BucketQueue
+    buckets: list[list[int]]
     lam_hat: int
     buffer: list[int] = field(default_factory=list)
     maxima_rev: list[int] = field(default_factory=list)  # rightmost maximum first
@@ -163,12 +169,8 @@ def make_engine_state(model: "TrainedModel", inp: InputSet) -> EngineState:
         raise ValueError(f"model is for n={model.n}, input has n={inp.n}")
     n = inp.n
     top = model.slabs.num_slabs - 1
-    queue = BucketQueue(top + 1)
-    # insert(i, top) for every point, in order, done in bulk
-    queue.buckets[top] = list(range(n))
-    queue.key = dict.fromkeys(range(n), top)
-    queue.cursor = top
-    state = EngineState(queue=queue, lam_hat=top)
+    # every point starts with the whole slab range [0, top]
+    state = EngineState(buckets=[[] for _ in range(top)] + [list(range(n))], lam_hat=top)
     state.xs = inp.xs.tolist()
     state.ys = inp.ys.tolist()
     # root i is node i and covers [0, top]; a trivial tree is pure fallback from the start
@@ -247,14 +249,15 @@ def run_maxima(
 ) -> Certificate:
     """Compute the maxima certificate for one input using the trained model.
 
-    The queue's cursor m walks the buckets right to left, and the first live
-    point of bucket m moves the frontier there (update_step).  Each advance
-    of the rightmost point is one dominance check against the leftmost
-    maximum so far plus one search step, until the point is dominated,
-    buffered in the frontier slab, or stepped left of m.  Deterministic given
-    (model, input).  With debug_invariants the run checks, at every frontier
-    move, that the staircase found so far is exactly the true staircase of
-    the points right of the frontier (quadratic oracle work, debugging only).
+    The sweep drains the buckets once, from the last slab m down to 0, and
+    the first point of bucket m moves the frontier there (update_step).  Each
+    advance of that point, the rightmost unresolved one, is one dominance
+    check against the leftmost maximum so far plus one search step, until
+    the point is dominated, buffered in the frontier slab, or stepped left of
+    m into a lower bucket.  Deterministic given (model, input).  With
+    debug_invariants the run checks, at every frontier move, that the
+    staircase found so far is exactly the true staircase of the points right
+    of the frontier (quadratic oracle work, debugging only).
     """
     if stats is None:
         stats = RunStats()
@@ -262,8 +265,7 @@ def run_maxima(
     if debug_invariants:
         true_leaf = model.slabs.locate_array(inp.xs)
         _check_frontier_invariant(state, inp, true_leaf)
-    queue = state.queue
-    buckets, key = queue.buckets, queue.key
+    buckets = state.buckets
     xs, ys, node, slab_lo = state.xs, state.ys, state.node, state.slab_lo
     buffer, dominators = state.buffer, state.dominators
     split, right = model.forest.split, model.forest.right
@@ -271,12 +273,10 @@ def run_maxima(
     lam_hat = state.lam_hat
     phat = hx = hy = -1
     steps = checks = decreases = 0
-    start = queue.cursor
-    for m in range(start, -1, -1):
-        # nothing joins bucket m while the cursor is on it: keys only fall below m
+    for m in range(len(buckets) - 1, -1, -1):
+        # every entry of bucket m is live: a point is only ever appended to a
+        # bucket left of m, so nothing touches it again until the sweep gets there
         for i in buckets[m]:
-            if key[i] != m:
-                continue  # stale: i was stepped left of m or deleted
             if m < lam_hat:
                 update_step(state, stats, m)
                 lam_hat, phat = m, state.phat
@@ -289,7 +289,6 @@ def run_maxima(
                 if phat >= 0:
                     checks += 1
                     if hx >= px and hy >= py and (hx > px or hy > py):
-                        key[i] = -1
                         dominators[i] = phat
                         break
                 if lo != hi:
@@ -313,24 +312,20 @@ def run_maxima(
                         else:
                             lo = mid + 1
                     if hi < m:
-                        key[i] = hi
                         buckets[hi].append(i)
                         decreases += 1
                         slab_lo[i], node[i] = lo, nid
                         break
                 if lo == hi:
-                    key[i] = -1
                     buffer.append(i)
                     break
-    queue.cursor = -1
-    queue.scan_steps += start + 1  # one downward move past each bucket
     stats.tree_steps += steps
     stats.dominance_checks += checks
     stats.decrease_keys += decreases
     update_step(state, stats, -1)
     if debug_invariants:
         _check_frontier_invariant(state, inp, true_leaf)
-    stats.find_max_scans += queue.scan_steps
+    stats.find_max_scans += len(buckets)  # one downward move past each bucket
     maxima = tuple(reversed(state.maxima_rev))
     return Certificate(maxima=maxima, dominators=dict(state.dominators))
 

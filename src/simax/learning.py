@@ -383,7 +383,8 @@ class TrainedModel:
     """Everything the limiting phase needs, plus provenance for replay.
 
     Construction checks that the forest holds n trees over the model's
-    slabs; decoding already made each tree sound.  frequencies is kept only
+    slabs (decoding already made each tree sound) and that the provenance
+    fields are ones training can produce.  frequencies is kept only
     when training is asked to retain it (for audits of the trees against
     their training counts); it is never serialized.
     """
@@ -402,8 +403,17 @@ class TrainedModel:
     frequencies: FrequencyTable | None = None
 
     def __post_init__(self):
+        if self.rng_algorithm != SeededRng.algorithm:
+            raise ValueError(f"rng_algorithm must be {SeededRng.algorithm!r}, got {self.rng_algorithm!r}")
+        TrainingConfig(epsilon=self.epsilon, delta=self.delta)  # training's own range checks
+        for name in ("slab_rounds", "tree_rounds", "leaf_threshold"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if np.shape(self.entropy_per_point) != (self.n,):
             raise ValueError(f"entropy_per_point has shape {np.shape(self.entropy_per_point)}, expected ({self.n},)")
+        h = np.asarray(self.entropy_per_point)
+        if not (np.isfinite(h) & (h >= 0)).all():
+            raise ValueError("entropy_per_point must be finite and >= 0")
         if self.forest.num_slabs != self.slabs.num_slabs:
             raise ValueError(f"search forest is over {self.forest.num_slabs} slabs, model has {self.slabs.num_slabs}")
         if self.forest.n != self.n:

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from test_distributions import _dist_strategy
 
 from simax import (
-    BucketQueue,
     FrequencyTable,
     RunStats,
     SearchForest,
@@ -74,7 +73,7 @@ def test_entropy_is_maximal_for_uniform_rows():
 
 
 def _bare_state(points) -> EngineState:
-    state = EngineState(queue=BucketQueue(1), lam_hat=0)
+    state = EngineState(buckets=[[]], lam_hat=0)
     state.xs = [float(p[0]) for p in points]
     state.ys = [float(p[1]) for p in points]
     return state
@@ -189,11 +188,35 @@ def test_run_is_deterministic_and_instrumented(model_cache):
     c2 = run_maxima(model, inp, s2)
     assert c1 == c2
     assert s1 == s2
-    assert s1.find_max_scans <= model.slabs.num_slabs
+    assert s1.find_max_scans == model.slabs.num_slabs
     assert s1.decrease_keys <= s1.tree_steps
     assert s1.update_sorted_points >= len(c1.maxima)  # every maximum passes through the buffer
     depth_cap = (1 + 3 * model.epsilon) * math.log2(model.slabs.num_slabs) + 2
     assert s1.tree_steps <= model.n * (depth_cap + 1)
+
+
+@pytest.mark.parametrize("kind", ["two_level", "uniform_square"])
+def test_sweep_reads_each_point_once_per_bucket_in_decreasing_order(model_cache, monkeypatch, kind):
+    # a point enters the sweep once at the top and once per move to a lower
+    # bucket, and each move lands strictly left of the bucket it came from
+    model = model_cache(kind, 256)
+    real, states = engine.make_engine_state, []
+
+    def captured(*args):
+        states.append(real(*args))
+        return states[-1]
+
+    monkeypatch.setattr(engine, "make_engine_state", captured)
+    stats = RunStats()
+    run_maxima(model, sample_input(model.scenario, SeededRng(5)), stats)
+    buckets = states[0].buckets
+    assert sum(len(b) for b in buckets) == model.n + stats.decrease_keys
+    seen: dict[int, list[int]] = {}
+    for m in range(len(buckets) - 1, -1, -1):
+        for i in buckets[m]:
+            seen.setdefault(i, []).append(m)
+    assert sorted(seen) == list(range(model.n))
+    assert all(a > b for ms in seen.values() for a, b in zip(ms, ms[1:]))
 
 
 def test_stats_accumulate_across_runs(model_cache):

@@ -629,6 +629,27 @@ def test_load_model_rejects_corrupt_forests(tmp_path, model_cache, corrupt, mess
         load_model(_write_model(tmp_path, obj))
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("rng_algorithm", "mt19937"),
+        ("epsilon", float("nan")),
+        ("epsilon", 7.0),
+        ("delta", -1.0),
+        ("leaf_threshold", -3),
+        ("tree_rounds", 0),
+        ("slab_rounds", 0),
+        ("entropy_per_point", float("nan")),
+        ("entropy_per_point", -20.0),
+    ],
+)
+def test_load_model_rejects_corrupt_provenance(tmp_path, model_cache, field, value):
+    obj = model_cache("uniform_square", 16).to_dict()
+    obj[field] = [value] * 16 if field == "entropy_per_point" else value
+    with pytest.raises(ValueError, match=field):
+        load_model(_write_model(tmp_path, obj))
+
+
 def test_loaded_model_drops_frequencies(tmp_path, model_cache):
     model = model_cache("uniform_square", 16)
     assert model.frequencies is not None
