@@ -25,7 +25,6 @@ from .distributions import (
     scenario_to_dict,
 )
 from .engine import (
-    BucketQueue,
     RunStats,
     entropy_proxy,
     run_maxima,
@@ -62,7 +61,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BaselineStats",
-    "BucketQueue",
     "Certificate",
     "CertificateIndexError",
     "FiniteMixture",

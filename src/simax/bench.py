@@ -76,15 +76,11 @@ class ExperimentPlan:
     model: TrainedModel
     trials: int
     seed: int
-    algorithms: tuple[str, ...] = ALGORITHMS
     timing: bool = False
 
     def __post_init__(self):
         if self.trials < 1:
             raise BenchError(f"trials must be >= 1, got {self.trials}")
-        unknown = set(self.algorithms) - set(ALGORITHMS)
-        if unknown:
-            raise BenchError(f"unknown algorithms: {sorted(unknown)}")
 
 
 def _trial_input(model: TrainedModel, seed: int, trial: int) -> tuple[int, InputSet]:
@@ -100,7 +96,7 @@ def run_trials(plan: ExperimentPlan) -> list[ReportRow]:
     rows: list[ReportRow] = []
     for t in range(plan.trials):
         eff, inp = _trial_input(model, plan.seed, t)
-        for alg in plan.algorithms:
+        for alg in ALGORITHMS:
             tree_steps = dominance = sort_cmp = upd_points = 0
             entropy = 0.0
             wall = 0
@@ -251,7 +247,6 @@ def write_report(rows: list[ReportRow], out_dir) -> list[Path]:
         title="mean work per point vs n",
         x_label="n (log scale)",
         y_label="comparisons + steps per point",
-        log_x=True,
     )
 
     groups: dict[str, list[tuple[float, float]]] = {}
@@ -267,6 +262,5 @@ def write_report(rows: list[ReportRow], out_dir) -> list[Path]:
         title="engine cost vs (n + total entropy)",
         x_label="n + entropy_total (bits)",
         y_label="tree_steps + dominance_checks",
-        diagonal=True,
     )
     return [summary_path, work_path, entropy_path]

@@ -11,7 +11,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .bench import BRUTE_FORCE_LIMIT, BenchError, ExperimentPlan, read_rows_csv, run_trials, write_report, write_rows_csv
+from .bench import ALGORITHMS, BRUTE_FORCE_LIMIT, BenchError, ExperimentPlan, read_rows_csv, run_trials, write_report, write_rows_csv
 from .distributions import ScenarioError, build_scenario, load_scenario_file, sample_input, SeededRng
 from .engine import RunStats, run_maxima
 from .geometry import brute_force_maxima, check_certificate, sort_scan_maxima
@@ -56,7 +56,7 @@ def cmd_run(args) -> int:
     rows = run_trials(plan)
     write_rows_csv(rows, args.out)
     bad = sum(1 for r in rows if r.verified is False)
-    print(f"{len(rows)} rows ({plan.trials} trials x {len(plan.algorithms)} algorithms) -> {args.out}")
+    print(f"{len(rows)} rows ({plan.trials} trials x {len(ALGORITHMS)} algorithms) -> {args.out}")
     if bad:
         print(f"error: {bad} rows failed certificate verification", file=sys.stderr)
         return 1

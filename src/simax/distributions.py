@@ -127,25 +127,16 @@ class ScenarioSpec:
 
 
 class SeededRng:
-    """Deterministic random stream: PCG64 keyed by a 64-bit seed and a spawn key.
-
-    Substreams derived with substream() are independent of the parent and of
-    each other, and depend only on (seed, spawn_key), never on draw order.
-    """
+    """Deterministic random stream: PCG64 keyed by a 64-bit seed."""
 
     algorithm = "pcg64"
 
-    def __init__(self, seed: int, spawn_key: tuple[int, ...] = ()):
+    def __init__(self, seed: int):
         seed = int(seed)
         if not 0 <= seed < 2**64:
             raise ValueError(f"seed must fit in 64 bits, got {seed}")
         self.seed = seed
-        self.spawn_key = tuple(int(k) for k in spawn_key)
-        ss = np.random.SeedSequence(entropy=seed, spawn_key=self.spawn_key)
-        self.generator = np.random.Generator(np.random.PCG64(ss))
-
-    def substream(self, *key: int) -> "SeededRng":
-        return SeededRng(self.seed, self.spawn_key + key)
+        self.generator = np.random.Generator(np.random.PCG64(seed))
 
     def random(self, size=None):
         return self.generator.random(size)
@@ -154,7 +145,7 @@ class SeededRng:
         return self.generator.integers(low, high, size=size)
 
     def __repr__(self) -> str:
-        return f"SeededRng(seed={self.seed}, spawn_key={self.spawn_key})"
+        return f"SeededRng(seed={self.seed})"
 
 
 # ---------------------------------------------------------------------------

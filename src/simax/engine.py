@@ -3,12 +3,15 @@
 All points walk their per-position search trees toward their leaf slab, but
 the engine always advances a point in the rightmost unresolved slab.  Each
 point sits in the bucket of the hi end of its slab interval, and the sweep
-drains the buckets once from the last slab down to slab 0.  The leftmost
+drains the buckets once from the last slab down to slab 0, each in arrival
+order; a point whose interval shrinks joins the back of a lower bucket.  The
+sweep thus serves as a max-priority queue with FIFO ties and decrease-key
+without any queue structure, since a key only ever falls below the bucket
+being drained.  The leftmost
 maximum found so far dominates-checks every advanced point, so points doomed
 to be dominated usually die after O(1) steps instead of paying for a full
 location.  Discovered maxima accumulate left to right, giving the same
-certificate shape as the baselines.  BucketQueue is the general monotone
-queue the package exports; the sweep needs none of it.
+certificate shape as the baselines.
 """
 
 from __future__ import annotations
@@ -22,83 +25,6 @@ from .geometry import Certificate, InputSet, brute_force_maxima
 
 if TYPE_CHECKING:
     from .learning import FrequencyTable, TrainedModel
-
-
-class BucketQueue:
-    """Max-priority queue over a bounded integer key range: lazy per-key lists with read heads.
-
-    key[elem] is the element's current key, -1 once deleted, and a bucket
-    entry is live while it equals that bucket's key: decrease_key appends to
-    the new bucket and delete only resets the key.  Keys may only decrease
-    (checked), so one downward cursor serves every find_max, moving at most
-    num_keys steps in total.  Equal keys come out FIFO; an element that is
-    moved or re-inserted joins the back of its bucket.
-    """
-
-    __slots__ = ("buckets", "heads", "key", "cursor", "scan_steps")
-
-    def __init__(self, num_keys: int):
-        if num_keys < 1:
-            raise ValueError("num_keys must be >= 1")
-        self.buckets: list[list] = [[] for _ in range(num_keys)]
-        self.heads = [0] * num_keys  # entries before the head are consumed
-        self.key: dict = {}
-        self.cursor = -1
-        self.scan_steps = 0  # cumulative downward cursor movement
-
-    def __len__(self) -> int:
-        return sum(k >= 0 for k in self.key.values())
-
-    def __contains__(self, elem) -> bool:
-        return self.key.get(elem, -1) >= 0
-
-    def key_of(self, elem) -> int:
-        if elem not in self:
-            raise KeyError(f"element {elem!r} is not queued")
-        return self.key[elem]
-
-    def insert(self, elem, key: int) -> None:
-        if elem in self:
-            raise ValueError(f"element {elem!r} is already queued")
-        if not 0 <= key < len(self.buckets):
-            raise ValueError(f"key {key} out of range [0, {len(self.buckets)})")
-        if elem in self.key:  # a returning element: its stale entries must not come back to life
-            for bucket, head in zip(self.buckets, self.heads):
-                bucket[head:] = [e for e in bucket[head:] if e != elem]
-        self.buckets[key].append(elem)
-        self.key[elem] = key
-        if key > self.cursor:
-            self.cursor = key
-
-    def find_max(self):
-        """(element, key) with the largest key, FIFO on ties; None when empty."""
-        buckets, heads, key = self.buckets, self.heads, self.key
-        m = self.cursor
-        while m >= 0:
-            bucket = buckets[m]
-            h = heads[m]
-            while h < len(bucket) and key[bucket[h]] != m:
-                h += 1
-            heads[m] = h
-            if h < len(bucket):
-                break
-            m -= 1
-            self.scan_steps += 1
-        self.cursor = m
-        return None if m < 0 else (bucket[h], m)
-
-    def decrease_key(self, elem, new_key: int) -> None:
-        old = self.key_of(elem)
-        if new_key >= old:
-            raise ValueError(f"key for {elem!r} may only decrease ({old} -> {new_key})")
-        if new_key < 0:
-            raise ValueError(f"key {new_key} out of range")
-        self.buckets[new_key].append(elem)
-        self.key[elem] = new_key
-
-    def delete(self, elem) -> None:
-        self.key_of(elem)  # raises KeyError unless queued
-        self.key[elem] = -1
 
 
 @dataclass
@@ -327,7 +253,7 @@ def run_maxima(
         _check_frontier_invariant(state, inp, true_leaf)
     stats.find_max_scans += len(buckets)  # one downward move past each bucket
     maxima = tuple(reversed(state.maxima_rev))
-    return Certificate(maxima=maxima, dominators=dict(state.dominators))
+    return Certificate(maxima=maxima, dominators=state.dominators)
 
 
 def _check_frontier_invariant(state: EngineState, inp: InputSet, true_leaf: np.ndarray) -> None:

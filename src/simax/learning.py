@@ -406,6 +406,7 @@ class TrainedModel:
         if self.rng_algorithm != SeededRng.algorithm:
             raise ValueError(f"rng_algorithm must be {SeededRng.algorithm!r}, got {self.rng_algorithm!r}")
         TrainingConfig(epsilon=self.epsilon, delta=self.delta)  # training's own range checks
+        SeededRng(self.seed)  # the stream's own 64-bit seed check
         for name in ("slab_rounds", "tree_rounds", "leaf_threshold"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -456,7 +457,7 @@ class TrainedModel:
         try:
             slabs = SlabStructure(obj["boundaries"])
             scenario = scenario_from_dict(obj["scenario"])
-            return cls(
+            model = cls(
                 scenario=scenario,
                 slabs=slabs,
                 forest=SearchForest(slabs.num_slabs, scenario.n, obj["forest"]),
@@ -473,6 +474,16 @@ class TrainedModel:
             raise ValueError(f"missing model field {e}") from None
         except TypeError as e:
             raise ValueError(f"malformed model file: {e}") from None
+        # file provenance must be what training produces for this n; with no cap
+        # recorded, tree_rounds may be anything up to the uncapped formula
+        n = model.n
+        config = TrainingConfig(epsilon=model.epsilon, delta=model.delta, rounds_cap=math.inf)
+        for name, want in (("slab_rounds", config.slab_rounds(n)), ("leaf_threshold", config.leaf_threshold(n))):
+            if getattr(model, name) != want:
+                raise ValueError(f"{name} is {getattr(model, name)}, but training uses {want} for n={n}")
+        if model.tree_rounds > config.tree_rounds(n):
+            raise ValueError(f"tree_rounds is {model.tree_rounds}, but training runs at most {config.tree_rounds(n)} for n={n}")
+        return model
 
 
 def train_model(

@@ -127,16 +127,16 @@ def _x_ticks(xs: list[float], log_x: bool) -> list[float]:
     return [lo + k * (hi - lo) / 5 for k in range(6)]
 
 
-def line_chart(path, series: dict[str, list[tuple[float, float]]], title: str, x_label: str, y_label: str, log_x: bool = False) -> None:
-    """One polyline per label; x positions optionally log2-scaled."""
+def line_chart(path, series: dict[str, list[tuple[float, float]]], title: str, x_label: str, y_label: str) -> None:
+    """One polyline per label; x positions log2-scaled."""
     if not series or all(not pts for pts in series.values()):
         raise ValueError("line_chart needs at least one nonempty series")
     labels = sorted(series)
     all_x = [p[0] for pts in series.values() for p in pts]
     all_y = [p[1] for pts in series.values() for p in pts]
-    frame = _Frame(all_x, all_y, log_x)
+    frame = _Frame(all_x, all_y, log_x=True)
     parts: list[str] = []
-    _axes(parts, frame, _x_ticks(all_x, log_x), title, x_label, y_label)
+    _axes(parts, frame, _x_ticks(all_x, log_x=True), title, x_label, y_label)
     for k, label in enumerate(labels):
         pts = sorted(series[label])
         if not pts:
@@ -150,26 +150,23 @@ def line_chart(path, series: dict[str, list[tuple[float, float]]], title: str, x
     _write(path, parts)
 
 
-def scatter_chart(path, groups: dict[str, list[tuple[float, float]]], title: str, x_label: str, y_label: str, diagonal: bool = False) -> None:
-    """One dot cloud per label; optional y=x reference line."""
+def scatter_chart(path, groups: dict[str, list[tuple[float, float]]], title: str, x_label: str, y_label: str) -> None:
+    """One dot cloud per label over a dashed y=x reference line."""
     if not groups or all(not pts for pts in groups.values()):
         raise ValueError("scatter_chart needs at least one nonempty group")
     labels = sorted(groups)
     all_x = [p[0] for pts in groups.values() for p in pts]
-    all_y = [p[1] for pts in groups.values() for p in pts]
-    if diagonal:
-        all_y = all_y + [min(all_x), max(all_x)]
+    all_y = [p[1] for pts in groups.values() for p in pts] + [min(all_x), max(all_x)]  # keep y=x in view
     frame = _Frame(all_x, all_y, log_x=False)
     parts: list[str] = []
-    _axes(parts, frame, _x_ticks(all_x, False), title, x_label, y_label)
-    if diagonal:
-        lo = max(frame.x0, frame.y0)
-        hi = min(frame.x1, frame.y1)
-        if lo < hi:
-            parts.append(
-                f'<line x1="{frame.px(lo):.1f}" y1="{frame.py(lo):.1f}" x2="{frame.px(hi):.1f}" '
-                f'y2="{frame.py(hi):.1f}" stroke="#999999" stroke-dasharray="6 4"/>'
-            )
+    _axes(parts, frame, _x_ticks(all_x, log_x=False), title, x_label, y_label)
+    lo = max(frame.x0, frame.y0)
+    hi = min(frame.x1, frame.y1)
+    if lo < hi:
+        parts.append(
+            f'<line x1="{frame.px(lo):.1f}" y1="{frame.py(lo):.1f}" x2="{frame.px(hi):.1f}" '
+            f'y2="{frame.py(hi):.1f}" stroke="#999999" stroke-dasharray="6 4"/>'
+        )
     for k, label in enumerate(labels):
         color = PALETTE[k % len(PALETTE)]
         for x, y in groups[label]:

@@ -13,13 +13,13 @@ rate cannot be size-stable; the assertion is kept as stated rather than
 weakened.
 """
 
+import heapq
 import math
 import time
 
 import numpy as np
 
 from simax import (
-    BucketQueue,
     RunStats,
     SeededRng,
     build_scenario,
@@ -32,6 +32,7 @@ from simax import (
     sort_scan_maxima,
     verify_certificate,
 )
+from simax import engine
 from simax.cli import main
 from simax.geometry import BaselineStats
 
@@ -207,65 +208,54 @@ def test_07_engine_cost_tracks_input_plus_entropy(model_cache, capsys):
     _report(capsys, 7, ok, f"worst per-run cost constant {worst:.3f} across 60 runs (cap {ENGINE_COST_C})")
 
 
-def test_08_bucket_queue_differential_and_scan_bound(capsys):
-    num_keys = 1024
-    q = BucketQueue(num_keys)
-    entries = {}  # oracle: elem -> (key, arrival)
-    clock = 0
+def test_08_sweep_replays_a_fifo_max_heap_and_scans_each_slab_once(model_cache, monkeypatch, capsys):
+    # replay every bucket read of the engine's sweep against an independent
+    # heap of (-key, arrival, point): the sweep must always take the point
+    # with the largest key, earliest arrival first, and a point that shows up
+    # again in a lower bucket is a decrease-key made at the read that moved it
+    real, states = engine.make_engine_state, []
 
-    def oracle_max():
-        if not entries:
-            return None
-        elem = min(entries, key=lambda e: (-entries[e][0], entries[e][1]))
-        return elem, entries[elem][0]
+    def captured(*args):
+        states.append(real(*args))
+        return states[-1]
 
-    rs = np.random.RandomState(88)
-    next_elem = 0
-    for _ in range(96):
-        key = int(rs.randint(num_keys))
-        q.insert(next_elem, key)
-        entries[next_elem] = (key, clock)
-        clock += 1
-        next_elem += 1
-
-    ops = 96
-    mismatches = 0
-    while ops < 100_000:
-        choice = rs.random_sample()
-        live = list(entries)
-        if choice < 0.35:
-            if q.find_max() != oracle_max():
-                mismatches += 1
-        elif choice < 0.75 and live:
-            elem = live[int(rs.randint(len(live)))]
-            old = entries[elem][0]
-            if old == 0:
-                continue  # not an operation, retry
-            new_key = int(rs.randint(old))
-            q.decrease_key(elem, new_key)
-            entries[elem] = (new_key, clock)
-            clock += 1
-        elif choice < 0.87 and len(live) > 1:
-            elem = live[int(rs.randint(len(live)))]
-            q.delete(elem)
-            del entries[elem]
-        else:
-            cur = oracle_max()
-            if cur is None:
-                continue
-            key = int(rs.randint(cur[1] + 1))
-            q.insert(next_elem, key)
-            entries[next_elem] = (key, clock)
-            clock += 1
-            next_elem += 1
-        ops += 1
-    ok = mismatches == 0 and q.scan_steps <= num_keys
+    monkeypatch.setattr(engine, "make_engine_state", captured)
+    ops = mismatches = leftover = bad_scans = bad_moves = runs = 0
+    for kind in KINDS:
+        model = model_cache(kind, 1024)
+        for seed in range(17):
+            stats = RunStats()
+            run_maxima(model, sample_input(model.scenario, SeededRng(seed)), stats)
+            buckets = states[-1].buckets
+            top = len(buckets) - 1
+            reads = [(m, i) for m in range(top, -1, -1) for i in buckets[m]]
+            moved_to = [None] * len(reads)  # the bucket each read sends its point to next
+            last_read: dict[int, int] = {}
+            for r, (m, i) in enumerate(reads):
+                if i in last_read:
+                    moved_to[last_read[i]] = m
+                last_read[i] = r
+            heap = [(-top, i, i) for i in range(model.n)]  # already a heap: equal keys, ascending arrival
+            clock = model.n
+            for (m, i), hi in zip(reads, moved_to):
+                neg_key, _, elem = heapq.heappop(heap) if heap else (1, -1, -1)
+                mismatches += (-neg_key, elem) != (m, i)
+                if hi is not None:
+                    heapq.heappush(heap, (-hi, clock, i))
+                    clock += 1
+            ops += len(reads) + clock - model.n
+            leftover += len(heap)
+            bad_moves += clock - model.n != stats.decrease_keys
+            bad_scans += stats.find_max_scans != model.slabs.num_slabs
+            runs += 1
+    ok = ops >= 100_000 and mismatches == 0 and leftover == 0 and bad_moves == 0 and bad_scans == 0
     _report(
         capsys,
         8,
         ok,
-        f"{ops} monotone operations, {mismatches} output mismatches, "
-        f"cursor moved {q.scan_steps} of at most {num_keys}",
+        f"{ops} heap pops + decrease-keys over {runs} runs (need >= 100000), {mismatches} read mismatches, "
+        f"{leftover} points left in the heap, {bad_moves} runs with a decrease-key count off, "
+        f"{bad_scans} runs scanning other than num_slabs buckets",
     )
 
 

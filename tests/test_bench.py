@@ -97,8 +97,6 @@ def test_plan_validation(model_cache):
     model = model_cache("uniform_square", 16)
     with pytest.raises(BenchError, match="trials"):
         ExperimentPlan(model=model, trials=0, seed=0)
-    with pytest.raises(BenchError, match="unknown algorithms"):
-        ExperimentPlan(model=model, trials=1, seed=0, algorithms=("self_improving", "quantum"))
 
 
 # ---------------------------------------------------------------------------

@@ -639,6 +639,11 @@ def test_load_model_rejects_corrupt_forests(tmp_path, model_cache, corrupt, mess
         ("leaf_threshold", -3),
         ("tree_rounds", 0),
         ("slab_rounds", 0),
+        ("slab_rounds", 999),
+        ("leaf_threshold", 21),
+        ("tree_rounds", 10**9),
+        ("seed", -7),
+        ("seed", 2**70),
         ("entropy_per_point", float("nan")),
         ("entropy_per_point", -20.0),
     ],
