@@ -12,12 +12,10 @@ import sys
 from pathlib import Path
 
 from .bench import ALGORITHMS, BRUTE_FORCE_LIMIT, BenchError, ExperimentPlan, read_rows_csv, run_trials, write_report, write_rows_csv
-from .distributions import ScenarioError, build_scenario, load_scenario_file, sample_input, SeededRng
+from .distributions import BUILTIN_SCENARIOS, ScenarioError, build_scenario, load_scenario_file, sample_input, SeededRng
 from .engine import RunStats, run_maxima
 from .geometry import brute_force_maxima, check_certificate, sort_scan_maxima
 from .learning import TrainingConfig, load_model, save_model, train_model
-
-BUILTIN_SCENARIOS = ("uniform_square", "staircase_line", "two_level")
 
 
 def _resolve_scenario(arg: str, n: int | None):

@@ -12,7 +12,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Union
+from typing import ClassVar, Union, get_args
 
 import numpy as np
 
@@ -23,23 +23,31 @@ class ScenarioError(ValueError):
     """Invalid scenario structure or parameters (message carries field context)."""
 
 
-def _require_finite(value: float, where: str) -> float:
+def _require_finite(value: float, where: str, name: str) -> float:
     value = float(value)
     if not math.isfinite(value):
-        raise ScenarioError(f"{where}: must be finite, got {value!r}")
+        raise ScenarioError(f"{where}.{name}: must be finite, got {value!r}")
     return value
 
 
-@dataclass(frozen=True)
-class PointMass:
-    """Always produces the single point (x, y)."""
+class _FiniteFields:
+    """Base of the kinds whose fields are all finite coordinates (converted to float)."""
 
-    x: float
-    y: float
+    kind: ClassVar[str]  # the kind's name in scenario JSON
 
     def __post_init__(self):
-        object.__setattr__(self, "x", _require_finite(self.x, "point_mass.x"))
-        object.__setattr__(self, "y", _require_finite(self.y, "point_mass.y"))
+        kind = self.kind
+        for name in self.__match_args__:  # the dataclass's field names, in order
+            object.__setattr__(self, name, _require_finite(getattr(self, name), kind, name))
+
+
+@dataclass(frozen=True)
+class PointMass(_FiniteFields):
+    """Always produces the single point (x, y)."""
+
+    kind = "point_mass"
+    x: float
+    y: float
 
 
 @dataclass(frozen=True)
@@ -56,8 +64,8 @@ class FiniteMixture:
             raise ScenarioError("finite_mixture: atoms and weights differ in length")
         atoms = tuple(
             (
-                _require_finite(a[0], f"finite_mixture.atoms[{k}].x"),
-                _require_finite(a[1], f"finite_mixture.atoms[{k}].y"),
+                _require_finite(a[0], f"finite_mixture.atoms[{k}]", "x"),
+                _require_finite(a[1], f"finite_mixture.atoms[{k}]", "y"),
             )
             for k, a in enumerate(self.atoms)
         )
@@ -73,33 +81,30 @@ class FiniteMixture:
 
 
 @dataclass(frozen=True)
-class UniformRect:
+class UniformRect(_FiniteFields):
     """Uniform over the axis-aligned rectangle [x0, x1] x [y0, y1]."""
 
+    kind = "uniform_rect"
     x0: float
     x1: float
     y0: float
     y1: float
 
     def __post_init__(self):
-        for name in ("x0", "x1", "y0", "y1"):
-            object.__setattr__(self, name, _require_finite(getattr(self, name), f"uniform_rect.{name}"))
+        _FiniteFields.__post_init__(self)
         if self.x0 > self.x1 or self.y0 > self.y1:
             raise ScenarioError("uniform_rect: extents must satisfy x0 <= x1 and y0 <= y1")
 
 
 @dataclass(frozen=True)
-class UniformSegment:
+class UniformSegment(_FiniteFields):
     """Uniform over the segment from (ax, ay) to (bx, by)."""
 
+    kind = "uniform_segment"
     ax: float
     ay: float
     bx: float
     by: float
-
-    def __post_init__(self):
-        for name in ("ax", "ay", "bx", "by"):
-            object.__setattr__(self, name, _require_finite(getattr(self, name), f"uniform_segment.{name}"))
 
 
 PointDistribution = Union[PointMass, FiniteMixture, UniformRect, UniformSegment]
@@ -116,6 +121,10 @@ class ScenarioSpec:
         if not self.per_point:
             raise ScenarioError("per_point: must be nonempty")
         object.__setattr__(self, "per_point", tuple(self.per_point))
+        kinds = set(get_args(PointDistribution))
+        if not {type(d) for d in self.per_point} <= kinds:
+            i = next(i for i, d in enumerate(self.per_point) if type(d) not in kinds)
+            raise ScenarioError(f"per_point[{i}]: not a point distribution: {self.per_point[i]!r}")
 
     @property
     def n(self) -> int:
@@ -151,70 +160,56 @@ class SeededRng:
 # ---------------------------------------------------------------------------
 # sampling
 
-# Draw budget per variant.  One uniform batch is drawn per input and consumed
-# in point order, so samples depend only on (scenario, stream state).
-_DRAWS = {PointMass: 0, FiniteMixture: 1, UniformRect: 2, UniformSegment: 1}
-
 
 class _CompiledSampler:
-    """Vectorized sampling plan for one scenario (grouped by variant)."""
+    """Vectorized sampling plan for one scenario: one group of positions per formula.
+
+    One uniform batch is drawn per input and consumed in point order (a
+    rectangle takes two, a segment or a mixture one, a point mass none), so
+    samples depend only on (scenario, stream state).  Rectangles and segments
+    share x = x0 + dx*u[ux], y = y0 + dy*u[uy]; a segment has uy == ux.  Point
+    masses are copied rather than computed, so a -0.0 coordinate stays -0.0.
+    Each column is its own contiguous array, and empty groups are skipped.
+    """
 
     def __init__(self, spec: ScenarioSpec):
         self.n = spec.n
-        offsets = []
-        total = 0
-        for dist in spec.per_point:
-            offsets.append(total)
-            total += _DRAWS[type(dist)]
-        self.total_draws = total
-
-        by_kind: dict[type, list[int]] = {PointMass: [], FiniteMixture: [], UniformRect: [], UniformSegment: []}
-        for i, dist in enumerate(spec.per_point):
-            by_kind[type(dist)].append(i)
-
-        mass_idx = by_kind[PointMass]
-        self.mass_idx = np.array(mass_idx, dtype=np.intp)
-        self.mass_x = np.array([spec.per_point[i].x for i in mass_idx])
-        self.mass_y = np.array([spec.per_point[i].y for i in mass_idx])
-
-        rect_idx = by_kind[UniformRect]
-        self.rect_idx = np.array(rect_idx, dtype=np.intp)
-        self.rect_off = np.array([offsets[i] for i in rect_idx], dtype=np.intp)
-        self.rect_x0 = np.array([spec.per_point[i].x0 for i in rect_idx])
-        self.rect_dx = np.array([spec.per_point[i].x1 - spec.per_point[i].x0 for i in rect_idx])
-        self.rect_y0 = np.array([spec.per_point[i].y0 for i in rect_idx])
-        self.rect_dy = np.array([spec.per_point[i].y1 - spec.per_point[i].y0 for i in rect_idx])
-
-        seg_idx = by_kind[UniformSegment]
-        self.seg_idx = np.array(seg_idx, dtype=np.intp)
-        self.seg_off = np.array([offsets[i] for i in seg_idx], dtype=np.intp)
-        self.seg_ax = np.array([spec.per_point[i].ax for i in seg_idx])
-        self.seg_dx = np.array([spec.per_point[i].bx - spec.per_point[i].ax for i in seg_idx])
-        self.seg_ay = np.array([spec.per_point[i].ay for i in seg_idx])
-        self.seg_dy = np.array([spec.per_point[i].by - spec.per_point[i].ay for i in seg_idx])
-
-        mix_idx = by_kind[FiniteMixture]
-        self.mix_idx = np.array(mix_idx, dtype=np.intp)
-        self.mix_off = np.array([offsets[i] for i in mix_idx], dtype=np.intp)
-        if mix_idx:
-            width = max(len(spec.per_point[i].atoms) for i in mix_idx)
+        mass, affine, mix, mixtures = [], [], [], []
+        u = 0  # index of the position's first uniform
+        for i, d in enumerate(spec.per_point):
+            if isinstance(d, PointMass):
+                mass.append((i, d.x, d.y))
+            elif isinstance(d, UniformRect):
+                affine.append((i, u, u + 1, d.x0, d.x1, d.y0, d.y1))
+                u += 2
+            elif isinstance(d, UniformSegment):
+                affine.append((i, u, u, d.ax, d.bx, d.ay, d.by))
+                u += 1
+            else:
+                mix.append((i, u))
+                mixtures.append(d)
+                u += 1
+        self.total_draws = u
+        self.mass_idx, self.mass_x, self.mass_y = _columns(mass, 3)
+        self.aff_idx, self.aff_ux, self.aff_uy, self.aff_x0, x1, self.aff_y0, y1 = _columns(affine, 7)
+        self.aff_dx, self.aff_dy = x1 - self.aff_x0, y1 - self.aff_y0
+        if np.array_equal(self.aff_ux, self.aff_uy):
+            self.aff_uy = self.aff_ux  # segments only: sample gathers their uniforms once
+        self.mix_idx, self.mix_u = _columns(mix, 2)
+        if mixtures:
+            width = max(len(d.atoms) for d in mixtures)
             # cumulative weights padded with 1.0: padding cells are unreachable
             # because draws are < 1 and the last real cell is clamped to 1.0
-            cw = np.ones((len(mix_idx), width))
-            ax = np.zeros((len(mix_idx), width))
-            ay = np.zeros((len(mix_idx), width))
-            for r, i in enumerate(mix_idx):
-                dist = spec.per_point[i]
-                w = np.array(dist.weights)
+            self.mix_cw = np.ones((len(mixtures), width))
+            self.mix_ax = np.zeros((len(mixtures), width))
+            self.mix_ay = np.zeros((len(mixtures), width))
+            for r, d in enumerate(mixtures):
+                w = np.array(d.weights)
                 c = np.cumsum(w / w.sum())
                 c[-1] = 1.0
-                m = len(dist.atoms)
-                cw[r, :m] = c
-                ax[r, :m] = [a[0] for a in dist.atoms]
-                ay[r, :m] = [a[1] for a in dist.atoms]
-            self.mix_cw = cw
-            self.mix_ax = ax
-            self.mix_ay = ay
+                m = len(d.atoms)
+                self.mix_cw[r, :m] = c
+                self.mix_ax[r, :m], self.mix_ay[r, :m] = zip(*d.atoms)
 
     def sample(self, rng: SeededRng) -> InputSet:
         u = rng.random(self.total_draws)
@@ -223,20 +218,22 @@ class _CompiledSampler:
         if self.mass_idx.size:
             xs[self.mass_idx] = self.mass_x
             ys[self.mass_idx] = self.mass_y
-        if self.rect_idx.size:
-            xs[self.rect_idx] = self.rect_x0 + self.rect_dx * u[self.rect_off]
-            ys[self.rect_idx] = self.rect_y0 + self.rect_dy * u[self.rect_off + 1]
-        if self.seg_idx.size:
-            t = u[self.seg_off]
-            xs[self.seg_idx] = self.seg_ax + self.seg_dx * t
-            ys[self.seg_idx] = self.seg_ay + self.seg_dy * t
+        if self.aff_idx.size:
+            ux = u[self.aff_ux]
+            uy = ux if self.aff_uy is self.aff_ux else u[self.aff_uy]
+            xs[self.aff_idx] = self.aff_x0 + self.aff_dx * ux
+            ys[self.aff_idx] = self.aff_y0 + self.aff_dy * uy
         if self.mix_idx.size:
-            um = u[self.mix_off]
-            sel = (self.mix_cw <= um[:, None]).sum(axis=1)
+            sel = (self.mix_cw <= u[self.mix_u][:, None]).sum(axis=1)
             rows = np.arange(self.mix_idx.size)
             xs[self.mix_idx] = self.mix_ax[rows, sel]
             ys[self.mix_idx] = self.mix_ay[rows, sel]
         return InputSet(xs, ys)
+
+
+def _columns(rows: list[tuple], width: int) -> list[np.ndarray]:
+    """Transpose rows into one array per column: ints become intp, floats float64."""
+    return [np.array(col) for col in zip(*rows)] if rows else [np.empty(0, dtype=np.intp)] * width
 
 
 def sample_input(spec: ScenarioSpec, rng: SeededRng) -> InputSet:
@@ -248,20 +245,24 @@ def sample_input(spec: ScenarioSpec, rng: SeededRng) -> InputSet:
 # built-in scenarios
 
 
-def build_scenario(kind: str, n: int, params: dict | None = None) -> ScenarioSpec:
-    """Construct a built-in scenario family instance.
+BUILTIN_SCENARIOS = ("uniform_square", "staircase_line", "two_level")
 
-    Kinds:
+
+def build_scenario(kind: str, n: int) -> ScenarioSpec:
+    """Construct the built-in scenario `kind` with n positions.
+
+    Kinds (BUILTIN_SCENARIOS):
       uniform_square   n iid uniform points on [0,1]^2
       staircase_line   n/2 fixed staircase points plus n/2 points uniform on a
                        segment strictly below the staircase; the maxima are
                        always exactly the staircase
-      two_level        every position is a 2-atom high/low mixture; the highs
-                       form a staircase above everything, so each low pick's
-                       maximality depends on all the other picks
-      custom           params["per_point"] provides the distributions
+      two_level        every position is a 2-atom high/low mixture (1/2 each);
+                       the highs form a staircase above everything, so each
+                       low pick's maximality depends on all the other picks
+
+    Any other product distribution is a ScenarioSpec built directly or read
+    from scenario JSON (loads_scenario, load_scenario_file).
     """
-    params = dict(params or {})
     if n < 2:
         raise ScenarioError(f"n: must be >= 2, got {n}")
     if kind == "uniform_square":
@@ -276,44 +277,33 @@ def build_scenario(kind: str, n: int, params: dict | None = None) -> ScenarioSpe
     if kind == "two_level":
         if n % 2:
             raise ScenarioError(f"two_level: n must be even, got {n}")
-        p_high = float(params.pop("p_high", 0.5))
-        if not 0 < p_high < 1:
-            raise ScenarioError(f"two_level.p_high: must be in (0,1), got {p_high}")
         dists = []
         for i in range(n):
             t = (i + 1) / (n + 1)
             high = (1.0 + t, 2.0 - t)
             low = (t, 1.0 - t)
-            dists.append(FiniteMixture(atoms=(high, low), weights=(p_high, 1.0 - p_high)))
+            dists.append(FiniteMixture(atoms=(high, low), weights=(0.5, 0.5)))
         return ScenarioSpec("two_level", tuple(dists))
-    if kind == "custom":
-        per_point = params.get("per_point")
-        if not per_point:
-            raise ScenarioError("custom: params['per_point'] is required")
-        dists = tuple(d if not isinstance(d, dict) else _dist_from_dict(d, f"per_point[{i}]") for i, d in enumerate(per_point))
-        if len(dists) != n:
-            raise ScenarioError(f"custom: per_point has {len(dists)} entries, expected n={n}")
-        return ScenarioSpec(str(params.get("name", "custom")), dists)
     raise ScenarioError(f"unknown scenario kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
 # JSON round-trip
 
+# the kinds written as their dataclass fields, in field order
+_SIMPLE_KINDS = {cls.kind: cls for cls in (PointMass, UniformRect, UniformSegment)}
+
 
 def _dist_to_dict(dist: PointDistribution) -> dict:
-    if isinstance(dist, PointMass):
-        return {"kind": "point_mass", "x": dist.x, "y": dist.y}
     if isinstance(dist, FiniteMixture):
         return {
             "kind": "finite_mixture",
             "atoms": [{"x": a[0], "y": a[1], "weight": w} for a, w in zip(dist.atoms, dist.weights)],
         }
-    if isinstance(dist, UniformRect):
-        return {"kind": "uniform_rect", "x0": dist.x0, "x1": dist.x1, "y0": dist.y0, "y1": dist.y1}
-    if isinstance(dist, UniformSegment):
-        return {"kind": "uniform_segment", "ax": dist.ax, "ay": dist.ay, "bx": dist.bx, "by": dist.by}
-    raise TypeError(f"not a PointDistribution: {dist!r}")
+    obj = {"kind": dist.kind}
+    for name in dist.__match_args__:
+        obj[name] = getattr(dist, name)
+    return obj
 
 
 def _get(obj: dict, key: str, where: str):
@@ -322,13 +312,19 @@ def _get(obj: dict, key: str, where: str):
     return obj[key]
 
 
+def _number(obj: dict, key: str, where: str) -> int | float:
+    value = obj.get(key)
+    if type(value) not in (int, float):  # JSON numbers; a bool is not one
+        _get(obj, key, where)  # a missing field is reported as missing
+        raise ScenarioError(f"{where}.{key}: expected a number, got {value!r}")
+    return value
+
+
 def _dist_from_dict(obj, where: str) -> PointDistribution:
     if not isinstance(obj, dict):
         raise ScenarioError(f"{where}: expected an object, got {type(obj).__name__}")
     kind = _get(obj, "kind", where)
     try:
-        if kind == "point_mass":
-            return PointMass(_get(obj, "x", where), _get(obj, "y", where))
         if kind == "finite_mixture":
             atoms_raw = _get(obj, "atoms", where)
             if not isinstance(atoms_raw, list) or not atoms_raw:
@@ -339,13 +335,12 @@ def _dist_from_dict(obj, where: str) -> PointDistribution:
                 aw = f"{where}.atoms[{k}]"
                 if not isinstance(a, dict):
                     raise ScenarioError(f"{aw}: expected an object")
-                atoms.append((_get(a, "x", aw), _get(a, "y", aw)))
-                weights.append(_get(a, "weight", aw))
+                atoms.append((_number(a, "x", aw), _number(a, "y", aw)))
+                weights.append(_number(a, "weight", aw))
             return FiniteMixture(atoms=tuple(atoms), weights=tuple(weights))
-        if kind == "uniform_rect":
-            return UniformRect(*(_get(obj, f, where) for f in ("x0", "x1", "y0", "y1")))
-        if kind == "uniform_segment":
-            return UniformSegment(*(_get(obj, f, where) for f in ("ax", "ay", "bx", "by")))
+        if isinstance(kind, str) and kind in _SIMPLE_KINDS:
+            cls = _SIMPLE_KINDS[kind]
+            return cls(*[_number(obj, name, where) for name in cls.__match_args__])
     except ScenarioError as e:
         # prepend position context when the variant validator raised bare
         if str(e).startswith(where):
@@ -370,6 +365,8 @@ def scenario_from_dict(obj) -> ScenarioSpec:
     dists = tuple(_dist_from_dict(d, f"per_point[{i}]") for i, d in enumerate(per_raw))
     spec = ScenarioSpec(name=name, per_point=dists)
     declared_n = _get(obj, "n", "scenario")
+    if type(declared_n) is not int:
+        raise ScenarioError(f"scenario.n: expected an integer, got {declared_n!r}")
     if declared_n != spec.n:
         raise ScenarioError(f"scenario.n: declares {declared_n} but per_point has {spec.n} entries")
     return spec

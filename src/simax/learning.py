@@ -50,9 +50,6 @@ class SlabStructure:
     def num_slabs(self) -> int:
         return self.boundaries.size + 1
 
-    def locate(self, x: float) -> int:
-        return int(np.searchsorted(self.boundaries, x, side="right"))
-
     def locate_array(self, xs) -> np.ndarray:
         return np.searchsorted(self.boundaries, xs, side="right")
 
@@ -455,19 +452,19 @@ class TrainedModel:
         if obj.get("version") != MODEL_VERSION:
             raise ValueError(f"model file version {obj.get('version')!r} is not read (only version {MODEL_VERSION}); retrain the model")
         try:
-            slabs = SlabStructure(obj["boundaries"])
+            slabs = SlabStructure(_json_numbers(obj, "boundaries"))
             scenario = scenario_from_dict(obj["scenario"])
             model = cls(
                 scenario=scenario,
                 slabs=slabs,
                 forest=SearchForest(slabs.num_slabs, scenario.n, obj["forest"]),
-                epsilon=float(obj["epsilon"]),
-                delta=float(obj["delta"]),
-                seed=int(obj["seed"]),
-                slab_rounds=int(obj["slab_rounds"]),
-                tree_rounds=int(obj["tree_rounds"]),
-                leaf_threshold=int(obj["leaf_threshold"]),
-                entropy_per_point=np.asarray(obj["entropy_per_point"], dtype=np.float64),
+                epsilon=float(_json_number(obj, "epsilon")),
+                delta=float(_json_number(obj, "delta")),
+                seed=_json_number(obj, "seed", integer=True),
+                slab_rounds=_json_number(obj, "slab_rounds", integer=True),
+                tree_rounds=_json_number(obj, "tree_rounds", integer=True),
+                leaf_threshold=_json_number(obj, "leaf_threshold", integer=True),
+                entropy_per_point=np.asarray(_json_numbers(obj, "entropy_per_point"), dtype=np.float64),
                 rng_algorithm=str(obj.get("rng_algorithm", "pcg64")),
             )
         except KeyError as e:
@@ -484,6 +481,23 @@ class TrainedModel:
         if model.tree_rounds > config.tree_rounds(n):
             raise ValueError(f"tree_rounds is {model.tree_rounds}, but training runs at most {config.tree_rounds(n)} for n={n}")
         return model
+
+
+def _json_number(obj: dict, name: str, integer: bool = False):
+    """obj[name] if it is a JSON integer, or with integer=False any JSON number (a bool is neither)."""
+    value = obj[name]
+    if type(value) not in ((int,) if integer else (int, float)):
+        raise ValueError(f"{name} must be {'an integer' if integer else 'a number'}, got {value!r}")
+    return value
+
+
+def _json_numbers(obj: dict, name: str) -> list:
+    """obj[name] if it is a list of JSON numbers (the forest is left to array('i')
+    and SearchForest: a Python type check per node would add to load time)."""
+    value = obj[name]
+    if not isinstance(value, list) or not {type(v) for v in value} <= {int, float}:
+        raise ValueError(f"{name} must be a list of numbers")
+    return value
 
 
 def train_model(

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -69,6 +70,8 @@ def test_finite_check_converts_before_checking():
 def test_scenario_requires_points():
     with pytest.raises(ScenarioError, match="nonempty"):
         ScenarioSpec(name="empty", per_point=())
+    with pytest.raises(ScenarioError, match=r"per_point\[1\]: not a point distribution"):
+        ScenarioSpec(name="pair", per_point=(PointMass(0, 0), (1.0, 1.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -127,15 +130,8 @@ def test_build_scenario_rejects_bad_sizes():
         build_scenario("two_level", 9)
     with pytest.raises(ScenarioError, match="unknown"):
         build_scenario("gaussian_blob", 8)
-
-
-def test_custom_scenario():
-    spec = build_scenario("custom", 2, {"per_point": [PointMass(0, 0), PointMass(1, 1)], "name": "pair"})
-    assert spec.name == "pair"
-    with pytest.raises(ScenarioError, match="per_point"):
-        build_scenario("custom", 2, {})
-    with pytest.raises(ScenarioError, match="entries"):
-        build_scenario("custom", 3, {"per_point": [PointMass(0, 0)]})
+    with pytest.raises(ScenarioError, match="unknown"):
+        build_scenario("custom", 2)  # custom specs are ScenarioSpec(...) or scenario JSON
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +165,7 @@ def test_sampling_is_deterministic_per_seed():
 
 
 def test_point_mass_sampling_is_exact():
-    spec = build_scenario("custom", 2, {"per_point": [PointMass(2.5, -1.0), PointMass(0.0, 3.0)]})
+    spec = ScenarioSpec("custom", (PointMass(2.5, -1.0), PointMass(0.0, 3.0)))
     inp = sample_input(spec, SeededRng(0))
     assert inp.xs.tolist() == [2.5, 0.0]
     assert inp.ys.tolist() == [-1.0, 3.0]
@@ -177,7 +173,7 @@ def test_point_mass_sampling_is_exact():
 
 def test_rect_sampling_stays_inside_and_consumes_two_draws():
     rect = UniformRect(2.0, 3.0, -1.0, 0.5)
-    spec = build_scenario("custom", 2, {"per_point": [PointMass(9, 9), rect]})
+    spec = ScenarioSpec("custom", (PointMass(9, 9), rect))
     inp = sample_input(spec, SeededRng(11))
     assert 2.0 <= inp.xs[1] <= 3.0 and -1.0 <= inp.ys[1] <= 0.5
     # draws are consumed in point order: the mass takes none, the rect takes u[0], u[1]
@@ -188,7 +184,7 @@ def test_rect_sampling_stays_inside_and_consumes_two_draws():
 
 def test_segment_sampling_is_collinear():
     seg = UniformSegment(0.0, 0.0, 2.0, 4.0)
-    spec = build_scenario("custom", 2, {"per_point": [seg, seg]})
+    spec = ScenarioSpec("custom", (seg, seg))
     inp = sample_input(spec, SeededRng(3))
     for x, y in zip(inp.xs, inp.ys):
         assert y == pytest.approx(2.0 * x)
@@ -197,7 +193,7 @@ def test_segment_sampling_is_collinear():
 
 def test_mixture_sampling_hits_only_atoms_with_expected_rates():
     mix = FiniteMixture(atoms=((0.0, 0.0), (5.0, 5.0)), weights=(0.25, 0.75))
-    spec = build_scenario("custom", 2, {"per_point": [mix, mix]})
+    spec = ScenarioSpec("custom", (mix, mix))
     rng = SeededRng(21)
     hits = 0
     trials = 2000
@@ -207,6 +203,40 @@ def test_mixture_sampling_hits_only_atoms_with_expected_rates():
             assert x in (0.0, 5.0)
         hits += int(inp.xs[0] == 5.0)
     assert abs(hits / trials - 0.75) < 0.05
+
+
+def _interleaved_spec():
+    """All four kinds in turn, so each group's uniforms sit at scattered offsets of the batch."""
+    mix9 = FiniteMixture(atoms=tuple((k / 8, 1 - k / 8) for k in range(9)), weights=tuple((k + 1) / 45 for k in range(9)))
+    mix2 = FiniteMixture(atoms=((0.0, 2.0), (2.0, 0.0)), weights=(0.25, 0.75))
+    cycle = (
+        PointMass(-0.0, 1.5),
+        UniformRect(0.5, 0.5, -1.0, 1.0),  # degenerate in x
+        mix9,
+        UniformSegment(0.0, 1.0, 3.0, -2.0),
+        UniformRect(0.0, 1.0, 0.0, 2.0),
+        mix2,
+        PointMass(2.0, -0.0),
+        UniformSegment(1.0, 1.0, 1.0, 4.0),
+    )
+    return ScenarioSpec("interleaved", cycle * 4)
+
+
+# sha256 of xs.tobytes() + ys.tobytes() for one draw of _interleaved_spec per seed
+PINNED_INTERLEAVED_DRAWS = {
+    0: "698f77c4dd99e9e6a14c51a6591a2e7f5a2e8f91bf8cbe31fa204a20fa9a98d0",
+    1: "a33c70f4861d61506b0897ab359a0dc91ee83b940938c3239d45a9594c1d25ed",
+    2: "bb01d3c6996de18e69a71cab8b26dfcce5b9c1e77d7789a9afcddaf53a89efd2",
+}
+
+
+def test_interleaved_kinds_draw_pinned_bytes():
+    spec = _interleaved_spec()
+    for seed, digest in PINNED_INTERLEAVED_DRAWS.items():
+        inp = sample_input(spec, SeededRng(seed))
+        assert np.signbit(inp.xs[0]) and np.signbit(inp.ys[6])  # point masses keep -0.0
+        assert (inp.xs[1::8] == 0.5).all()
+        assert hashlib.sha256(inp.xs.tobytes() + inp.ys.tobytes()).hexdigest() == digest
 
 
 class _UnhashableSpec(ScenarioSpec):
@@ -313,6 +343,18 @@ def test_parse_errors_carry_field_context():
 
     with pytest.raises(ScenarioError, match="declares"):
         scenario_from_dict({"name": "m", "n": 5, "per_point": [{"kind": "point_mass", "x": 0, "y": 0}]})
+
+    # coordinates, weights and n must be JSON numbers, not strings or booleans
+    mass = {"kind": "point_mass", "x": 0, "y": 0}
+    for bad, message in (
+        ({**mass, "x": "1.5"}, r"per_point\[0\]\.x: expected a number"),
+        ({**mass, "y": True}, r"per_point\[0\]\.y: expected a number"),
+        ({"kind": "finite_mixture", "atoms": [{"x": 0, "y": 0, "weight": "1"}]}, r"per_point\[0\]\.atoms\[0\]\.weight: expected a number"),
+    ):
+        with pytest.raises(ScenarioError, match=message):
+            scenario_from_dict({"name": "m", "n": 1, "per_point": [bad]})
+    with pytest.raises(ScenarioError, match=r"scenario\.n: expected an integer"):
+        scenario_from_dict({"name": "m", "n": 1.0, "per_point": [mass]})
 
     with pytest.raises(ScenarioError, match="JSON"):
         loads_scenario("{not json")

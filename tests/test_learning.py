@@ -2,7 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 import pytest
@@ -89,9 +89,8 @@ def test_boundary_count_never_exceeds_n():
 
 def test_locate_half_open_rule():
     slabs = SlabStructure([1.0, 2.0])
-    assert slabs.locate(0.5) == 0
-    assert slabs.locate(1.0) == 1  # boundary value belongs to the right slab
-    assert slabs.locate(5.0) == 2
+    # a boundary value belongs to the right slab
+    assert slabs.locate_array([0.5, 1.0, 5.0]).tolist() == [0, 1, 2]
 
 
 @given(
@@ -101,7 +100,7 @@ def test_locate_half_open_rule():
 def test_locate_maps_every_x_to_exactly_one_slab(bounds, x):
     b = sorted(float(v) for v in bounds)
     slabs = SlabStructure(b)
-    j = slabs.locate(x)
+    j = int(slabs.locate_array(x))
     assert 0 <= j < slabs.num_slabs
     if j > 0:
         assert b[j - 1] <= x
@@ -113,7 +112,7 @@ def test_locate_array_matches_scalar_locate():
     slabs = SlabStructure([0.0, 0.5, 1.0])
     xs = np.array([-1.0, 0.0, 0.25, 0.5, 0.99, 1.0, 2.0])
     got = slabs.locate_array(xs)
-    assert [int(v) for v in got] == [slabs.locate(float(x)) for x in xs]
+    assert [int(v) for v in got] == [bisect_right(slabs.boundary_list(), float(x)) for x in xs]
 
 
 # ---------------------------------------------------------------------------
@@ -646,11 +645,23 @@ def test_load_model_rejects_corrupt_forests(tmp_path, model_cache, corrupt, mess
         ("seed", 2**70),
         ("entropy_per_point", float("nan")),
         ("entropy_per_point", -20.0),
+        # numbers must have their exact JSON type
+        ("slab_rounds", 4.7),
+        ("seed", True),
+        ("seed", "7"),
+        ("seed", "abc"),
+        ("epsilon", "0.5"),
+        ("entropy_per_point", "1.0"),
+        ("entropy_per_point", True),
+        ("boundaries", "-1.0"),
     ],
 )
 def test_load_model_rejects_corrupt_provenance(tmp_path, model_cache, field, value):
     obj = model_cache("uniform_square", 16).to_dict()
-    obj[field] = [value] * 16 if field == "entropy_per_point" else value
+    if isinstance(obj[field], list):
+        obj[field][0] = value  # one bad entry in a per-position list
+    else:
+        obj[field] = value
     with pytest.raises(ValueError, match=field):
         load_model(_write_model(tmp_path, obj))
 
