@@ -312,12 +312,15 @@ def _get(obj: dict, key: str, where: str):
     return obj[key]
 
 
-def _number(obj: dict, key: str, where: str) -> int | float:
+def _number(obj: dict, key: str, where: str) -> float:
     value = obj.get(key)
     if type(value) not in (int, float):  # JSON numbers; a bool is not one
         _get(obj, key, where)  # a missing field is reported as missing
         raise ScenarioError(f"{where}.{key}: expected a number, got {value!r}")
-    return value
+    try:
+        return float(value)
+    except OverflowError:
+        raise ScenarioError(f"{where}.{key}: an integer too large for a float") from None
 
 
 def _dist_from_dict(obj, where: str) -> PointDistribution:

@@ -9,6 +9,7 @@ to a plain binary search fallback, which caps total space.
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 from array import array
@@ -22,7 +23,9 @@ from .distributions import ScenarioSpec, SeededRng, sample_input, scenario_from_
 from .geometry import InputSet
 
 MODEL_FORMAT = "simax-model"
-MODEL_VERSION = 4
+MODEL_VERSION = 5
+# the forest column's dtype: uint16 (65535 for -1) while every split fits below 65535, int32 above
+_SPLIT_U2_MAX_SLABS = 65535
 
 
 class SlabStructure:
@@ -178,9 +181,10 @@ class SearchForest:
     def __init__(self, num_slabs: int, n: int, splits):
         """Decode the level-order split list of n trees, one numpy pass per depth.
 
-        The list decodes only if every split is -1 or lies inside its node's
-        interval, so that every search step shrinks the slab interval, and
-        if it ends with its last level.  Raises ValueError otherwise.
+        splits is a sequence of ints or their native int32 bytes.  The list
+        decodes only if every split is -1 or lies inside its node's interval,
+        so that every search step shrinks the slab interval, and if it ends
+        with its last level.  Raises ValueError otherwise.
         """
         try:
             self.split = array("i", splits)
@@ -440,9 +444,9 @@ class TrainedModel:
             "tree_rounds": self.tree_rounds,
             "leaf_threshold": self.leaf_threshold,
             "scenario": scenario_to_dict(self.scenario),
-            "boundaries": [float(b) for b in self.slabs.boundaries],
-            "forest": self.forest.split.tolist(),
-            "entropy_per_point": [float(h) for h in self.entropy_per_point],
+            "boundaries": self.slabs.boundaries.tolist(),
+            "forest": _column(self.forest.split, "<u2" if self.slabs.num_slabs <= _SPLIT_U2_MAX_SLABS else "<i4"),
+            "entropy_per_point": _column(self.entropy_per_point, "<f8"),
         }
 
     @classmethod
@@ -457,14 +461,14 @@ class TrainedModel:
             model = cls(
                 scenario=scenario,
                 slabs=slabs,
-                forest=SearchForest(slabs.num_slabs, scenario.n, obj["forest"]),
-                epsilon=float(_json_number(obj, "epsilon")),
-                delta=float(_json_number(obj, "delta")),
+                forest=SearchForest(slabs.num_slabs, scenario.n, _split_bytes(obj, slabs.num_slabs)),
+                epsilon=_json_number(obj, "epsilon"),
+                delta=_json_number(obj, "delta"),
                 seed=_json_number(obj, "seed", integer=True),
                 slab_rounds=_json_number(obj, "slab_rounds", integer=True),
                 tree_rounds=_json_number(obj, "tree_rounds", integer=True),
                 leaf_threshold=_json_number(obj, "leaf_threshold", integer=True),
-                entropy_per_point=np.asarray(_json_numbers(obj, "entropy_per_point"), dtype=np.float64),
+                entropy_per_point=_read_column(obj, "entropy_per_point", ("<f8",)).astype(np.float64),
                 rng_algorithm=str(obj.get("rng_algorithm", "pcg64")),
             )
         except KeyError as e:
@@ -484,20 +488,60 @@ class TrainedModel:
 
 
 def _json_number(obj: dict, name: str, integer: bool = False):
-    """obj[name] if it is a JSON integer, or with integer=False any JSON number (a bool is neither)."""
+    """obj[name] if it is a JSON integer, or with integer=False any JSON number as a float (a bool is neither)."""
     value = obj[name]
     if type(value) not in ((int,) if integer else (int, float)):
         raise ValueError(f"{name} must be {'an integer' if integer else 'a number'}, got {value!r}")
-    return value
+    if integer:
+        return value
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} is an integer too large for a float") from None
 
 
-def _json_numbers(obj: dict, name: str) -> list:
-    """obj[name] if it is a list of JSON numbers (the forest is left to array('i')
-    and SearchForest: a Python type check per node would add to load time)."""
+def _json_numbers(obj: dict, name: str) -> np.ndarray:
+    """obj[name] as float64 if it is a list of JSON numbers."""
     value = obj[name]
     if not isinstance(value, list) or not {type(v) for v in value} <= {int, float}:
         raise ValueError(f"{name} must be a list of numbers")
-    return value
+    try:
+        return np.asarray(value, dtype=np.float64)
+    except OverflowError:
+        raise ValueError(f"{name} holds an integer too large for a float") from None
+
+
+def _column(values, dtype: str) -> dict:
+    """A numeric column as a model-file field: its little-endian bytes in base64."""
+    data = np.asarray(values).astype(dtype, copy=False).tobytes()  # to "<u2", -1 wraps to 65535
+    return {"dtype": dtype, "data": base64.b64encode(data).decode("ascii")}
+
+
+def _read_column(obj: dict, name: str, dtypes: tuple[str, ...]) -> np.ndarray:
+    """The read-only array a column field written by _column holds, if its dtype is one of dtypes."""
+    value = obj[name]
+    if not isinstance(value, dict) or value.get("dtype") not in dtypes or not isinstance(value.get("data"), str):
+        shown = f"dtype {value.get('dtype')!r}" if isinstance(value, dict) else type(value).__name__
+        raise ValueError(f"{name} must be an object with dtype {' or '.join(dtypes)} and base64 data, got {shown}")
+    try:
+        data = base64.b64decode(value["data"], validate=True)
+    except ValueError:  # binascii.Error, or a non-ASCII character
+        raise ValueError(f"{name} data is not valid base64") from None
+    dtype = np.dtype(value["dtype"])
+    if len(data) % dtype.itemsize:
+        raise ValueError(f"{name} data is {len(data)} bytes, not a multiple of {value['dtype']}'s {dtype.itemsize}")
+    return np.frombuffer(data, dtype=dtype)
+
+
+def _split_bytes(obj: dict, num_slabs: int) -> bytes:
+    """The forest column widened to native int32 bytes for SearchForest, with 65535 in a uint16 column read as -1."""
+    column = _read_column(obj, "forest", ("<u2", "<i4"))
+    splits = column.astype(np.intc)
+    if column.dtype.itemsize == 2:
+        if num_slabs > _SPLIT_U2_MAX_SLABS:
+            raise ValueError(f"forest dtype <u2 cannot hold the splits of a model with {num_slabs} slabs")
+        splits[column == 65535] = -1
+    return splits.tobytes()
 
 
 def train_model(

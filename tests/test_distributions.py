@@ -360,6 +360,17 @@ def test_parse_errors_carry_field_context():
         loads_scenario("{not json")
 
 
+def test_parse_names_an_integer_too_large_for_a_float():
+    # JSON integers have no size limit; float() of one past 1.8e308 raises OverflowError, which the reader names
+    mass = {"kind": "point_mass", "x": 0, "y": 0}
+    for bad, message in (
+        ({**mass, "x": 10**400}, r"per_point\[0\]\.x: an integer too large for a float"),
+        ({"kind": "finite_mixture", "atoms": [{"x": 0, "y": 0, "weight": -(10**400)}]}, r"per_point\[0\]\.atoms\[0\]\.weight: an integer too large"),
+    ):
+        with pytest.raises(ScenarioError, match=message):
+            loads_scenario(json.dumps({"name": "m", "n": 1, "per_point": [bad]}))
+
+
 def test_scenario_dict_is_json_clean():
     spec = build_scenario("two_level", 4)
     obj = scenario_to_dict(spec)

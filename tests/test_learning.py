@@ -1,3 +1,4 @@
+import base64
 import dataclasses
 import hashlib
 import json
@@ -496,9 +497,9 @@ def test_model_round_trip_preserves_behavior(tmp_path, model_cache):
 
 # sha256 of save_model's bytes for the conftest models (n=256, seed 101, eps 0.5)
 PINNED_MODEL_SHA256 = {
-    "staircase_line": "e4b137b11b050afdd4338ac783f5ecbc44897b41ee032fc97026b0113263ab72",
-    "two_level": "18b625bc2569c45aa8bfee5fad8a377d7513647cd8fe9488283cce861fedb382",
-    "uniform_square": "dc097dd33f288cf58d5e2d77d7fe70132e3c5d114b43063da215957e2b5ed8ff",
+    "staircase_line": "891864915a419a0b4cb4b6be06610931da250dfe5868e4874ded5e74ddd00b60",
+    "two_level": "65bb9498982a2148ac2cfe2fec34bcfb5ce4a7c8506ca3f24316683c6de6e593",
+    "uniform_square": "01295c9c60017d5a3f547f04023869bb115d4802fccad052cdf360b62e3e1089",
 }
 
 
@@ -545,24 +546,79 @@ def test_load_model_names_a_missing_field(tmp_path, model_cache, field):
         load_model(_write_model(tmp_path, obj))
 
 
+def _encode(values, dtype: str) -> dict:
+    """A column field as save_model writes it (a -1 split wraps to 65535 in "<u2")."""
+    return {"dtype": dtype, "data": base64.b64encode(np.asarray(values).astype(dtype).tobytes()).decode("ascii")}
+
+
+def _decode(column: dict) -> list:
+    values = np.frombuffer(base64.b64decode(column["data"]), dtype=column["dtype"])
+    return [-1 if column["dtype"] == "<u2" and v == 65535 else v for v in values.tolist()]
+
+
+def _store_forest(obj, splits: list) -> None:
+    """Write a split list back as the forest column, as "<i4" if "<u2" cannot hold it."""
+    obj["forest"] = _encode(splits, "<u2" if all(-1 <= s < 65535 for s in splits) else "<i4")
+
+
 def test_load_model_checks_entropy_length(tmp_path, model_cache):
     obj = model_cache("uniform_square", 16).to_dict()
-    obj["entropy_per_point"] = [1.0]
-    with pytest.raises(ValueError, match="entropy_per_point"):
+    obj["entropy_per_point"] = _encode([1.0], "<f8")
+    with pytest.raises(ValueError, match="entropy_per_point has shape"):
         load_model(_write_model(tmp_path, obj))
 
 
 def test_load_model_rejects_non_integer_column_entries(tmp_path, model_cache):
+    # the forest column is binary, so a non-integer split can only come as a float dtype
     obj = model_cache("uniform_square", 16).to_dict()
-    obj["forest"][0] = 0.5
-    with pytest.raises(ValueError, match="splits must be int32 values"):
+    obj["forest"] = _encode(_decode(obj["forest"]), "<f8")
+    with pytest.raises(ValueError, match="forest must be an object with dtype <u2 or <i4"):
         load_model(_write_model(tmp_path, obj))
 
 
 def test_load_model_rejects_column_entries_outside_int32(tmp_path, model_cache):
+    # "<i4" holds nothing outside int32, so a split of 2**31 needs a wider dtype, which is not read
     obj = model_cache("uniform_square", 16).to_dict()
-    obj["forest"][0] = 2**31
-    with pytest.raises(ValueError, match="splits must be int32 values"):
+    obj["forest"] = _encode([2**31] + _decode(obj["forest"])[1:], "<i8")
+    with pytest.raises(ValueError, match="forest must be an object with dtype <u2 or <i4 .* got dtype '<i8'"):
+        load_model(_write_model(tmp_path, obj))
+
+
+@pytest.mark.parametrize(
+    "field, column, message",
+    [
+        ("forest", [-1] * 16, "forest must be an object .* got list"),  # version 4's plain list
+        ("forest", {"dtype": "<u2"}, "forest must be an object .* base64 data"),
+        ("forest", {"dtype": ">u2", "data": ""}, "forest must be an object .* got dtype '>u2'"),
+        ("forest", {"dtype": "<u2", "data": "AA*A"}, "forest data is not valid base64"),
+        ("forest", {"dtype": "<u2", "data": "AAA"}, "forest data is not valid base64"),  # padding missing
+        ("forest", {"dtype": "<u2", "data": "AAA\u00e9"}, "forest data is not valid base64"),
+        ("forest", _encode([0], "<u1"), "forest must be an object .* got dtype '<u1'"),
+        ("forest", {"dtype": "<u2", "data": "AAAA"}, "forest data is 3 bytes, not a multiple of <u2's 2"),
+        ("forest", {"dtype": "<i4", "data": "AAAAAAA="}, "forest data is 5 bytes, not a multiple of <i4's 4"),
+        ("entropy_per_point", _encode(np.zeros(16), "<f4"), "entropy_per_point must be an object with dtype <f8 .* got dtype '<f4'"),
+        ("entropy_per_point", [0.0] * 16, "entropy_per_point must be an object .* got list"),
+        ("entropy_per_point", {"dtype": "<f8", "data": "AAAA"}, "entropy_per_point data is 3 bytes, not a multiple of <f8's 8"),
+    ],
+    ids=[
+        "forest list",
+        "forest no data",
+        "forest big-endian",
+        "forest bad character",
+        "forest bad padding",
+        "forest non-ASCII",
+        "forest uint8",
+        "forest odd byte length",
+        "forest int32 byte length",
+        "entropy float32",
+        "entropy list",
+        "entropy byte length",
+    ],
+)
+def test_load_model_rejects_malformed_columns(tmp_path, model_cache, field, column, message):
+    obj = model_cache("uniform_square", 16).to_dict()
+    obj[field] = column
+    with pytest.raises(ValueError, match=message):
         load_model(_write_model(tmp_path, obj))
 
 
@@ -571,28 +627,35 @@ def test_load_model_rejects_column_entries_outside_int32(tmp_path, model_cache):
 
 
 def _split_past_last_slab(obj):
-    obj["forest"][0] = len(obj["boundaries"]) + 1
+    splits = _decode(obj["forest"])
+    splits[0] = len(obj["boundaries"]) + 1
+    _store_forest(obj, splits)
 
 
 def _split_below_minus_one(obj):
-    obj["forest"][0] = -2
+    splits = _decode(obj["forest"])
+    splits[0] = -2
+    _store_forest(obj, splits)
 
 
 def _left_child_reaches_the_split(obj):
-    n = len(obj["entropy_per_point"])
-    obj["forest"][n] = obj["forest"][0]  # root 0's left child, or its right one when the root splits at 0
+    splits = _decode(obj["forest"])
+    splits[len(obj["scenario"]["per_point"])] = splits[0]  # root 0's left child, or its right one when the root splits at 0
+    _store_forest(obj, splits)
 
 
 def _tree_0_missing_a_node(obj):
-    del obj["forest"][len(obj["entropy_per_point"])]
+    splits = _decode(obj["forest"])
+    del splits[len(obj["scenario"]["per_point"])]
+    _store_forest(obj, splits)
 
 
 def _one_trailing_split(obj):
-    obj["forest"].append(-1)
+    _store_forest(obj, _decode(obj["forest"]) + [-1])
 
 
 def _last_level_truncated(obj):
-    del obj["forest"][-1]
+    _store_forest(obj, _decode(obj["forest"])[:-1])
 
 
 def _version_2(obj):
@@ -601,6 +664,10 @@ def _version_2(obj):
 
 def _version_3(obj):
     obj["version"] = 3
+
+
+def _version_4(obj):
+    obj["version"] = 4
 
 
 @pytest.mark.parametrize(
@@ -615,11 +682,12 @@ def _version_3(obj):
         (None, "version 1 .* retrain"),
         (_version_2, "version 2 .* retrain"),
         (_version_3, "version 3 .* retrain"),
+        (_version_4, "version 4 .* retrain"),
     ],
 )
 def test_load_model_rejects_corrupt_forests(tmp_path, model_cache, corrupt, message):
     obj = model_cache("uniform_square", 64).to_dict()
-    assert obj["forest"][0] >= 0  # tree 0's root is an internal node
+    assert _decode(obj["forest"])[0] >= 0  # tree 0's root is an internal node
     if corrupt is None:
         obj["version"] = 1
     else:
@@ -645,7 +713,7 @@ def test_load_model_rejects_corrupt_forests(tmp_path, model_cache, corrupt, mess
         ("seed", 2**70),
         ("entropy_per_point", float("nan")),
         ("entropy_per_point", -20.0),
-        # numbers must have their exact JSON type
+        # numbers must have their exact JSON type, and a column must be one
         ("slab_rounds", 4.7),
         ("seed", True),
         ("seed", "7"),
@@ -654,16 +722,74 @@ def test_load_model_rejects_corrupt_forests(tmp_path, model_cache, corrupt, mess
         ("entropy_per_point", "1.0"),
         ("entropy_per_point", True),
         ("boundaries", "-1.0"),
+        # an integer too large for a float
+        pytest.param("epsilon", 10**400, id="epsilon-10**400"),
+        pytest.param("delta", -(10**400), id="delta--10**400"),
+        pytest.param("boundaries", 10**400, id="boundaries-10**400"),
     ],
 )
 def test_load_model_rejects_corrupt_provenance(tmp_path, model_cache, field, value):
     obj = model_cache("uniform_square", 16).to_dict()
     if isinstance(obj[field], list):
         obj[field][0] = value  # one bad entry in a per-position list
+    elif isinstance(obj[field], dict) and type(value) is float:
+        obj[field] = _encode([value] + _decode(obj[field])[1:], obj[field]["dtype"])  # one bad entry in a column
     else:
         obj[field] = value
     with pytest.raises(ValueError, match=field):
         load_model(_write_model(tmp_path, obj))
+
+
+def _hand_built_model(num_slabs: int, splits: list) -> TrainedModel:
+    """A two-position model over num_slabs slabs with the given level-order splits."""
+    return TrainedModel(
+        scenario=ScenarioSpec("pair", (PointMass(0.0, 1.0), PointMass(1.0, 0.0))),
+        slabs=SlabStructure(np.arange(num_slabs - 1, dtype=np.float64)),
+        forest=SearchForest(num_slabs, 2, splits),
+        epsilon=0.5,
+        delta=0.5,
+        seed=0,
+        slab_rounds=1,
+        tree_rounds=1,
+        leaf_threshold=5,
+        entropy_per_point=np.array([0.0, 1.5]),
+    )
+
+
+@pytest.mark.parametrize(
+    "num_slabs, splits, dtype",
+    [
+        (65535, [65534, -1, -1], "<u2"),  # the top slab one below the -1 sentinel
+        (70000, [69999, 65535, -1, -1, -1], "<i4"),  # root 1's split equals the "<u2" sentinel
+    ],
+)
+def test_forest_column_width_round_trips(tmp_path, num_slabs, splits, dtype):
+    model = _hand_built_model(num_slabs, splits)
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    obj = json.loads(path.read_text(encoding="utf-8"))
+    assert obj["forest"]["dtype"] == dtype
+    loaded = load_model(path)
+    assert loaded.forest.split.tolist() == splits
+    assert loaded.forest.right == model.forest.right
+
+
+def test_load_model_rejects_uint16_forest_over_too_many_slabs(tmp_path):
+    obj = _hand_built_model(70000, [69999, -1, -1]).to_dict()
+    obj["forest"] = _encode([69999 - 65536, -1, -1], "<u2")  # "<u2" cannot tell slab 65535 from -1
+    with pytest.raises(ValueError, match="forest dtype <u2 cannot hold the splits of a model with 70000 slabs"):
+        load_model(_write_model(tmp_path, obj))
+
+
+@pytest.mark.parametrize("kind", ["staircase_line", "two_level", "uniform_square"])
+def test_model_file_round_trip_is_byte_exact(tmp_path, model_cache, kind):
+    model = model_cache(kind, 256)
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    loaded = load_model(path)
+    assert loaded.forest.split.tobytes() == model.forest.split.tobytes()
+    assert loaded.forest.right.tobytes() == model.forest.right.tobytes()
+    assert loaded.entropy_per_point.tobytes() == model.entropy_per_point.tobytes()
 
 
 def test_loaded_model_drops_frequencies(tmp_path, model_cache):
