@@ -164,9 +164,12 @@ def read_rows_csv(path) -> list[ReportRow]:
     path = Path(path)
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames != CSV_HEADER:
-            raise BenchError(f"{path}: unexpected header {reader.fieldnames}")
-        rows = [ReportRow.from_csv(rec, f"{path}:{k + 2}") for k, rec in enumerate(reader)]
+        try:
+            if reader.fieldnames != CSV_HEADER:
+                raise BenchError(f"{path}: unexpected header {reader.fieldnames}")
+            rows = [ReportRow.from_csv(rec, f"{path}:{k + 2}") for k, rec in enumerate(reader)]
+        except csv.Error as e:  # e.g. a field over csv's size limit
+            raise BenchError(f"{path}:{reader.reader.line_num}: {e}") from None
     return rows
 
 

@@ -150,9 +150,6 @@ class SeededRng:
     def random(self, size=None):
         return self.generator.random(size)
 
-    def integers(self, low, high=None, size=None):
-        return self.generator.integers(low, high, size=size)
-
     def __repr__(self) -> str:
         return f"SeededRng(seed={self.seed})"
 
@@ -384,6 +381,8 @@ def loads_scenario(text: str) -> ScenarioSpec:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
         raise ScenarioError(f"scenario JSON: {e}") from None
+    except RecursionError:
+        raise ScenarioError("scenario JSON is nested too deeply to be read") from None
     return scenario_from_dict(obj)
 
 

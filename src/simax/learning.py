@@ -23,7 +23,7 @@ from .distributions import ScenarioSpec, SeededRng, sample_input, scenario_from_
 from .geometry import InputSet
 
 MODEL_FORMAT = "simax-model"
-MODEL_VERSION = 5
+MODEL_VERSION = 6
 # the forest column's dtype: uint16 (65535 for -1) while every split fits below 65535, int32 above
 _SPLIT_U2_MAX_SLABS = 65535
 
@@ -84,13 +84,14 @@ def build_slab_structure(inputs: Sequence[InputSet]) -> SlabStructure:
     return SlabStructure(np.unique(picks))
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainingConfig:
     """Knobs for the training phase.
 
     epsilon trades space for limiting-phase optimality (more rounds, bigger
     trees); delta is the accuracy slack in the frequency estimates;
-    rounds_cap bounds the round count regardless.
+    rounds_cap bounds the round count regardless.  Frozen, since a trained
+    model keeps the config it was trained with.
     """
 
     epsilon: float = 0.5
@@ -381,36 +382,26 @@ def simulate_restricted_search(
 
 @dataclass
 class TrainedModel:
-    """Everything the limiting phase needs, plus provenance for replay.
+    """Everything the limiting phase needs, plus the (config, seed) that replays it.
 
-    Construction checks that the forest holds n trees over the model's
-    slabs (decoding already made each tree sound) and that the provenance
-    fields are ones training can produce.  frequencies is kept only
-    when training is asked to retain it (for audits of the trees against
-    their training counts); it is never serialized.
+    Training is a pure function of (scenario, config, seed), so those three
+    are the model's whole provenance; round counts and the leaf threshold
+    follow from them.  Construction checks that the forest holds n trees
+    over the model's slabs (decoding already made each tree sound).
+    frequencies is kept only when training is asked to retain it (for audits
+    of the trees against their training counts); it is never serialized.
     """
 
     scenario: ScenarioSpec
     slabs: SlabStructure
     forest: SearchForest
-    epsilon: float
-    delta: float
+    config: TrainingConfig
     seed: int
-    slab_rounds: int
-    tree_rounds: int
-    leaf_threshold: int
     entropy_per_point: np.ndarray
-    rng_algorithm: str = "pcg64"
     frequencies: FrequencyTable | None = None
 
     def __post_init__(self):
-        if self.rng_algorithm != SeededRng.algorithm:
-            raise ValueError(f"rng_algorithm must be {SeededRng.algorithm!r}, got {self.rng_algorithm!r}")
-        TrainingConfig(epsilon=self.epsilon, delta=self.delta)  # training's own range checks
         SeededRng(self.seed)  # the stream's own 64-bit seed check
-        for name in ("slab_rounds", "tree_rounds", "leaf_threshold"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if np.shape(self.entropy_per_point) != (self.n,):
             raise ValueError(f"entropy_per_point has shape {np.shape(self.entropy_per_point)}, expected ({self.n},)")
         h = np.asarray(self.entropy_per_point)
@@ -436,13 +427,10 @@ class TrainedModel:
         return {
             "format": MODEL_FORMAT,
             "version": MODEL_VERSION,
-            "rng_algorithm": self.rng_algorithm,
             "seed": self.seed,
-            "epsilon": self.epsilon,
-            "delta": self.delta,
-            "slab_rounds": self.slab_rounds,
-            "tree_rounds": self.tree_rounds,
-            "leaf_threshold": self.leaf_threshold,
+            "epsilon": float(self.config.epsilon),  # as from_dict reads it, so a retrained model saves the same bytes
+            "delta": float(self.config.delta),
+            "rounds_cap": self.config.rounds_cap,
             "scenario": scenario_to_dict(self.scenario),
             "boundaries": self.slabs.boundaries.tolist(),
             "forest": _column(self.forest.split, "<u2" if self.slabs.num_slabs <= _SPLIT_U2_MAX_SLABS else "<i4"),
@@ -458,33 +446,22 @@ class TrainedModel:
         try:
             slabs = SlabStructure(_json_numbers(obj, "boundaries"))
             scenario = scenario_from_dict(obj["scenario"])
-            model = cls(
+            return cls(
                 scenario=scenario,
                 slabs=slabs,
                 forest=SearchForest(slabs.num_slabs, scenario.n, _split_bytes(obj, slabs.num_slabs)),
-                epsilon=_json_number(obj, "epsilon"),
-                delta=_json_number(obj, "delta"),
+                config=TrainingConfig(
+                    epsilon=_json_number(obj, "epsilon"),
+                    delta=_json_number(obj, "delta"),
+                    rounds_cap=_json_number(obj, "rounds_cap", integer=True),
+                ),
                 seed=_json_number(obj, "seed", integer=True),
-                slab_rounds=_json_number(obj, "slab_rounds", integer=True),
-                tree_rounds=_json_number(obj, "tree_rounds", integer=True),
-                leaf_threshold=_json_number(obj, "leaf_threshold", integer=True),
                 entropy_per_point=_read_column(obj, "entropy_per_point", ("<f8",)).astype(np.float64),
-                rng_algorithm=str(obj.get("rng_algorithm", "pcg64")),
             )
         except KeyError as e:
             raise ValueError(f"missing model field {e}") from None
         except TypeError as e:
             raise ValueError(f"malformed model file: {e}") from None
-        # file provenance must be what training produces for this n; with no cap
-        # recorded, tree_rounds may be anything up to the uncapped formula
-        n = model.n
-        config = TrainingConfig(epsilon=model.epsilon, delta=model.delta, rounds_cap=math.inf)
-        for name, want in (("slab_rounds", config.slab_rounds(n)), ("leaf_threshold", config.leaf_threshold(n))):
-            if getattr(model, name) != want:
-                raise ValueError(f"{name} is {getattr(model, name)}, but training uses {want} for n={n}")
-        if model.tree_rounds > config.tree_rounds(n):
-            raise ValueError(f"tree_rounds is {model.tree_rounds}, but training runs at most {config.tree_rounds(n)} for n={n}")
-        return model
 
 
 def _json_number(obj: dict, name: str, integer: bool = False):
@@ -559,12 +536,9 @@ def train_model(
     config = config or TrainingConfig()
     n = spec.n
     rng = SeededRng(seed)
-    k = config.slab_rounds(n)
-    slabs = build_slab_structure([sample_input(spec, rng) for _ in range(k)])
-    rounds = config.tree_rounds(n)
-    freq = collect_frequencies(spec, slabs, rounds, rng)
-    threshold = config.leaf_threshold(n)
-    splits = build_search_tree(freq, threshold)
+    slabs = build_slab_structure([sample_input(spec, rng) for _ in range(config.slab_rounds(n))])
+    freq = collect_frequencies(spec, slabs, config.tree_rounds(n), rng)
+    splits = build_search_tree(freq, config.leaf_threshold(n))
     entropy = engine.entropy_proxy(freq)
     if not keep_frequencies:
         freq = None  # free the n x num_slabs table before the forest is decoded, so the two never coexist
@@ -572,12 +546,8 @@ def train_model(
         scenario=spec,
         slabs=slabs,
         forest=SearchForest(slabs.num_slabs, n, splits),
-        epsilon=config.epsilon,
-        delta=config.delta,
+        config=config,
         seed=int(seed),
-        slab_rounds=k,
-        tree_rounds=rounds,
-        leaf_threshold=threshold,
         entropy_per_point=entropy,
         frequencies=freq,
     )
@@ -594,4 +564,6 @@ def load_model(path) -> TrainedModel:
             obj = json.load(fh)
         except json.JSONDecodeError as e:
             raise ValueError(f"model file is not valid JSON: {e}") from None
+        except RecursionError:
+            raise ValueError("model file is nested too deeply to be read") from None
     return TrainedModel.from_dict(obj)

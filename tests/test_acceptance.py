@@ -197,7 +197,7 @@ def test_07_engine_cost_tracks_input_plus_entropy(model_cache, capsys):
     worst = 0.0
     for kind in KINDS:
         model = model_cache(kind, 1024)
-        eps = model.epsilon
+        eps = model.config.epsilon
         budget = 1024 + model.entropy_total
         for seed in range(20):
             inp = sample_input(model.scenario, SeededRng(seed))

@@ -95,6 +95,13 @@ def test_read_rejects_malformed_rows(tmp_path):
         read_rows_csv(path)
 
 
+def test_read_names_the_line_of_an_oversized_field(tmp_path):
+    path = tmp_path / "big.csv"
+    path.write_text(EXPECTED_HEADER + '\n"' + "x" * 200_000 + '"\n', encoding="utf-8")
+    with pytest.raises(BenchError, match="big.csv:2: field larger than field limit"):
+        read_rows_csv(path)
+
+
 def test_plan_validation(model_cache):
     model = model_cache("uniform_square", 16)
     with pytest.raises(BenchError, match="trials"):
@@ -276,13 +283,21 @@ def test_cli_report_rejects_garbage_csv(tmp_path, capsys):
     assert "unexpected header" in capsys.readouterr().err
 
 
+def test_cli_rejects_too_deeply_nested_files(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000, encoding="utf-8")
+    assert main(["verify", "--model", str(deep)]) == 1
+    assert main(["train", "--scenario", str(deep), "--out", str(tmp_path / "m.json")]) == 1
+    assert capsys.readouterr().err.count("nested too deeply") == 2
+
+
 def test_model_file_is_versioned_json(tmp_path):
     model_path = tmp_path / "model.json"
     main(["train", "--scenario", "uniform_square", "--n", "16", "--out", str(model_path)])
     obj = json.loads(model_path.read_text(encoding="utf-8"))
     assert obj["format"] == "simax-model"
-    assert obj["version"] == 5
-    assert obj["rng_algorithm"] == "pcg64"
+    assert obj["version"] == 6
+    assert "rng_algorithm" not in obj
     assert obj["forest"]["dtype"] == "<u2"  # one flat level-order split list, 65535 for -1
     splits = np.frombuffer(base64.b64decode(obj["forest"]["data"], validate=True), dtype="<u2").astype(np.int64)
     splits[splits == 65535] = -1

@@ -358,6 +358,8 @@ def test_parse_errors_carry_field_context():
 
     with pytest.raises(ScenarioError, match="JSON"):
         loads_scenario("{not json")
+    with pytest.raises(ScenarioError, match="nested too deeply"):  # json's decoder recurses once per level
+        loads_scenario("[" * 200_000)
 
 
 def test_parse_names_an_integer_too_large_for_a_float():

@@ -17,8 +17,10 @@ from simax import (
     TrainingConfig,
     brute_force_maxima,
     entropy_proxy,
+    load_model,
     run_maxima,
     sample_input,
+    save_model,
     sort_scan_maxima,
     train_model,
     verify_certificate,
@@ -38,12 +40,8 @@ def _fallback_model(n: int, boundaries) -> TrainedModel:
         scenario=spec,
         slabs=slabs,
         forest=forest,
-        epsilon=0.5,
-        delta=0.5,
+        config=TrainingConfig(),
         seed=0,
-        slab_rounds=1,
-        tree_rounds=1,
-        leaf_threshold=1,
         entropy_per_point=np.zeros(n),
     )
 
@@ -145,6 +143,14 @@ def test_pure_fallback_model_matches_oracle():
     assert stats.tree_steps > 0
 
 
+def test_hand_built_model_round_trips_through_a_file(tmp_path):
+    # a model file records only (config, seed), not round counts that a hand-built model never ran
+    model = _fallback_model(6, [1.0, 2.0, 3.0, 4.0])
+    save_model(model, tmp_path / "m.json")
+    loaded = load_model(tmp_path / "m.json")
+    assert loaded.to_dict() == model.to_dict()
+
+
 def test_trained_engine_agrees_with_both_oracles(model_cache):
     for kind in ("uniform_square", "staircase_line", "two_level"):
         model = model_cache(kind, 64)
@@ -191,7 +197,7 @@ def test_run_is_deterministic_and_instrumented(model_cache):
     assert s1.find_max_scans == model.slabs.num_slabs
     assert s1.decrease_keys <= s1.tree_steps
     assert s1.update_sorted_points >= len(c1.maxima)  # every maximum passes through the buffer
-    depth_cap = (1 + 3 * model.epsilon) * math.log2(model.slabs.num_slabs) + 2
+    depth_cap = (1 + 3 * model.config.epsilon) * math.log2(model.slabs.num_slabs) + 2
     assert s1.tree_steps <= model.n * (depth_cap + 1)
 
 

@@ -454,7 +454,7 @@ def test_full_searches_run_in_entropy_plus_one(model_cache):
 def test_model_structural_bounds(model_cache, kind):
     for n in (256, 1024):
         model = model_cache(kind, n)
-        eps = model.epsilon
+        eps = model.config.epsilon
         per_point_cap = STORAGE_C * n**eps
         depth_cap = (1 + 3 * eps) * math.log2(model.slabs.num_slabs) + DEPTH_SLACK
         for i in range(n):
@@ -495,11 +495,23 @@ def test_model_round_trip_preserves_behavior(tmp_path, model_cache):
     assert cert.maxima_set() == brute_force_maxima(inp).maxima_set()
 
 
+@pytest.mark.parametrize("config", [TrainingConfig(), TrainingConfig(epsilon=0.3, rounds_cap=20)], ids=["default", "eps0.3-cap20"])
+@pytest.mark.parametrize("kind", ["staircase_line", "two_level", "uniform_square"])
+def test_model_file_retrains_to_the_same_bytes(tmp_path, kind, config):
+    # a file holds its own replay key: retraining (scenario, config, seed) as loaded writes the file again
+    first, again = tmp_path / "first.json", tmp_path / "again.json"
+    save_model(train_model(build_scenario(kind, 64), config, seed=9), first)
+    loaded = load_model(first)
+    assert loaded.config == config
+    save_model(train_model(loaded.scenario, loaded.config, loaded.seed), again)
+    assert again.read_bytes() == first.read_bytes()
+
+
 # sha256 of save_model's bytes for the conftest models (n=256, seed 101, eps 0.5)
 PINNED_MODEL_SHA256 = {
-    "staircase_line": "891864915a419a0b4cb4b6be06610931da250dfe5868e4874ded5e74ddd00b60",
-    "two_level": "65bb9498982a2148ac2cfe2fec34bcfb5ce4a7c8506ca3f24316683c6de6e593",
-    "uniform_square": "01295c9c60017d5a3f547f04023869bb115d4802fccad052cdf360b62e3e1089",
+    "staircase_line": "b0799d97ff989b3d145322e433ba13587b19ca2bb9ff690094db05d87befd1f3",
+    "two_level": "c7e8a49e8db7da73cc5796dc98f1f1cb873a62e21259873704a9c4f635c1cc03",
+    "uniform_square": "ac33606659446b9eb12d97a027f208accaa9e68b6416ecc1be9a365c4737c483",
 }
 
 
@@ -517,6 +529,9 @@ def test_load_model_rejects_foreign_files(tmp_path):
         load_model(bad)
     bad.write_text(json.dumps({"format": "other"}), encoding="utf-8")
     with pytest.raises(ValueError, match="format"):
+        load_model(bad)
+    bad.write_text("[" * 200_000, encoding="utf-8")
+    with pytest.raises(ValueError, match="nested too deeply"):
         load_model(bad)
 
 
@@ -538,7 +553,7 @@ def _write_model(tmp_path, obj):
     return path
 
 
-@pytest.mark.parametrize("field", ["scenario", "boundaries", "forest", "epsilon", "entropy_per_point"])
+@pytest.mark.parametrize("field", ["scenario", "boundaries", "forest", "epsilon", "rounds_cap", "entropy_per_point"])
 def test_load_model_names_a_missing_field(tmp_path, model_cache, field):
     obj = model_cache("uniform_square", 16).to_dict()
     del obj[field]
@@ -670,6 +685,10 @@ def _version_4(obj):
     obj["version"] = 4
 
 
+def _version_5(obj):
+    obj["version"] = 5
+
+
 @pytest.mark.parametrize(
     "corrupt, message",
     [
@@ -683,6 +702,7 @@ def _version_4(obj):
         (_version_2, "version 2 .* retrain"),
         (_version_3, "version 3 .* retrain"),
         (_version_4, "version 4 .* retrain"),
+        (_version_5, "version 5 .* retrain"),
     ],
 )
 def test_load_model_rejects_corrupt_forests(tmp_path, model_cache, corrupt, message):
@@ -699,22 +719,18 @@ def test_load_model_rejects_corrupt_forests(tmp_path, model_cache, corrupt, mess
 @pytest.mark.parametrize(
     "field, value",
     [
-        ("rng_algorithm", "mt19937"),
         ("epsilon", float("nan")),
         ("epsilon", 7.0),
         ("delta", -1.0),
-        ("leaf_threshold", -3),
-        ("tree_rounds", 0),
-        ("slab_rounds", 0),
-        ("slab_rounds", 999),
-        ("leaf_threshold", 21),
-        ("tree_rounds", 10**9),
+        ("rounds_cap", 0),
         ("seed", -7),
         ("seed", 2**70),
         ("entropy_per_point", float("nan")),
         ("entropy_per_point", -20.0),
         # numbers must have their exact JSON type, and a column must be one
-        ("slab_rounds", 4.7),
+        ("rounds_cap", 4.7),
+        ("rounds_cap", True),
+        ("rounds_cap", "10000"),
         ("seed", True),
         ("seed", "7"),
         ("seed", "abc"),
@@ -746,12 +762,8 @@ def _hand_built_model(num_slabs: int, splits: list) -> TrainedModel:
         scenario=ScenarioSpec("pair", (PointMass(0.0, 1.0), PointMass(1.0, 0.0))),
         slabs=SlabStructure(np.arange(num_slabs - 1, dtype=np.float64)),
         forest=SearchForest(num_slabs, 2, splits),
-        epsilon=0.5,
-        delta=0.5,
+        config=TrainingConfig(),
         seed=0,
-        slab_rounds=1,
-        tree_rounds=1,
-        leaf_threshold=5,
         entropy_per_point=np.array([0.0, 1.5]),
     )
 
