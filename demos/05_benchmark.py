@@ -12,7 +12,6 @@ from pathlib import Path
 
 from simax import build_scenario, load_model, save_model, train_model
 from simax.bench import (
-    ExperimentPlan,
     aggregate_rows,
     read_rows_csv,
     run_trials,
@@ -39,8 +38,7 @@ print("models trained:", [p.name for p in paths])
 
 all_rows = []
 for path in paths:
-    plan = ExperimentPlan(model=load_model(path), trials=12, seed=400)
-    all_rows.extend(run_trials(plan))
+    all_rows.extend(run_trials(load_model(path), trials=12, seed=400))
 csv_path = work / "results.csv"
 write_rows_csv(all_rows, csv_path)
 print(f"{len(all_rows)} rows -> {csv_path.name} "
@@ -64,10 +62,10 @@ svg = (work / "report" / "work_per_point.svg").read_text(encoding="utf-8")
 print("chart starts with:", svg[:40], "...")
 
 # ---------------------------------------------------------------------------
-# determinism: replaying the same plan reproduces the same bytes
+# determinism: replaying the same trials reproduces the same bytes
 
 again = []
 for path in paths:
-    again.extend(run_trials(ExperimentPlan(model=load_model(path), trials=12, seed=400)))
+    again.extend(run_trials(load_model(path), trials=12, seed=400))
 assert [r.to_csv() for r in again] == [r.to_csv() for r in all_rows]
 print("replay is byte-identical (timing is off by default)")

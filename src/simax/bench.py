@@ -4,11 +4,17 @@ One CSV row = one (input draw, algorithm) pair.  Rows are replayable: the
 seed column alone regenerates the input (trial t of a run with base seed s
 uses seed s + t, drawn from a fresh PCG64 stream).  wall_time_ns is 0 unless
 timing is requested, so repeat invocations produce byte-identical files.
+
+ALGORITHMS maps each name to a runner that run_trials times, zero-fills and
+verifies alike; both CSV files share one cell codec.  A row no run could make
+(n < 1, a negative or non-finite counter, wall time or entropy_total, or the
+wrong cell count) is rejected with its file:line.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 import time
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -17,8 +23,6 @@ from .distributions import SeededRng, sample_input
 from .engine import RunStats, run_maxima
 from .geometry import BaselineStats, InputSet, brute_force_maxima, sort_scan_maxima, verify_certificate
 from .learning import TrainedModel
-
-ALGORITHMS = ("self_improving", "sort_scan", "brute_force")
 
 # the quadratic oracle is only run at and below this size; larger instances
 # get an explicit skipped row instead of silently missing data
@@ -31,34 +35,38 @@ class BenchError(ValueError):
 
 @dataclass
 class ReportRow:
-    """One measured algorithm execution, in CSV column order."""
+    """One algorithm execution, in CSV column order; unfilled counters stay 0."""
 
     scenario: str
     n: int
     seed: int
     phase: str
     algorithm: str
-    tree_steps: int
-    dominance_checks: int
-    sort_comparisons: int
-    update_sorted_points: int
-    entropy_total: float
-    wall_time_ns: int
-    verified: bool | None  # None = skipped
+    tree_steps: int = 0
+    dominance_checks: int = 0
+    sort_comparisons: int = 0
+    update_sorted_points: int = 0
+    entropy_total: float = 0.0
+    wall_time_ns: int = 0
+    verified: bool | None = None  # None = skipped
+
+    def __post_init__(self):
+        if self.n < 1:
+            raise ValueError(f"n must be >= 1, got {self.n}")
+        for f in fields(self)[5:-1]:  # the counters, entropy_total and wall_time_ns
+            if not 0 <= getattr(self, f.name) < math.inf:
+                raise ValueError(f"{f.name} must be finite and >= 0, got {getattr(self, f.name)}")
 
     def to_csv(self) -> list[str]:
-        verified = "skipped" if self.verified is None else ("true" if self.verified else "false")
-        return [str(getattr(self, f.name)) for f in fields(self)[:-1]] + [verified]
+        return _cells(self)
 
     @classmethod
-    def from_csv(cls, record: dict, where: str) -> "ReportRow":
+    def from_csv(cls, cells: list[str], where: str) -> "ReportRow":
         try:
-            verified_raw = record["verified"]
-            if verified_raw not in ("true", "false", "skipped"):
-                raise ValueError(f"bad verified value {verified_raw!r}")
-            parsed = {f.name: _PARSE[f.type](record[f.name]) for f in fields(cls)[:-1]}
-            return cls(**parsed, verified=None if verified_raw == "skipped" else verified_raw == "true")
-        except (KeyError, ValueError) as e:
+            if len(cells) != len(CSV_HEADER):
+                raise ValueError(f"{len(cells)} cells, expected {len(CSV_HEADER)}")
+            return cls(*(_parse(f, cell) for f, cell in zip(fields(cls), cells)))
+        except ValueError as e:
             raise BenchError(f"{where}: malformed row: {e}") from None
 
     def work_per_point(self) -> float:
@@ -66,21 +74,66 @@ class ReportRow:
 
 
 CSV_HEADER = [f.name for f in fields(ReportRow)]
-_PARSE = {"str": str, "int": int, "float": float}  # ReportRow's annotations, read as strings
+# keyed by ReportRow's annotations, which are read as strings
+_PARSE = {"str": str, "int": int, "float": float, "bool | None": {"true": True, "false": False, "skipped": None}.__getitem__}
 
 
-@dataclass
-class ExperimentPlan:
-    """A batch of runs: one trained model driven over `trials` fresh inputs."""
+def _parse(f, cell: str):
+    try:
+        return _PARSE[f.type](cell)
+    except (KeyError, ValueError):
+        raise ValueError(f"bad {f.name} value {cell!r}") from None
 
-    model: TrainedModel
-    trials: int
-    seed: int
-    timing: bool = False
 
-    def __post_init__(self):
-        if self.trials < 1:
-            raise BenchError(f"trials must be >= 1, got {self.trials}")
+def _cell(value) -> str:
+    """The one CSV cell format: true/false, skipped for None, str() otherwise."""
+    if value is None:
+        return "skipped"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
+
+
+def _cells(row) -> list[str]:
+    return [_cell(getattr(row, f.name)) for f in fields(row)]
+
+
+def _write_csv(path, cls, rows) -> None:
+    """UTF-8, LF line endings, header (cls's field names) always present."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow([f.name for f in fields(cls)])
+        writer.writerows(_cells(row) for row in rows)
+
+
+# ---------------------------------------------------------------------------
+# trials: each runner takes (model, input) and returns (certificate, the
+# ReportRow counters it fills)
+
+
+def _run_engine(model: TrainedModel, inp: InputSet):
+    stats = RunStats()
+    cert = run_maxima(model, inp, stats)
+    return cert, dict(
+        tree_steps=stats.tree_steps,
+        dominance_checks=stats.dominance_checks,
+        sort_comparisons=stats.update_sort_comparisons,
+        update_sorted_points=stats.update_sorted_points,
+        entropy_total=model.entropy_total,
+    )
+
+
+def _run_sort_scan(model: TrainedModel, inp: InputSet):
+    stats = BaselineStats()
+    cert = sort_scan_maxima(inp, stats)
+    return cert, dict(dominance_checks=stats.comparisons, sort_comparisons=stats.sort_cost)
+
+
+def _run_brute_force(model: TrainedModel, inp: InputSet):
+    return brute_force_maxima(inp), dict(dominance_checks=model.n * (model.n - 1))  # every ordered pair
+
+
+ALGORITHMS = {"self_improving": _run_engine, "sort_scan": _run_sort_scan, "brute_force": _run_brute_force}
 
 
 def _trial_input(model: TrainedModel, seed: int, trial: int) -> tuple[int, InputSet]:
@@ -88,88 +141,42 @@ def _trial_input(model: TrainedModel, seed: int, trial: int) -> tuple[int, Input
     return eff, sample_input(model.scenario, SeededRng(eff))
 
 
-def run_trials(plan: ExperimentPlan) -> list[ReportRow]:
-    """Execute the plan; one row per (trial, algorithm), deterministic order."""
-    model = plan.model
-    name = model.scenario.name
-    n = model.n
+def run_trials(model: TrainedModel, trials: int, seed: int, timing: bool = False) -> list[ReportRow]:
+    """Drive model over `trials` fresh inputs; one row per (trial, algorithm), deterministic order."""
+    if trials < 1:
+        raise BenchError(f"trials must be >= 1, got {trials}")
     rows: list[ReportRow] = []
-    for t in range(plan.trials):
-        eff, inp = _trial_input(model, plan.seed, t)
-        for alg in ALGORITHMS:
-            tree_steps = dominance = sort_cmp = upd_points = 0
-            entropy = 0.0
-            wall = 0
-            verified: bool | None
-            if alg == "self_improving":
-                stats = RunStats()
-                t0 = time.perf_counter_ns() if plan.timing else 0
-                cert = run_maxima(model, inp, stats)
-                if plan.timing:
+    for t in range(trials):
+        eff, inp = _trial_input(model, seed, t)
+        for alg, runner in ALGORITHMS.items():
+            counters, wall, verified = {}, 0, None
+            if alg != "brute_force" or model.n <= BRUTE_FORCE_LIMIT:
+                t0 = time.perf_counter_ns()
+                cert, counters = runner(model, inp)
+                if timing:
                     wall = time.perf_counter_ns() - t0
-                tree_steps = stats.tree_steps
-                dominance = stats.dominance_checks
-                sort_cmp = stats.update_sort_comparisons
-                upd_points = stats.update_sorted_points
-                entropy = model.entropy_total
                 verified = verify_certificate(inp, cert)
-            elif alg == "sort_scan":
-                bstats = BaselineStats()
-                t0 = time.perf_counter_ns() if plan.timing else 0
-                cert = sort_scan_maxima(inp, bstats)
-                if plan.timing:
-                    wall = time.perf_counter_ns() - t0
-                dominance = bstats.comparisons
-                sort_cmp = bstats.sort_cost
-                verified = verify_certificate(inp, cert)
-            else:  # brute_force
-                if n > BRUTE_FORCE_LIMIT:
-                    verified = None  # skipped marker, no counters
-                else:
-                    t0 = time.perf_counter_ns() if plan.timing else 0
-                    cert = brute_force_maxima(inp)
-                    if plan.timing:
-                        wall = time.perf_counter_ns() - t0
-                    dominance = n * (n - 1)  # the oracle evaluates every ordered pair
-                    verified = verify_certificate(inp, cert)
             rows.append(
-                ReportRow(
-                    scenario=name,
-                    n=n,
-                    seed=eff,
-                    phase="limiting",
-                    algorithm=alg,
-                    tree_steps=tree_steps,
-                    dominance_checks=dominance,
-                    sort_comparisons=sort_cmp,
-                    update_sorted_points=upd_points,
-                    entropy_total=entropy,
-                    wall_time_ns=wall,
-                    verified=verified,
-                )
+                ReportRow(model.scenario.name, model.n, eff, "limiting", alg, **counters, wall_time_ns=wall, verified=verified)
             )
     return rows
 
 
 def write_rows_csv(rows: list[ReportRow], path) -> None:
-    """UTF-8, LF line endings, header always present."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for row in rows:
-            writer.writerow(row.to_csv())
+    _write_csv(path, ReportRow, rows)
 
 
 def read_rows_csv(path) -> list[ReportRow]:
     path = Path(path)
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.reader(fh)
         try:
-            if reader.fieldnames != CSV_HEADER:
-                raise BenchError(f"{path}: unexpected header {reader.fieldnames}")
-            rows = [ReportRow.from_csv(rec, f"{path}:{k + 2}") for k, rec in enumerate(reader)]
+            header = next(reader, None)
+            if header != CSV_HEADER:
+                raise BenchError(f"{path}: unexpected header {header}")
+            rows = [ReportRow.from_csv(cells, f"{path}:{reader.line_num}") for cells in reader if cells]
         except csv.Error as e:  # e.g. a field over csv's size limit
-            raise BenchError(f"{path}:{reader.reader.line_num}: {e}") from None
+            raise BenchError(f"{path}:{reader.line_num}: {e}") from None
     return rows
 
 
@@ -214,31 +221,19 @@ def aggregate_rows(rows: list[ReportRow]) -> list[SummaryRow]:
 
 
 def write_report(rows: list[ReportRow], out_dir) -> list[Path]:
-    """Write summary.csv and the two SVG charts; returns the paths written."""
+    """Write summary.csv and the SVG charts; returns the paths written.
+
+    cost_vs_entropy.svg plots measured self_improving rows, so it is skipped
+    when there are none.
+    """
     from .svgchart import line_chart, scatter_chart
 
+    summary = aggregate_rows(rows)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    summary = aggregate_rows(rows)
 
     summary_path = out_dir / "summary.csv"
-    with open(summary_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["scenario", "n", "algorithm", "rows", "mean_work_per_point", "mean_entropy_total", "all_verified"]
-        )
-        for s in summary:
-            writer.writerow(
-                [
-                    s.scenario,
-                    str(s.n),
-                    s.algorithm,
-                    str(s.rows),
-                    repr(s.mean_work_per_point),
-                    repr(s.mean_entropy_total),
-                    "true" if s.all_verified else "false",
-                ]
-            )
+    _write_csv(summary_path, SummaryRow, summary)
 
     series: dict[str, list[tuple[float, float]]] = {}
     for s in summary:
@@ -258,6 +253,8 @@ def write_report(rows: list[ReportRow], out_dir) -> list[Path]:
             groups.setdefault(row.scenario, []).append(
                 (row.n + row.entropy_total, float(row.tree_steps + row.dominance_checks))
             )
+    if not groups:  # no measured engine row: nothing to scatter
+        return [summary_path, work_path]
     entropy_path = out_dir / "cost_vs_entropy.svg"
     scatter_chart(
         entropy_path,

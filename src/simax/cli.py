@@ -11,7 +11,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .bench import ALGORITHMS, BRUTE_FORCE_LIMIT, BenchError, ExperimentPlan, read_rows_csv, run_trials, write_report, write_rows_csv
+from .bench import ALGORITHMS, BRUTE_FORCE_LIMIT, read_rows_csv, run_trials, write_report, write_rows_csv
 from .distributions import BUILTIN_SCENARIOS, ScenarioError, build_scenario, load_scenario_file, sample_input, SeededRng
 from .engine import RunStats, run_maxima
 from .geometry import brute_force_maxima, check_certificate, sort_scan_maxima
@@ -50,11 +50,10 @@ def cmd_train(args) -> int:
 
 def cmd_run(args) -> int:
     model = load_model(args.model)
-    plan = ExperimentPlan(model=model, trials=args.trials, seed=args.seed, timing=args.timing)
-    rows = run_trials(plan)
+    rows = run_trials(model, args.trials, args.seed, timing=args.timing)
     write_rows_csv(rows, args.out)
     bad = sum(1 for r in rows if r.verified is False)
-    print(f"{len(rows)} rows ({plan.trials} trials x {len(ALGORITHMS)} algorithms) -> {args.out}")
+    print(f"{len(rows)} rows ({args.trials} trials x {len(ALGORITHMS)} algorithms) -> {args.out}")
     if bad:
         print(f"error: {bad} rows failed certificate verification", file=sys.stderr)
         return 1
@@ -65,8 +64,6 @@ def cmd_report(args) -> int:
     rows = []
     for path in args.inputs:
         rows.extend(read_rows_csv(path))
-    if not rows:
-        raise BenchError("no data rows in the given CSV files")
     written = write_report(rows, args.out)
     for path in written:
         print(f"wrote {path}")

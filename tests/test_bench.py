@@ -1,5 +1,6 @@
 import base64
 import csv
+import hashlib
 import json
 
 import numpy as np
@@ -10,7 +11,6 @@ from simax.bench import (
     ALGORITHMS,
     CSV_HEADER,
     BenchError,
-    ExperimentPlan,
     ReportRow,
     aggregate_rows,
     read_rows_csv,
@@ -19,7 +19,7 @@ from simax.bench import (
     write_rows_csv,
 )
 from simax.cli import main
-from simax.learning import SearchForest, load_model
+from simax.learning import SearchForest, load_model, save_model
 
 EXPECTED_HEADER = (
     "scenario,n,seed,phase,algorithm,tree_steps,dominance_checks,"
@@ -95,6 +95,41 @@ def test_read_rejects_malformed_rows(tmp_path):
         read_rows_csv(path)
 
 
+@pytest.mark.parametrize(
+    "column, value",
+    [
+        ("n", "0"),
+        ("n", "-4"),
+        ("tree_steps", "-1"),
+        ("dominance_checks", "-2"),
+        ("sort_comparisons", "-3"),
+        ("update_sorted_points", "-4"),
+        ("wall_time_ns", "-5"),
+        ("entropy_total", "nan"),
+        ("entropy_total", "inf"),
+        ("entropy_total", "-0.5"),
+    ],
+)
+def test_report_rejects_impossible_values(tmp_path, capsys, column, value):
+    cells = _row().to_csv()
+    cells[CSV_HEADER.index(column)] = value
+    bad = tmp_path / "bad.csv"
+    bad.write_text(EXPECTED_HEADER + "\n" + ",".join(cells) + "\n", encoding="utf-8")
+    assert main(["report", "--in", str(bad), "--out", str(tmp_path / "r")]) == 1
+    err = capsys.readouterr().err
+    assert "bad.csv:2: malformed row" in err and column in err
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("cells", [_row().to_csv() + ["surplus"], _row().to_csv()[:-1]], ids=["extra", "missing"])
+def test_read_rejects_rows_with_the_wrong_cell_count(tmp_path, cells):
+    path = tmp_path / "bad.csv"
+    lines = [EXPECTED_HEADER, ",".join(_row().to_csv()), ",".join(cells)]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(BenchError, match=f"bad.csv:3: malformed row: {len(cells)} cells, expected 12"):
+        read_rows_csv(path)
+
+
 def test_read_names_the_line_of_an_oversized_field(tmp_path):
     path = tmp_path / "big.csv"
     path.write_text(EXPECTED_HEADER + '\n"' + "x" * 200_000 + '"\n', encoding="utf-8")
@@ -105,7 +140,7 @@ def test_read_names_the_line_of_an_oversized_field(tmp_path):
 def test_plan_validation(model_cache):
     model = model_cache("uniform_square", 16)
     with pytest.raises(BenchError, match="trials"):
-        ExperimentPlan(model=model, trials=0, seed=0)
+        run_trials(model, 0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +149,7 @@ def test_plan_validation(model_cache):
 
 def test_run_trials_layout_and_verification(model_cache):
     model = model_cache("uniform_square", 16)
-    rows = run_trials(ExperimentPlan(model=model, trials=3, seed=50))
+    rows = run_trials(model, 3, 50)
     assert len(rows) == 9
     assert [r.algorithm for r in rows[:3]] == list(ALGORITHMS)
     assert [r.seed for r in rows] == [50, 50, 50, 51, 51, 51, 52, 52, 52]
@@ -134,22 +169,22 @@ def test_run_trials_layout_and_verification(model_cache):
 
 def test_trial_inputs_replay_from_the_seed_column(model_cache):
     model = model_cache("uniform_square", 16)
-    a = run_trials(ExperimentPlan(model=model, trials=2, seed=7))
-    b = run_trials(ExperimentPlan(model=model, trials=1, seed=8))
+    a = run_trials(model, 2, 7)
+    b = run_trials(model, 1, 8)
     # trial 1 of seed 7 and trial 0 of seed 8 are the same input: seed column 8
     assert [r for r in a if r.seed == 8] == b
 
 
 def test_timing_flag_fills_wall_time(model_cache):
     model = model_cache("uniform_square", 16)
-    rows = run_trials(ExperimentPlan(model=model, trials=1, seed=0, timing=True))
+    rows = run_trials(model, 1, 0, timing=True)
     assert all(r.wall_time_ns > 0 for r in rows)
 
 
 def test_oversized_inputs_skip_the_quadratic_oracle(model_cache, monkeypatch):
     model = model_cache("uniform_square", 16)
     monkeypatch.setattr(bench, "BRUTE_FORCE_LIMIT", 8)
-    rows = run_trials(ExperimentPlan(model=model, trials=1, seed=0))
+    rows = run_trials(model, 1, 0)
     brute = [r for r in rows if r.algorithm == "brute_force"]
     assert len(brute) == 1
     assert brute[0].verified is None
@@ -183,7 +218,7 @@ def test_aggregate_requires_measured_rows():
 
 def test_write_report_emits_summary_and_charts(tmp_path, model_cache):
     model = model_cache("uniform_square", 16)
-    rows = run_trials(ExperimentPlan(model=model, trials=2, seed=0))
+    rows = run_trials(model, 2, 0)
     paths = write_report(rows, tmp_path / "report")
     names = [p.name for p in paths]
     assert names == ["summary.csv", "work_per_point.svg", "cost_vs_entropy.svg"]
@@ -195,6 +230,34 @@ def test_write_report_emits_summary_and_charts(tmp_path, model_cache):
     svg = paths[1].read_text(encoding="utf-8")
     assert svg.startswith("<svg xmlns=") and svg.endswith("</svg>\n")
     assert "\r" not in svg
+
+
+def test_report_without_engine_rows_skips_the_scatter_chart(tmp_path):
+    rows = [_row(algorithm="sort_scan", entropy_total=0.0), _row(verified=None, tree_steps=0)]
+    paths = write_report(rows, tmp_path / "report")
+    assert paths == [tmp_path / "report" / "summary.csv", tmp_path / "report" / "work_per_point.svg"]
+    assert sorted(p.name for p in (tmp_path / "report").iterdir()) == ["summary.csv", "work_per_point.svg"]
+
+
+# sha256 of `simax run` (uniform_square n=16, training seed 101, base seed 50,
+# 3 trials, BRUTE_FORCE_LIMIT 8) and of `simax report` on its rows
+PINNED_PIPELINE_SHA256 = {
+    "rows.csv": "5f9f41b84c5f00f4a115ad79636cf136f346e13f1d6082c28ace89ff661e1471",
+    "summary.csv": "f1e3fac7500fb312e678e7bfe98785e07f798b3b2a63f0450924e30e721b372c",
+    "work_per_point.svg": "495e35280f8ee5ee394888d156315700171868a0054034bd432c894e5376e24c",
+    "cost_vs_entropy.svg": "35ea62d5b88536ca3250de40c04ebf65f6961b21a1cdb6b1fc01c45055b6858f",
+}
+
+
+def test_pipeline_output_bytes_are_pinned(tmp_path, model_cache, monkeypatch):
+    monkeypatch.setattr(bench, "BRUTE_FORCE_LIMIT", 8)  # include skipped brute_force rows
+    model_path = tmp_path / "model.json"
+    save_model(model_cache("uniform_square", 16), model_path)
+    rows_path = tmp_path / "rows.csv"
+    assert main(["run", "--model", str(model_path), "--trials", "3", "--seed", "50", "--out", str(rows_path)]) == 0
+    assert main(["report", "--in", str(rows_path), "--out", str(tmp_path / "report")]) == 0
+    written = [rows_path, *sorted((tmp_path / "report").iterdir())]
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in written} == PINNED_PIPELINE_SHA256
 
 
 # ---------------------------------------------------------------------------
