@@ -84,7 +84,7 @@ class EngineState:
     maxima_rev: list[int] = field(default_factory=list)  # rightmost maximum first
     dominators: dict[int, int] = field(default_factory=dict)
     phat: int = -1  # leftmost maximum found so far (largest y), -1 if none
-    node: list[int] = field(default_factory=list)  # current forest node, -1 = fallback/located
+    node: list[int] = field(default_factory=list)  # current forest node; one whose split is -1 is bisected
     slab_lo: list[int] = field(default_factory=list)
     xs: list[float] = field(default_factory=list)
     ys: list[float] = field(default_factory=list)
@@ -99,8 +99,7 @@ def make_engine_state(model: "TrainedModel", inp: InputSet) -> EngineState:
     state = EngineState(buckets=[[] for _ in range(top)] + [list(range(n))], lam_hat=top)
     state.xs = inp.xs.tolist()
     state.ys = inp.ys.tolist()
-    # root i is node i and covers [0, top]; a trivial tree is pure fallback from the start
-    state.node = np.where(np.frombuffer(model.forest.split, dtype=np.intc, count=n) >= 0, np.arange(n), -1).tolist()
+    state.node = list(range(n))  # root i is node i and covers [0, top]
     state.slab_lo = [0] * n
     return state
 
@@ -140,7 +139,6 @@ def update_step(state: EngineState, stats: RunStats, new_lam_hat: int) -> None:
     if buf:
         xs, ys = state.xs, state.ys
         keyed, comparisons = _merge_sort([(xs[i], ys[i], i) for i in buf])
-        ordered = [t[2] for t in keyed]
         stats.update_sorted_points += len(buf)
         stats.update_sort_comparisons += comparisons
 
@@ -149,9 +147,7 @@ def update_step(state: EngineState, stats: RunStats, new_lam_hat: int) -> None:
         ry = ys[r] if r >= 0 else 0.0
         maxima_rev = state.maxima_rev
         dominators = state.dominators
-        for i in reversed(ordered):
-            px = xs[i]
-            py = ys[i]
+        for px, py, i in reversed(keyed):
             if r >= 0:
                 stats.dominance_checks += 1
                 if rx >= px and ry >= py and (rx > px or ry > py):
@@ -219,24 +215,21 @@ def run_maxima(
                         break
                 if lo != hi:
                     steps += 1
-                    if nid >= 0:
-                        s = split[nid]
-                        if s > lo and px < blist[s - 1]:
-                            hi = s - 1
-                            nid = right[nid] - 1  # the left child sits just before the right-child slot
-                        elif s < hi and px >= blist[s]:
-                            lo = s + 1
-                            nid = right[nid]
-                        else:
-                            lo = hi = s
-                        if lo == hi or split[nid] < 0:
-                            nid = -1
-                    else:
+                    s = split[nid]
+                    if s < 0:  # an unexpanded node: bisect what is left of its interval
                         mid = (lo + hi) // 2
                         if px < blist[mid]:
                             hi = mid
                         else:
                             lo = mid + 1
+                    elif s > lo and px < blist[s - 1]:
+                        hi = s - 1
+                        nid = right[nid] - 1  # the left child sits just before the right-child slot
+                    elif s < hi and px >= blist[s]:
+                        lo = s + 1
+                        nid = right[nid]
+                    else:
+                        lo = hi = s
                     if hi < m:
                         buckets[hi].append(i)
                         decreases += 1

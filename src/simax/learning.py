@@ -23,7 +23,7 @@ from .distributions import ScenarioSpec, SeededRng, sample_input, scenario_from_
 from .geometry import InputSet
 
 MODEL_FORMAT = "simax-model"
-MODEL_VERSION = 6
+MODEL_VERSION = 7
 # the forest column's dtype: uint16 (65535 for -1) while every split fits below 65535, int32 above
 _SPLIT_U2_MAX_SLABS = 65535
 
@@ -90,8 +90,8 @@ class TrainingConfig:
 
     epsilon trades space for limiting-phase optimality (more rounds, bigger
     trees); delta is the accuracy slack in the frequency estimates;
-    rounds_cap bounds the round count regardless.  Frozen, since a trained
-    model keeps the config it was trained with.
+    rounds_cap (an int) bounds the round count regardless.  Frozen, since a
+    trained model keeps the config it was trained with.
     """
 
     epsilon: float = 0.5
@@ -103,6 +103,8 @@ class TrainingConfig:
             raise ValueError("epsilon must be in (0, 1]")
         if not 0 < self.delta < 1:
             raise ValueError("delta must be in (0, 1)")
+        if type(self.rounds_cap) is not int:  # a bool or a numpy integer would fail later, or not save
+            raise ValueError(f"rounds_cap must be an int, got {self.rounds_cap!r}")
         if self.rounds_cap < 1:
             raise ValueError("rounds_cap must be >= 1")
 
@@ -424,6 +426,7 @@ class TrainedModel:
         return len(self.forest.split)
 
     def to_dict(self) -> dict:
+        """The model-file object: the replay key and scenario as JSON, and every array as a column (see _column)."""
         return {
             "format": MODEL_FORMAT,
             "version": MODEL_VERSION,
@@ -432,7 +435,7 @@ class TrainedModel:
             "delta": float(self.config.delta),
             "rounds_cap": self.config.rounds_cap,
             "scenario": scenario_to_dict(self.scenario),
-            "boundaries": self.slabs.boundaries.tolist(),
+            "boundaries": _column(self.slabs.boundaries, "<f8"),
             "forest": _column(self.forest.split, "<u2" if self.slabs.num_slabs <= _SPLIT_U2_MAX_SLABS else "<i4"),
             "entropy_per_point": _column(self.entropy_per_point, "<f8"),
         }
@@ -444,7 +447,7 @@ class TrainedModel:
         if obj.get("version") != MODEL_VERSION:
             raise ValueError(f"model file version {obj.get('version')!r} is not read (only version {MODEL_VERSION}); retrain the model")
         try:
-            slabs = SlabStructure(_json_numbers(obj, "boundaries"))
+            slabs = SlabStructure(_read_column(obj, "boundaries", ("<f8",)))
             scenario = scenario_from_dict(obj["scenario"])
             return cls(
                 scenario=scenario,
@@ -453,7 +456,7 @@ class TrainedModel:
                 config=TrainingConfig(
                     epsilon=_json_number(obj, "epsilon"),
                     delta=_json_number(obj, "delta"),
-                    rounds_cap=_json_number(obj, "rounds_cap", integer=True),
+                    rounds_cap=obj["rounds_cap"],
                 ),
                 seed=_json_number(obj, "seed", integer=True),
                 entropy_per_point=_read_column(obj, "entropy_per_point", ("<f8",)).astype(np.float64),
@@ -475,17 +478,6 @@ def _json_number(obj: dict, name: str, integer: bool = False):
         return float(value)
     except OverflowError:
         raise ValueError(f"{name} is an integer too large for a float") from None
-
-
-def _json_numbers(obj: dict, name: str) -> np.ndarray:
-    """obj[name] as float64 if it is a list of JSON numbers."""
-    value = obj[name]
-    if not isinstance(value, list) or not {type(v) for v in value} <= {int, float}:
-        raise ValueError(f"{name} must be a list of numbers")
-    try:
-        return np.asarray(value, dtype=np.float64)
-    except OverflowError:
-        raise ValueError(f"{name} holds an integer too large for a float") from None
 
 
 def _column(values, dtype: str) -> dict:
@@ -554,8 +546,9 @@ def train_model(
 
 
 def save_model(model: TrainedModel, path) -> None:
+    text = json.dumps(model.to_dict(), separators=(",", ":")) + "\n"  # before opening, so a failure leaves the old file
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(model.to_dict(), separators=(",", ":")) + "\n")
+        fh.write(text)
 
 
 def load_model(path) -> TrainedModel:

@@ -359,12 +359,14 @@ def test_model_file_is_versioned_json(tmp_path):
     main(["train", "--scenario", "uniform_square", "--n", "16", "--out", str(model_path)])
     obj = json.loads(model_path.read_text(encoding="utf-8"))
     assert obj["format"] == "simax-model"
-    assert obj["version"] == 6
+    assert obj["version"] == 7
     assert "rng_algorithm" not in obj
+    assert obj["boundaries"]["dtype"] == "<f8"
+    boundaries = np.frombuffer(base64.b64decode(obj["boundaries"]["data"], validate=True), dtype="<f8")
     assert obj["forest"]["dtype"] == "<u2"  # one flat level-order split list, 65535 for -1
     splits = np.frombuffer(base64.b64decode(obj["forest"]["data"], validate=True), dtype="<u2").astype(np.int64)
     splits[splits == 65535] = -1
-    SearchForest(len(obj["boundaries"]) + 1, 16, splits.tolist())  # decodes as exactly n trees, or raises
+    SearchForest(boundaries.size + 1, 16, splits.tolist())  # decodes as exactly n trees, or raises
 
 
 def test_cli_verify_reports_a_missing_model_field(tmp_path, capsys):

@@ -141,6 +141,13 @@ def test_training_config_validation():
         TrainingConfig(rounds_cap=0)
 
 
+@pytest.mark.parametrize("cap", [True, np.int64(50), 50.0, 4.7, "10000"], ids=["bool", "int64", "50.0", "4.7", "str"])
+def test_training_config_rejects_a_rounds_cap_that_is_not_an_int(cap):
+    # checked at construction, since each would otherwise fail only later: in training, in save_model or in load_model
+    with pytest.raises(ValueError, match="rounds_cap must be an int"):
+        TrainingConfig(rounds_cap=cap)
+
+
 def test_collect_frequencies_conserves_rounds():
     spec = build_scenario("two_level", 8)
     slabs = SlabStructure([0.5, 1.0, 1.5])
@@ -509,9 +516,9 @@ def test_model_file_retrains_to_the_same_bytes(tmp_path, kind, config):
 
 # sha256 of save_model's bytes for the conftest models (n=256, seed 101, eps 0.5)
 PINNED_MODEL_SHA256 = {
-    "staircase_line": "b0799d97ff989b3d145322e433ba13587b19ca2bb9ff690094db05d87befd1f3",
-    "two_level": "c7e8a49e8db7da73cc5796dc98f1f1cb873a62e21259873704a9c4f635c1cc03",
-    "uniform_square": "ac33606659446b9eb12d97a027f208accaa9e68b6416ecc1be9a365c4737c483",
+    "staircase_line": "712ad30332ea9d196a39fe55bd5a50ba662678f43394840d8a427ad89c269553",
+    "two_level": "e6fdecc74a2ed226fb78f5f0d07a60e00033a803b94793652925e747410df3fc",
+    "uniform_square": "a75b2d6c019b25b78cb16d4157f7c0ef4350a2046a02828f1827b387d6b890e5",
 }
 
 
@@ -520,6 +527,17 @@ def test_pinned_model_bytes(tmp_path, model_cache, kind):
     path = tmp_path / "model.json"
     save_model(model_cache(kind, 256), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_MODEL_SHA256[kind]
+
+
+def test_failed_save_leaves_the_old_file(tmp_path, model_cache, monkeypatch):
+    model = model_cache("uniform_square", 16)
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    before = path.read_bytes()
+    monkeypatch.setattr(TrainedModel, "to_dict", lambda self: {"seed": object()})
+    with pytest.raises(TypeError):
+        save_model(model, path)
+    assert path.read_bytes() == before
 
 
 def test_load_model_rejects_foreign_files(tmp_path):
@@ -614,6 +632,10 @@ def test_load_model_rejects_column_entries_outside_int32(tmp_path, model_cache):
         ("entropy_per_point", _encode(np.zeros(16), "<f4"), "entropy_per_point must be an object with dtype <f8 .* got dtype '<f4'"),
         ("entropy_per_point", [0.0] * 16, "entropy_per_point must be an object .* got list"),
         ("entropy_per_point", {"dtype": "<f8", "data": "AAAA"}, "entropy_per_point data is 3 bytes, not a multiple of <f8's 8"),
+        ("boundaries", _encode([0.25, 0.5, 0.5], "<f8"), "boundaries must be strictly increasing"),
+        ("boundaries", _encode([], "<f8"), "boundaries must be a nonempty 1-d array"),
+        ("boundaries", _encode([0.25, 0.5], "<f4"), "boundaries must be an object with dtype <f8 .* got dtype '<f4'"),
+        ("boundaries", [0.25, 0.5], "boundaries must be an object .* got list"),  # version 6's plain list
     ],
     ids=[
         "forest list",
@@ -628,6 +650,10 @@ def test_load_model_rejects_column_entries_outside_int32(tmp_path, model_cache):
         "entropy float32",
         "entropy list",
         "entropy byte length",
+        "boundaries non-increasing",
+        "boundaries empty",
+        "boundaries float32",
+        "boundaries list",
     ],
 )
 def test_load_model_rejects_malformed_columns(tmp_path, model_cache, field, column, message):
@@ -643,7 +669,7 @@ def test_load_model_rejects_malformed_columns(tmp_path, model_cache, field, colu
 
 def _split_past_last_slab(obj):
     splits = _decode(obj["forest"])
-    splits[0] = len(obj["boundaries"]) + 1
+    splits[0] = len(_decode(obj["boundaries"])) + 1
     _store_forest(obj, splits)
 
 
@@ -689,6 +715,10 @@ def _version_5(obj):
     obj["version"] = 5
 
 
+def _version_6(obj):
+    obj["version"] = 6
+
+
 @pytest.mark.parametrize(
     "corrupt, message",
     [
@@ -703,6 +733,7 @@ def _version_5(obj):
         (_version_3, "version 3 .* retrain"),
         (_version_4, "version 4 .* retrain"),
         (_version_5, "version 5 .* retrain"),
+        (_version_6, "version 6 .* retrain"),
     ],
 )
 def test_load_model_rejects_corrupt_forests(tmp_path, model_cache, corrupt, message):
@@ -738,17 +769,15 @@ def test_load_model_rejects_corrupt_forests(tmp_path, model_cache, corrupt, mess
         ("entropy_per_point", "1.0"),
         ("entropy_per_point", True),
         ("boundaries", "-1.0"),
+        ("boundaries", float("nan")),
         # an integer too large for a float
         pytest.param("epsilon", 10**400, id="epsilon-10**400"),
         pytest.param("delta", -(10**400), id="delta--10**400"),
-        pytest.param("boundaries", 10**400, id="boundaries-10**400"),
     ],
 )
 def test_load_model_rejects_corrupt_provenance(tmp_path, model_cache, field, value):
     obj = model_cache("uniform_square", 16).to_dict()
-    if isinstance(obj[field], list):
-        obj[field][0] = value  # one bad entry in a per-position list
-    elif isinstance(obj[field], dict) and type(value) is float:
+    if isinstance(obj[field], dict) and type(value) is float:
         obj[field] = _encode([value] + _decode(obj[field])[1:], obj[field]["dtype"])  # one bad entry in a column
     else:
         obj[field] = value
@@ -799,6 +828,7 @@ def test_model_file_round_trip_is_byte_exact(tmp_path, model_cache, kind):
     path = tmp_path / "model.json"
     save_model(model, path)
     loaded = load_model(path)
+    assert loaded.slabs.boundaries.tobytes() == model.slabs.boundaries.tobytes()
     assert loaded.forest.split.tobytes() == model.forest.split.tobytes()
     assert loaded.forest.right.tobytes() == model.forest.right.tobytes()
     assert loaded.entropy_per_point.tobytes() == model.entropy_per_point.tobytes()
