@@ -166,7 +166,11 @@ class _CompiledSampler:
     samples depend only on (scenario, stream state).  Rectangles and segments
     share x = x0 + dx*u[ux], y = y0 + dy*u[uy]; a segment has uy == ux.  Point
     masses are copied rather than computed, so a -0.0 coordinate stays -0.0.
-    Each column is its own contiguous array, and empty groups are skipped.
+    A mixture picks atom k, the number of its cumulative weights <= u: the
+    weights sit one mixture per column of a (width, mixtures) table, so the
+    count is a sum down the columns, and the atom is read through the flat
+    offset r * width + k.  Each column is its own contiguous array, and empty
+    groups are skipped.
     """
 
     def __init__(self, spec: ScenarioSpec):
@@ -195,18 +199,20 @@ class _CompiledSampler:
         self.mix_idx, self.mix_u = _columns(mix, 2)
         if mixtures:
             width = max(len(d.atoms) for d in mixtures)
-            # cumulative weights padded with 1.0: padding cells are unreachable
-            # because draws are < 1 and the last real cell is clamped to 1.0
-            self.mix_cw = np.ones((len(mixtures), width))
-            self.mix_ax = np.zeros((len(mixtures), width))
-            self.mix_ay = np.zeros((len(mixtures), width))
+            # cumulative weights padded with 1.0, one column per mixture: padding
+            # cells are unreachable because draws are < 1 and the last real cell
+            # is clamped to 1.0
+            self.mix_cw = np.ones((width, len(mixtures)))
+            ax, ay = np.zeros((len(mixtures), width)), np.zeros((len(mixtures), width))
             for r, d in enumerate(mixtures):
                 w = np.array(d.weights)
                 c = np.cumsum(w / w.sum())
                 c[-1] = 1.0
                 m = len(d.atoms)
-                self.mix_cw[r, :m] = c
-                self.mix_ax[r, :m], self.mix_ay[r, :m] = zip(*d.atoms)
+                self.mix_cw[:m, r] = c
+                ax[r, :m], ay[r, :m] = zip(*d.atoms)
+            self.mix_ax, self.mix_ay = ax.ravel(), ay.ravel()
+            self.mix_start = np.arange(len(mixtures)) * width
 
     def sample(self, rng: SeededRng) -> InputSet:
         u = rng.random(self.total_draws)
@@ -221,10 +227,9 @@ class _CompiledSampler:
             xs[self.aff_idx] = self.aff_x0 + self.aff_dx * ux
             ys[self.aff_idx] = self.aff_y0 + self.aff_dy * uy
         if self.mix_idx.size:
-            sel = (self.mix_cw <= u[self.mix_u][:, None]).sum(axis=1)
-            rows = np.arange(self.mix_idx.size)
-            xs[self.mix_idx] = self.mix_ax[rows, sel]
-            ys[self.mix_idx] = self.mix_ay[rows, sel]
+            atom = self.mix_start + (self.mix_cw <= u[self.mix_u]).sum(axis=0)
+            xs[self.mix_idx] = self.mix_ax[atom]
+            ys[self.mix_idx] = self.mix_ay[atom]
         return InputSet(xs, ys)
 
 

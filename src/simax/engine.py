@@ -54,19 +54,23 @@ def entropy_proxy(freq: "FrequencyTable") -> np.ndarray:
 
     The sum over positions tracks the expected certificate-verification cost
     of an optimal algorithm for the trained product distribution, so it is
-    the yardstick the engine's step counts are judged against.
+    the yardstick the engine's step counts are judged against.  The term
+    p*log2(p) of each count c (p = c/rounds) is computed once per count
+    value up to the table's largest, so the table sizes it and rounds does
+    not; each row then sums its terms looked up by count.
     """
     if freq.rounds < 1:
         raise ValueError("frequency table has no rounds")
-    n = freq.counts.shape[0]
+    counts = freq.counts
+    p = np.arange(int(counts.max(initial=0)) + 1, dtype=np.float64) / freq.rounds
+    with np.errstate(divide="ignore", invalid="ignore"):
+        term = p * np.log2(p)
+    term[~np.isfinite(term)] = 0.0  # 0*log2(0)
+    n = counts.shape[0]
     out = np.empty(n, dtype=np.float64)
-    step = max(1, 2**16 // max(1, freq.counts.shape[1]))  # bound transient float block
+    step = max(1, 2**16 // max(1, counts.shape[1]))  # bound transient float block
     for lo in range(0, n, step):
-        block = freq.counts[lo : lo + step].astype(np.float64) / freq.rounds
-        with np.errstate(divide="ignore", invalid="ignore"):
-            term = block * np.log2(block)
-        term[~np.isfinite(term)] = 0.0
-        out[lo : lo + step] = -term.sum(axis=1)
+        out[lo : lo + step] = -term[counts[lo : lo + step]].sum(axis=1)
     return out
 
 

@@ -89,9 +89,10 @@ class TrainingConfig:
     """Knobs for the training phase.
 
     epsilon trades space for limiting-phase optimality (more rounds, bigger
-    trees); delta is the accuracy slack in the frequency estimates;
-    rounds_cap (an int) bounds the round count regardless.  Frozen, since a
-    trained model keeps the config it was trained with.
+    trees); delta is the accuracy slack in the frequency estimates (both an
+    int or a float, not a bool); rounds_cap (an int) bounds the round count
+    regardless.  Frozen, since a trained model keeps the config it was
+    trained with.
     """
 
     epsilon: float = 0.5
@@ -99,6 +100,10 @@ class TrainingConfig:
     rounds_cap: int = 10_000
 
     def __post_init__(self):
+        for name in ("epsilon", "delta"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an int or a float, got {value!r}")
         if not 0 < self.epsilon <= 1:
             raise ValueError("epsilon must be in (0, 1]")
         if not 0 < self.delta < 1:
@@ -136,17 +141,24 @@ class FrequencyTable:
 
 
 def collect_frequencies(spec: ScenarioSpec, slabs: SlabStructure, rounds: int, rng: SeededRng) -> FrequencyTable:
-    """Sample `rounds` fresh inputs and count leaf-slab hits per position."""
+    """Sample `rounds` fresh inputs and count leaf-slab hits per position.
+
+    Each round's x values are located in sorted order, which keeps the
+    binary searches' branches predictable, and each hit lands through the
+    table's flat view at row * num_slabs + slab.
+    """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
-    n = spec.n
+    n, num_slabs = spec.n, slabs.num_slabs
     dtype = np.uint16 if rounds <= np.iinfo(np.uint16).max else np.uint32
-    counts = np.zeros((n, slabs.num_slabs), dtype=dtype)
-    rows = np.arange(n)
+    counts = np.zeros((n, num_slabs), dtype=dtype)
+    flat = counts.reshape(-1)
+    row_start = np.arange(n) * num_slabs
     for _ in range(rounds):
-        inp = sample_input(spec, rng)
-        # one hit per row per round, so plain fancy-index increment is safe
-        counts[rows, slabs.locate_array(inp.xs)] += 1
+        xs = sample_input(spec, rng).xs
+        order = np.argsort(xs)
+        # one hit per row per round, so the keys are unique and a plain fancy-index increment is safe
+        flat[row_start[order] + slabs.locate_array(xs[order])] += 1
     return FrequencyTable(counts=counts, rounds=rounds)
 
 
@@ -277,7 +289,10 @@ def build_search_tree(freq: FrequencyTable, leaf_threshold: int) -> array:
             kept, lo, hi = _children(lo, hi, split)
             base = base[np.flatnonzero(kept) // 2]
             depth += 1
-    return array("i", np.concatenate([s for level in levels for s in level]).tobytes())
+    pieces = [s for level in levels for s in level]
+    splits = array("i", [0]) * sum(s.size for s in pieces)
+    np.concatenate(pieces, out=np.frombuffer(splits, dtype=np.intc))  # in place, so training's peak holds one copy of the splits, not three
+    return splits
 
 
 def check_mu_reducing(forest: SearchForest, i: int, freq: FrequencyTable, mu: float) -> bool:

@@ -61,6 +61,37 @@ def test_entropy_proxy_rejects_empty_table():
         entropy_proxy(freq)
 
 
+def _entropy_reference(freq: FrequencyTable) -> np.ndarray:
+    """-sum of p*log2(p) over each row, elementwise on the whole table, with 0*log2(0) as 0."""
+    p = freq.counts.astype(np.float64) / freq.rounds
+    with np.errstate(divide="ignore", invalid="ignore"):
+        term = p * np.log2(p)
+    term[~np.isfinite(term)] = 0.0
+    return -term.sum(axis=1)
+
+
+def _multinomial_table(rows: int, slabs: int, rounds: int, dtype) -> FrequencyTable:
+    gen = np.random.Generator(np.random.PCG64(8))
+    return FrequencyTable(counts=gen.multinomial(rounds, gen.dirichlet(np.ones(slabs)), size=rows).astype(dtype), rounds=rounds)
+
+
+@pytest.mark.parametrize(
+    "freq",
+    [
+        _multinomial_table(40, 50, 70_000, np.uint32),  # counts past uint16
+        _multinomial_table(300, 300, 2_000, np.uint16),  # more than one row block
+        FrequencyTable(counts=np.array([[9], [0]], dtype=np.uint16), rounds=9),  # one slab: -0.0
+        FrequencyTable(counts=np.array([[3, 0, 5], [0, 0, 1]], dtype=np.uint32), rounds=10**12),  # no 10**12-entry table
+    ],
+    ids=["uint32", "blocks", "one-slab", "rounds-1e12"],
+)
+def test_entropy_proxy_is_bit_exact(freq):
+    got = entropy_proxy(freq)
+    assert got.tobytes() == _entropy_reference(freq).tobytes()
+    if freq.num_slabs == 1:
+        assert np.signbit(got).all()  # a row's terms are all 0.0, so its negated sum is -0.0
+
+
 def test_entropy_is_maximal_for_uniform_rows():
     freq = FrequencyTable(counts=np.full((1, 16), 4, dtype=np.uint16), rounds=64)
     assert entropy_proxy(freq)[0] == pytest.approx(4.0)

@@ -28,7 +28,7 @@ from simax import (
     simulate_restricted_search,
     train_model,
 )
-from simax.distributions import PointMass, ScenarioSpec, SeededRng
+from simax.distributions import FiniteMixture, PointMass, ScenarioSpec, SeededRng, UniformRect, UniformSegment
 from simax.geometry import InputSet, brute_force_maxima
 from simax.learning import search_steps_to_leaf
 
@@ -146,6 +146,66 @@ def test_training_config_rejects_a_rounds_cap_that_is_not_an_int(cap):
     # checked at construction, since each would otherwise fail only later: in training, in save_model or in load_model
     with pytest.raises(ValueError, match="rounds_cap must be an int"):
         TrainingConfig(rounds_cap=cap)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("epsilon", "0.5"), ("delta", None), ("epsilon", True), ("delta", False), ("epsilon", np.int64(1)), ("delta", [0.5])],
+    ids=["epsilon-str", "delta-None", "epsilon-True", "delta-False", "epsilon-int64", "delta-list"],
+)
+def test_training_config_rejects_epsilon_and_delta_that_are_not_numbers(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be an int or a float"):
+        TrainingConfig(**{field: value})
+
+
+def test_training_config_accepts_int_and_float_epsilon_and_delta():
+    assert TrainingConfig(epsilon=1, delta=0.25).tree_rounds(16) == 16 * 16 * 4
+    assert TrainingConfig(epsilon=np.float64(0.5)).epsilon == 0.5  # a float subclass
+
+
+def _collect_frequencies_reference(spec, slabs, rounds, rng):
+    """The plain per-round 2-D scatter: each round locates its xs in position order."""
+    counts = np.zeros((spec.n, slabs.num_slabs), dtype=np.uint16 if rounds <= 65535 else np.uint32)
+    rows = np.arange(spec.n)
+    for _ in range(rounds):
+        counts[rows, slabs.locate_array(sample_input(spec, rng).xs)] += 1
+    return counts
+
+
+@pytest.mark.parametrize("n", [64, 256])
+@pytest.mark.parametrize("kind", ["uniform_square", "staircase_line", "two_level"])
+def test_collect_frequencies_matches_the_plain_scatter(kind, n):
+    spec = build_scenario(kind, n)
+    rng = SeededRng(5)
+    slabs = build_slab_structure([sample_input(spec, rng) for _ in range(TrainingConfig().slab_rounds(n))])
+    got = collect_frequencies(spec, slabs, 60, SeededRng(6)).counts
+    want = _collect_frequencies_reference(spec, slabs, 60, SeededRng(6))
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+def test_collect_frequencies_matches_the_plain_scatter_on_boundaries():
+    # draws exactly on boundaries, -0.0 against the 0.0 boundary, and x values shared by several positions
+    slabs = SlabStructure([-1.0, 0.0, 0.5, 2.0])
+    spec = ScenarioSpec(
+        "boundaries",
+        (
+            PointMass(-0.0, 0.0),
+            PointMass(0.0, 1.0),
+            PointMass(0.5, 0.0),
+            PointMass(0.5, 3.0),
+            FiniteMixture(atoms=((-1.0, 0.0), (2.0, 0.0), (-0.0, 1.0)), weights=(0.25, 0.25, 0.5)),
+            FiniteMixture(atoms=((0.0, 2.0), (0.5, 1.0)), weights=(0.5, 0.5)),
+            UniformSegment(-1.0, 0.0, 2.0, 0.0),
+            UniformRect(0.5, 0.5, 0.0, 1.0),
+        ),
+    )
+    got = collect_frequencies(spec, slabs, 40, SeededRng(7)).counts
+    want = _collect_frequencies_reference(spec, slabs, 40, SeededRng(7))
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    assert got[0].tolist() == got[1].tolist() == [0, 0, 40, 0, 0]  # -0.0 is 0.0, and a boundary belongs to its right slab
+    assert got[2].tolist() == got[3].tolist() == got[7].tolist() == [0, 0, 0, 40, 0]
 
 
 def test_collect_frequencies_conserves_rounds():

@@ -67,3 +67,13 @@ def test_every_wrapped_name_is_on_its_path(workloads, tmp_path):
     assert reason is None
     assert sorted({name for _, _, name in plan.hooks} - set(tracer.names)) == []
     assert freq_bytes  # the collect_frequencies hook read .counts.nbytes
+
+
+def test_training_draws_every_round_through_the_hooked_name(monkeypatch):
+    # perfbench counts draws by wrapping learning.sample_input, so a draw that bypasses it would go uncounted
+    calls = []
+    real = learning.sample_input
+    monkeypatch.setattr(learning, "sample_input", lambda spec, rng: calls.append(1) or real(spec, rng))
+    config = learning.TrainingConfig()
+    learning.train_model(build_scenario("uniform_square", 16), config, seed=3)
+    assert len(calls) == config.slab_rounds(16) + config.tree_rounds(16)
