@@ -19,11 +19,11 @@ from typing import Sequence
 import numpy as np
 
 from . import engine
-from .distributions import ScenarioSpec, SeededRng, sample_input, scenario_from_dict, scenario_to_dict
+from .distributions import SCENARIO_COLUMNS, ScenarioSpec, SeededRng, sample_input
 from .geometry import InputSet
 
 MODEL_FORMAT = "simax-model"
-MODEL_VERSION = 7
+MODEL_VERSION = 8
 # the forest column's dtype: uint16 (65535 for -1) while every split fits below 65535, int32 above
 _SPLIT_U2_MAX_SLABS = 65535
 
@@ -441,15 +441,19 @@ class TrainedModel:
         return len(self.forest.split)
 
     def to_dict(self) -> dict:
-        """The model-file object: the replay key and scenario as JSON, and every array as a column (see _column)."""
+        """The model-file object: the replay key as JSON, and every array, the scenario's too, as a column (see _column)."""
         return {
             "format": MODEL_FORMAT,
             "version": MODEL_VERSION,
             "seed": self.seed,
-            "epsilon": float(self.config.epsilon),  # as from_dict reads it, so a retrained model saves the same bytes
+            "epsilon": float(self.config.epsilon),  # a float whatever the config holds, so retraining a loaded model saves the same bytes
             "delta": float(self.config.delta),
             "rounds_cap": self.config.rounds_cap,
-            "scenario": scenario_to_dict(self.scenario),
+            "scenario": {
+                "name": self.scenario.name,
+                "n": self.n,
+                **{k: _column(v, SCENARIO_COLUMNS[k]) for k, v in self.scenario.columns.items()},
+            },
             "boundaries": _column(self.slabs.boundaries, "<f8"),
             "forest": _column(self.forest.split, "<u2" if self.slabs.num_slabs <= _SPLIT_U2_MAX_SLABS else "<i4"),
             "entropy_per_point": _column(self.entropy_per_point, "<f8"),
@@ -462,37 +466,23 @@ class TrainedModel:
         if obj.get("version") != MODEL_VERSION:
             raise ValueError(f"model file version {obj.get('version')!r} is not read (only version {MODEL_VERSION}); retrain the model")
         try:
-            slabs = SlabStructure(_read_column(obj, "boundaries", ("<f8",)))
-            scenario = scenario_from_dict(obj["scenario"])
+            seed = obj["seed"]
+            if type(seed) is not int:  # SeededRng would take "7" or True
+                raise ValueError(f"seed must be an integer, got {seed!r}")
+            slabs = SlabStructure(_read_column(obj["boundaries"], "boundaries", ("<f8",)))
+            scenario = _read_scenario(obj["scenario"])
             return cls(
                 scenario=scenario,
                 slabs=slabs,
                 forest=SearchForest(slabs.num_slabs, scenario.n, _split_bytes(obj, slabs.num_slabs)),
-                config=TrainingConfig(
-                    epsilon=_json_number(obj, "epsilon"),
-                    delta=_json_number(obj, "delta"),
-                    rounds_cap=obj["rounds_cap"],
-                ),
-                seed=_json_number(obj, "seed", integer=True),
-                entropy_per_point=_read_column(obj, "entropy_per_point", ("<f8",)).astype(np.float64),
+                config=TrainingConfig(epsilon=obj["epsilon"], delta=obj["delta"], rounds_cap=obj["rounds_cap"]),  # checks their types
+                seed=seed,
+                entropy_per_point=_read_column(obj["entropy_per_point"], "entropy_per_point", ("<f8",)).astype(np.float64),
             )
         except KeyError as e:
             raise ValueError(f"missing model field {e}") from None
         except TypeError as e:
             raise ValueError(f"malformed model file: {e}") from None
-
-
-def _json_number(obj: dict, name: str, integer: bool = False):
-    """obj[name] if it is a JSON integer, or with integer=False any JSON number as a float (a bool is neither)."""
-    value = obj[name]
-    if type(value) not in ((int,) if integer else (int, float)):
-        raise ValueError(f"{name} must be {'an integer' if integer else 'a number'}, got {value!r}")
-    if integer:
-        return value
-    try:
-        return float(value)
-    except OverflowError:
-        raise ValueError(f"{name} is an integer too large for a float") from None
 
 
 def _column(values, dtype: str) -> dict:
@@ -501,9 +491,8 @@ def _column(values, dtype: str) -> dict:
     return {"dtype": dtype, "data": base64.b64encode(data).decode("ascii")}
 
 
-def _read_column(obj: dict, name: str, dtypes: tuple[str, ...]) -> np.ndarray:
-    """The read-only array a column field written by _column holds, if its dtype is one of dtypes."""
-    value = obj[name]
+def _read_column(value, name: str, dtypes: tuple[str, ...]) -> np.ndarray:
+    """The read-only array in a column field as _column writes it, if its dtype is one of dtypes; errors name it `name`."""
     if not isinstance(value, dict) or value.get("dtype") not in dtypes or not isinstance(value.get("data"), str):
         shown = f"dtype {value.get('dtype')!r}" if isinstance(value, dict) else type(value).__name__
         raise ValueError(f"{name} must be an object with dtype {' or '.join(dtypes)} and base64 data, got {shown}")
@@ -517,9 +506,23 @@ def _read_column(obj: dict, name: str, dtypes: tuple[str, ...]) -> np.ndarray:
     return np.frombuffer(data, dtype=dtype)
 
 
+def _read_scenario(obj) -> ScenarioSpec:
+    """The scenario field: its name, its n, and one column per SCENARIO_COLUMNS entry, checked by ScenarioSpec."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"scenario must be an object, got {type(obj).__name__}")
+    try:
+        spec = ScenarioSpec(obj["name"], **{k: _read_column(obj[k], f"scenario.{k}", (dtype,)) for k, dtype in SCENARIO_COLUMNS.items()})
+        n = obj["n"]
+    except KeyError as e:
+        raise ValueError(f"missing model field 'scenario.{e.args[0]}'") from None
+    if type(n) is not int or n != spec.n:
+        raise ValueError(f"scenario.n must be the integer {spec.n}, the length of scenario.kind, got {n!r}")
+    return spec
+
+
 def _split_bytes(obj: dict, num_slabs: int) -> bytes:
     """The forest column widened to native int32 bytes for SearchForest, with 65535 in a uint16 column read as -1."""
-    column = _read_column(obj, "forest", ("<u2", "<i4"))
+    column = _read_column(obj["forest"], "forest", ("<u2", "<i4"))
     splits = column.astype(np.intc)
     if column.dtype.itemsize == 2:
         if num_slabs > _SPLIT_U2_MAX_SLABS:

@@ -359,8 +359,9 @@ def test_model_file_is_versioned_json(tmp_path):
     main(["train", "--scenario", "uniform_square", "--n", "16", "--out", str(model_path)])
     obj = json.loads(model_path.read_text(encoding="utf-8"))
     assert obj["format"] == "simax-model"
-    assert obj["version"] == 7
+    assert obj["version"] == 8
     assert "rng_algorithm" not in obj
+    assert "per_point" not in obj["scenario"] and obj["scenario"]["kind"]["dtype"] == "<u1"  # the scenario is columns too
     assert obj["boundaries"]["dtype"] == "<f8"
     boundaries = np.frombuffer(base64.b64decode(obj["boundaries"]["data"], validate=True), dtype="<f8")
     assert obj["forest"]["dtype"] == "<u2"  # one flat level-order split list, 65535 for -1

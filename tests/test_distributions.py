@@ -3,7 +3,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from simax import (
@@ -69,9 +69,9 @@ def test_finite_check_converts_before_checking():
 
 def test_scenario_requires_points():
     with pytest.raises(ScenarioError, match="nonempty"):
-        ScenarioSpec(name="empty", per_point=())
+        ScenarioSpec.from_points("empty", ())
     with pytest.raises(ScenarioError, match=r"per_point\[1\]: not a point distribution"):
-        ScenarioSpec(name="pair", per_point=(PointMass(0, 0), (1.0, 1.0)))
+        ScenarioSpec.from_points("pair", (PointMass(0, 0), (1.0, 1.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +134,31 @@ def test_build_scenario_rejects_bad_sizes():
         build_scenario("custom", 2)  # custom specs are ScenarioSpec(...) or scenario JSON
 
 
+@pytest.mark.parametrize("n", [4.0, "4", True, None], ids=["float", "str", "bool", "None"])
+def test_build_scenario_names_an_n_that_is_not_an_integer(n):
+    with pytest.raises(ScenarioError, match=r"^n: expected an integer, got"):
+        build_scenario("two_level", n)
+
+
+def test_build_scenario_accepts_numpy_integers():
+    assert build_scenario("two_level", np.int64(4)) == build_scenario("two_level", 4)
+    assert build_scenario("staircase_line", np.uint16(6)).n == 6
+
+
+def test_built_in_columns_match_their_per_point_definition():
+    # the built-ins as the per-point dataclasses they are defined by, computed with Python floats
+    n, half = 10, 5
+    t = [(i + 1) / (n + 1) for i in range(n)]
+    per_point = {
+        "uniform_square": [UniformRect(0.0, 1.0, 0.0, 1.0)] * n,
+        "staircase_line": [PointMass(float(i + 1), float(half - i)) for i in range(half)]
+        + [UniformSegment(0.5, 0.75, half - 0.5, 0.25)] * half,
+        "two_level": [FiniteMixture(atoms=((1.0 + ti, 2.0 - ti), (ti, 1.0 - ti)), weights=(0.5, 0.5)) for ti in t],
+    }
+    for kind, dists in per_point.items():
+        assert build_scenario(kind, n) == ScenarioSpec.from_points(kind, dists)
+
+
 # ---------------------------------------------------------------------------
 # rng
 
@@ -165,7 +190,7 @@ def test_sampling_is_deterministic_per_seed():
 
 
 def test_point_mass_sampling_is_exact():
-    spec = ScenarioSpec("custom", (PointMass(2.5, -1.0), PointMass(0.0, 3.0)))
+    spec = ScenarioSpec.from_points("custom", (PointMass(2.5, -1.0), PointMass(0.0, 3.0)))
     inp = sample_input(spec, SeededRng(0))
     assert inp.xs.tolist() == [2.5, 0.0]
     assert inp.ys.tolist() == [-1.0, 3.0]
@@ -173,7 +198,7 @@ def test_point_mass_sampling_is_exact():
 
 def test_rect_sampling_stays_inside_and_consumes_two_draws():
     rect = UniformRect(2.0, 3.0, -1.0, 0.5)
-    spec = ScenarioSpec("custom", (PointMass(9, 9), rect))
+    spec = ScenarioSpec.from_points("custom", (PointMass(9, 9), rect))
     inp = sample_input(spec, SeededRng(11))
     assert 2.0 <= inp.xs[1] <= 3.0 and -1.0 <= inp.ys[1] <= 0.5
     # draws are consumed in point order: the mass takes none, the rect takes u[0], u[1]
@@ -184,7 +209,7 @@ def test_rect_sampling_stays_inside_and_consumes_two_draws():
 
 def test_segment_sampling_is_collinear():
     seg = UniformSegment(0.0, 0.0, 2.0, 4.0)
-    spec = ScenarioSpec("custom", (seg, seg))
+    spec = ScenarioSpec.from_points("custom", (seg, seg))
     inp = sample_input(spec, SeededRng(3))
     for x, y in zip(inp.xs, inp.ys):
         assert y == pytest.approx(2.0 * x)
@@ -193,7 +218,7 @@ def test_segment_sampling_is_collinear():
 
 def test_mixture_sampling_hits_only_atoms_with_expected_rates():
     mix = FiniteMixture(atoms=((0.0, 0.0), (5.0, 5.0)), weights=(0.25, 0.75))
-    spec = ScenarioSpec("custom", (mix, mix))
+    spec = ScenarioSpec.from_points("custom", (mix, mix))
     rng = SeededRng(21)
     hits = 0
     trials = 2000
@@ -219,7 +244,7 @@ def _interleaved_spec():
         PointMass(2.0, -0.0),
         UniformSegment(1.0, 1.0, 1.0, 4.0),
     )
-    return ScenarioSpec("interleaved", cycle * 4)
+    return ScenarioSpec.from_points("interleaved", cycle * 4)
 
 
 # sha256 of xs.tobytes() + ys.tobytes() for one draw of _interleaved_spec per seed
@@ -239,6 +264,93 @@ def test_interleaved_kinds_draw_pinned_bytes():
         assert hashlib.sha256(inp.xs.tobytes() + inp.ys.tobytes()).hexdigest() == digest
 
 
+def _sample_reference(per_point, rng):
+    """One draw, one position at a time: the reference for sample_input's column groups (same formulas, same uniform order)."""
+    u = rng.random(sum(0 if isinstance(d, PointMass) else 2 if isinstance(d, UniformRect) else 1 for d in per_point))
+    xs, ys = np.empty(len(per_point)), np.empty(len(per_point))
+    k = 0
+    for i, d in enumerate(per_point):
+        if isinstance(d, PointMass):
+            xs[i], ys[i] = d.x, d.y
+        elif isinstance(d, UniformRect):
+            xs[i], ys[i] = d.x0 + (d.x1 - d.x0) * u[k], d.y0 + (d.y1 - d.y0) * u[k + 1]
+            k += 2
+        elif isinstance(d, UniformSegment):
+            xs[i], ys[i] = d.ax + (d.bx - d.ax) * u[k], d.ay + (d.by - d.ay) * u[k]
+            k += 1
+        else:
+            w = np.array(d.weights)
+            c = np.cumsum(w / w.sum())
+            c[-1] = 1.0
+            xs[i], ys[i] = d.atoms[int((c <= u[k]).sum())]
+            k += 1
+    return xs, ys
+
+
+def _mixed_dist_strategy():
+    """Every kind, with -0.0 coordinates, degenerate rectangles and segments, and mixtures of 1 to 3 and of 9 to 12 atoms."""
+    coord = st.one_of(st.just(-0.0), st.integers(-50, 50).map(lambda v: v / 4), st.floats(-1e6, 1e6))
+    extent = st.one_of(st.just(0.0), st.floats(0, 1e3))
+    mass = st.builds(PointMass, coord, coord)
+    rect = st.builds(lambda x0, dx, y0, dy: UniformRect(x0, x0 + dx, y0, y0 + dy), coord, extent, coord, extent)
+    seg = st.builds(UniformSegment, coord, coord, coord, coord)
+
+    def make_mixture(pairs):
+        total = sum(w for _, w in pairs)
+        return FiniteMixture(atoms=tuple(a for a, _ in pairs), weights=tuple(w / total for _, w in pairs))
+
+    atom = st.tuples(st.tuples(coord, coord), st.integers(1, 1000))
+    narrow, wide = st.lists(atom, min_size=1, max_size=3), st.lists(atom, min_size=9, max_size=12)  # 8+ weights sum pairwise
+    return st.one_of(mass, rect, seg, narrow.map(make_mixture), wide.map(make_mixture))
+
+
+@settings(deadline=None)
+@given(dists=st.lists(_mixed_dist_strategy(), min_size=1, max_size=24), seed=st.integers(0, 2**32))
+def test_sampler_matches_the_per_position_reference(dists, seed):
+    spec = ScenarioSpec.from_points("mixed", dists)
+    assert [repr(d) for d in spec.per_point] == [repr(d) for d in dists]  # columns give back the dataclasses, -0.0 included
+    rng, ref = SeededRng(seed), SeededRng(seed)
+    for _ in range(3):
+        inp = sample_input(spec, rng)
+        xs, ys = _sample_reference(dists, ref)
+        assert inp.xs.tobytes() == xs.tobytes() and inp.ys.tobytes() == ys.tobytes()
+
+
+def test_mixture_tables_hold_one_cell_per_atom():
+    # one wide mixture must not pad every other mixture's table to its width
+    pair = FiniteMixture(atoms=((0.0, 1.0), (1.0, 0.0)), weights=(0.25, 0.75))
+    wide = FiniteMixture(atoms=tuple((k / 5000, 1 - k / 5000) for k in range(5000)), weights=(1 / 5000,) * 5000)
+    tenths = FiniteMixture(atoms=tuple((k / 10, 1 - k / 10) for k in range(10)), weights=(0.1,) * 10)  # cumsum ends at 1 - 2**-53
+    dists = (pair,) * 1023 + (wide, tenths) + (pair,) * 1023
+    spec = ScenarioSpec.from_points("wide", dists)
+    assert sum(cw.size for _, _, cw, *_ in spec._mixtures) == 2046 * 2 + 5000 + 10
+    assert all((cw[-1] == 1.0).all() for _, _, cw, *_ in spec._mixtures)  # so no draw < 1 runs past a mixture's last atom
+    inp = sample_input(spec, SeededRng(3))
+    xs, ys = _sample_reference(dists, SeededRng(3))
+    assert inp.xs.tobytes() == xs.tobytes() and inp.ys.tobytes() == ys.tobytes()
+
+
+def test_spec_columns_are_checked_by_name():
+    with pytest.raises(ScenarioError, match=r"scenario: unknown columns \['xs'\]"):
+        ScenarioSpec("s", kind=[0], mass_x=[0.0], mass_y=[0.0], xs=[1.0])
+    with pytest.raises(ScenarioError, match=r"scenario\.mass_x: expected a 1-d column of numbers"):
+        ScenarioSpec("s", kind=[0], mass_x=["a"], mass_y=[0.0])
+    with pytest.raises(ScenarioError, match=r"scenario\.kind: expected a 1-d column of integers"):
+        ScenarioSpec("s", kind=[0.0], mass_x=[0.0], mass_y=[0.0])
+    with pytest.raises(ScenarioError, match=r"scenario\.y0: expected a 1-d column of numbers, got bool"):
+        ScenarioSpec("s", kind=[1], x0=[0.0], x1=[1.0], y0=[False], y1=[1.0])
+    with pytest.raises(ScenarioError, match=r"scenario\.x0: expected a 1-d column of numbers, got float64 of shape \(1, 1\)"):
+        ScenarioSpec("s", kind=[2], x0=[[0.0]], x1=[1.0], y0=[0.0], y1=[1.0])
+    with pytest.raises(ScenarioError, match=r"scenario\.name: expected a string"):
+        ScenarioSpec(None, kind=[0], mass_x=[0.0], mass_y=[0.0])
+    spec = ScenarioSpec("s", kind=[0], mass_x=[1], mass_y=[2])
+    assert spec.columns["mass_x"].dtype == np.float64 and spec.columns["kind"].dtype == np.int64
+    with pytest.raises(ValueError, match="read-only"):  # the sampling plan shares the columns
+        spec.columns["mass_x"][0] = 5.0
+    with pytest.raises(TypeError):
+        spec.columns["mass_x"] = np.zeros(1)
+
+
 class _UnhashableSpec(ScenarioSpec):
     def __hash__(self):
         raise AssertionError("a draw hashed the scenario")
@@ -247,30 +359,23 @@ class _UnhashableSpec(ScenarioSpec):
         raise AssertionError("a draw compared the scenario")
 
 
-def test_sampler_is_compiled_once_per_spec_without_hashing_it(monkeypatch):
-    built = []
-
-    class CountingSampler(distributions._CompiledSampler):
-        def __init__(self, spec):
-            built.append(spec)
-            super().__init__(spec)
-
-    monkeypatch.setattr(distributions, "_CompiledSampler", CountingSampler)
-    spec = _UnhashableSpec("u", build_scenario("two_level", 8).per_point)
+def test_an_unhashable_spec_samples_without_being_hashed_or_compared():
+    spec = _UnhashableSpec("u", **build_scenario("two_level", 8).columns)
     rng = SeededRng(4)
     for _ in range(100):
         sample_input(spec, rng)
-    assert len(built) == 1 and built[0] is spec
 
 
-def test_equal_specs_draw_alike_from_their_own_samplers():
+def test_equal_specs_draw_alike():
     a = build_scenario("staircase_line", 16)
     b = loads_scenario(dumps_scenario(a))
     assert a == b and a is not b
     for seed in (0, 7):
         x, y = sample_input(a, SeededRng(seed)), sample_input(b, SeededRng(seed))
         assert np.array_equal(x.xs, y.xs) and np.array_equal(x.ys, y.ys)
-    assert a._sampler is not b._sampler
+    # equality is by column bytes, so a -0.0 coordinate is not 0.0
+    assert ScenarioSpec.from_points("m", (PointMass(-0.0, 1.0),)) != ScenarioSpec.from_points("m", (PointMass(0.0, 1.0),))
+    assert ScenarioSpec.from_points("m", (PointMass(0.0, 1.0),)) != ScenarioSpec.from_points("other", (PointMass(0.0, 1.0),))
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +407,7 @@ def _dist_strategy():
 
 @given(st.lists(_dist_strategy(), min_size=1, max_size=12))
 def test_scenario_json_round_trip(dists):
-    spec = ScenarioSpec(name="random", per_point=tuple(dists))
+    spec = ScenarioSpec.from_points("random", tuple(dists))
     text = dumps_scenario(spec)
     again = loads_scenario(text)
     assert again.n == spec.n

@@ -35,7 +35,7 @@ def _fallback_model(n: int, boundaries) -> TrainedModel:
     """A model whose every tree is a bare fallback root over all slabs: pure bisection engine."""
     slabs = SlabStructure(boundaries)
     forest = SearchForest(slabs.num_slabs, n, [-1] * n)
-    spec = ScenarioSpec("fixed", tuple(PointMass(float(i), 0.0) for i in range(n)))
+    spec = ScenarioSpec.from_points("fixed", tuple(PointMass(float(i), 0.0) for i in range(n)))
     return TrainedModel(
         scenario=spec,
         slabs=slabs,
@@ -197,7 +197,7 @@ def test_trained_engine_agrees_with_both_oracles(model_cache):
 @given(dists=st.lists(_dist_strategy(), min_size=1, max_size=10), seed=st.integers(0, 2**16))
 def test_trained_engine_matches_sort_scan_on_custom_scenarios(dists, seed):
     # quarter-grid coordinates: point masses sit on slab boundaries, and x and y ties are common
-    spec = ScenarioSpec("custom", tuple(dists))
+    spec = ScenarioSpec.from_points("custom", tuple(dists))
     model = train_model(spec, TrainingConfig(rounds_cap=20), seed=seed)
     for t in range(3):
         inp = sample_input(spec, SeededRng(seed + t))

@@ -187,7 +187,7 @@ def test_collect_frequencies_matches_the_plain_scatter(kind, n):
 def test_collect_frequencies_matches_the_plain_scatter_on_boundaries():
     # draws exactly on boundaries, -0.0 against the 0.0 boundary, and x values shared by several positions
     slabs = SlabStructure([-1.0, 0.0, 0.5, 2.0])
-    spec = ScenarioSpec(
+    spec = ScenarioSpec.from_points(
         "boundaries",
         (
             PointMass(-0.0, 0.0),
@@ -219,7 +219,7 @@ def test_collect_frequencies_conserves_rounds():
 
 
 def test_point_mass_concentrates_on_one_slab():
-    spec = ScenarioSpec("fixed", (PointMass(0.7, 0.0), PointMass(2.5, 0.0)))
+    spec = ScenarioSpec.from_points("fixed", (PointMass(0.7, 0.0), PointMass(2.5, 0.0)))
     slabs = SlabStructure([1.0, 2.0])
     freq = collect_frequencies(spec, slabs, rounds=11, rng=SeededRng(0))
     assert freq.counts[0].tolist() == [11, 0, 0]
@@ -576,9 +576,9 @@ def test_model_file_retrains_to_the_same_bytes(tmp_path, kind, config):
 
 # sha256 of save_model's bytes for the conftest models (n=256, seed 101, eps 0.5)
 PINNED_MODEL_SHA256 = {
-    "staircase_line": "712ad30332ea9d196a39fe55bd5a50ba662678f43394840d8a427ad89c269553",
-    "two_level": "e6fdecc74a2ed226fb78f5f0d07a60e00033a803b94793652925e747410df3fc",
-    "uniform_square": "a75b2d6c019b25b78cb16d4157f7c0ef4350a2046a02828f1827b387d6b890e5",
+    "staircase_line": "a6532b0ffd87ace90c8c4fe0122ac7a850afd3aad0263eb79fdd4bb09010c86d",
+    "two_level": "199aeac68432254116eadfdf2b6c15781ab2edad961b64bc934f4ea98ac06da7",
+    "uniform_square": "cb33e8b7c158ada3c100d4a277a6135cebc1c7cd3c72348c8ef49095e335ec96",
 }
 
 
@@ -723,6 +723,106 @@ def test_load_model_rejects_malformed_columns(tmp_path, model_cache, field, colu
         load_model(_write_model(tmp_path, obj))
 
 
+def _set_entry(name, index, value):
+    """A corruption that sets one entry of a scenario column, keeping the column's dtype."""
+
+    def corrupt(scenario):
+        column = scenario[name]
+        values = np.frombuffer(base64.b64decode(column["data"]), dtype=column["dtype"]).copy()
+        values[index] = value
+        scenario[name] = _encode(values, column["dtype"])
+
+    return corrupt
+
+
+def _set_field(name, value):
+    return lambda scenario: scenario.__setitem__(name, value)
+
+
+def _drop_last(name):
+    return lambda scenario: scenario.__setitem__(name, _encode(_decode(scenario[name])[:-1], scenario[name]["dtype"]))
+
+
+def _move_atoms(scenario):
+    # mixture 0 gets no atoms and mixture 1 takes them, so the counts still sum to the atom columns' length
+    _set_entry("atoms", [0, 1], [0, 4])(scenario)
+
+
+@pytest.mark.parametrize(
+    "kind, corrupt, message",
+    [
+        ("two_level", _set_field("kind", _encode(np.full(16, 3), "<i4")), r"scenario\.kind must be .* dtype <u1 .* got dtype '<i4'"),
+        ("two_level", _set_field("weight", _encode(np.full(32, 0.5), "<f4")), r"scenario\.weight must be .* dtype <f8 .* got dtype '<f4'"),
+        ("two_level", _set_field("atom_x", {"dtype": "<f8", "data": "AA*A"}), r"scenario\.atom_x data is not valid base64"),
+        ("staircase_line", _drop_last("mass_x"), r"scenario\.mass_x: has 7 entries, expected 8"),
+        ("staircase_line", _drop_last("kind"), r"scenario\.x0: has 8 entries, expected 7"),
+        ("uniform_square", _drop_last("y1"), r"scenario\.y1: has 15 entries, expected 16"),
+        ("two_level", _drop_last("atom_y"), r"scenario\.atom_y: has 31 entries, expected 32"),
+        ("two_level", _set_entry("kind", 3, 4), r"scenario\.kind\[3\]: not a kind code, got 4"),
+        ("two_level", _set_entry("kind", 0, 255), r"scenario\.kind\[0\]: not a kind code, got 255"),
+        ("uniform_square", _set_entry("x1", 2, np.inf), r"scenario\.x1\[2\]: must be finite, got inf"),
+        ("staircase_line", _set_entry("mass_y", 1, np.nan), r"scenario\.mass_y\[1\]: must be finite, got nan"),
+        ("two_level", _set_entry("atom_x", 5, -np.inf), r"scenario\.atom_x\[5\]: must be finite"),
+        ("uniform_square", _set_entry("x0", 5, 2.0), r"scenario\.x0\[5\]: a uniform_rect's extents must satisfy x0 <= x1, got 2\.0"),
+        ("uniform_square", _set_entry("y0", 0, 1.5), r"scenario\.y0\[0\]: a uniform_rect's extents must satisfy y0 <= y1, got 1\.5"),
+        ("two_level", _set_entry("weight", 1, 0.0), r"scenario\.weight\[1\]: must be positive, got 0\.0"),
+        ("two_level", _set_entry("weight", [2, 3], [1.5, -0.5]), r"scenario\.weight\[3\]: must be positive, got -0\.5"),
+        ("two_level", _set_entry("weight", 4, 0.6), r"scenario\.weight: the mixture at position 2 sums to 1\.1, expected 1 within 1e-9"),
+        ("two_level", _set_entry("weight", 0, 0.5 + 2e-9), r"scenario\.weight: the mixture at position 0 sums to"),
+        ("two_level", _move_atoms, r"scenario\.atoms\[0\]: a mixture needs at least one atom, got 0"),
+        ("two_level", _set_entry("atoms", 0, 2**31), r"scenario\.atom_x: has 32 entries, expected 2147483678"),
+        ("two_level", _set_entry("atoms", 0, 2**32 - 1), r"scenario\.atom_x: has 32 entries, expected 4294967325"),
+        ("two_level", _set_field("n", 17), r"scenario\.n must be the integer 16, the length of scenario\.kind, got 17"),
+        ("two_level", _set_field("n", "16"), r"scenario\.n must be the integer 16, .* got '16'"),
+        ("two_level", _set_field("n", 16.0), r"scenario\.n must be the integer 16, .* got 16\.0"),
+        ("two_level", _set_field("name", 5), r"scenario\.name: expected a string, got 5"),
+        ("two_level", lambda scenario: scenario.pop("weight"), r"missing model field 'scenario\.weight'"),
+        ("two_level", lambda scenario: scenario.pop("n"), r"missing model field 'scenario\.n'"),
+    ],
+    ids=[
+        "kind int32",
+        "weight float32",
+        "atom_x bad base64",
+        "mass_x short",
+        "kind short",
+        "y1 short",
+        "atom_y short",
+        "kind code 4",
+        "kind code 255",
+        "x1 inf",
+        "mass_y nan",
+        "atom_x -inf",
+        "rect x0 > x1",
+        "rect y0 > y1",
+        "weight 0",
+        "weight negative",
+        "weights sum 1.1",
+        "weights sum off by 2e-9",
+        "mixture of 0 atoms",
+        "atom count 2**31",
+        "atom count 2**32-1",
+        "n 17",
+        "n str",
+        "n float",
+        "name int",
+        "weight missing",
+        "n missing",
+    ],
+)
+def test_load_model_rejects_hostile_scenario_columns(tmp_path, model_cache, kind, corrupt, message):
+    obj = model_cache(kind, 16).to_dict()
+    corrupt(obj["scenario"])
+    with pytest.raises(ValueError, match=message):  # a ScenarioError is a ValueError
+        load_model(_write_model(tmp_path, obj))
+
+
+def test_load_model_rejects_a_scenario_that_is_not_an_object(tmp_path, model_cache):
+    obj = model_cache("two_level", 16).to_dict()
+    obj["scenario"] = [obj["scenario"]]
+    with pytest.raises(ValueError, match="scenario must be an object, got list"):
+        load_model(_write_model(tmp_path, obj))
+
+
 # corruptions of a model file whose tree 0 has an internal root, i.e. the file's forest starts [s, ...] with s >= 0;
 # node n is then root 0's first child
 
@@ -741,13 +841,13 @@ def _split_below_minus_one(obj):
 
 def _left_child_reaches_the_split(obj):
     splits = _decode(obj["forest"])
-    splits[len(obj["scenario"]["per_point"])] = splits[0]  # root 0's left child, or its right one when the root splits at 0
+    splits[obj["scenario"]["n"]] = splits[0]  # root 0's left child, or its right one when the root splits at 0
     _store_forest(obj, splits)
 
 
 def _tree_0_missing_a_node(obj):
     splits = _decode(obj["forest"])
-    del splits[len(obj["scenario"]["per_point"])]
+    del splits[obj["scenario"]["n"]]
     _store_forest(obj, splits)
 
 
@@ -779,6 +879,10 @@ def _version_6(obj):
     obj["version"] = 6
 
 
+def _version_7(obj):
+    obj["version"] = 7
+
+
 @pytest.mark.parametrize(
     "corrupt, message",
     [
@@ -794,6 +898,7 @@ def _version_6(obj):
         (_version_4, "version 4 .* retrain"),
         (_version_5, "version 5 .* retrain"),
         (_version_6, "version 6 .* retrain"),
+        (_version_7, "version 7 .* retrain"),
     ],
 )
 def test_load_model_rejects_corrupt_forests(tmp_path, model_cache, corrupt, message):
@@ -848,7 +953,7 @@ def test_load_model_rejects_corrupt_provenance(tmp_path, model_cache, field, val
 def _hand_built_model(num_slabs: int, splits: list) -> TrainedModel:
     """A two-position model over num_slabs slabs with the given level-order splits."""
     return TrainedModel(
-        scenario=ScenarioSpec("pair", (PointMass(0.0, 1.0), PointMass(1.0, 0.0))),
+        scenario=ScenarioSpec.from_points("pair", (PointMass(0.0, 1.0), PointMass(1.0, 0.0))),
         slabs=SlabStructure(np.arange(num_slabs - 1, dtype=np.float64)),
         forest=SearchForest(num_slabs, 2, splits),
         config=TrainingConfig(),
