@@ -8,14 +8,9 @@ entropy-optimal time, emitting the same certificate format as the baselines.
 """
 
 from .distributions import (
-    FiniteMixture,
-    PointDistribution,
-    PointMass,
     ScenarioError,
     ScenarioSpec,
     SeededRng,
-    UniformRect,
-    UniformSegment,
     build_scenario,
     dumps_scenario,
     load_scenario_file,
@@ -63,12 +58,9 @@ __all__ = [
     "BaselineStats",
     "Certificate",
     "CertificateIndexError",
-    "FiniteMixture",
     "FrequencyTable",
     "InputSet",
     "Point",
-    "PointDistribution",
-    "PointMass",
     "RunStats",
     "ScenarioError",
     "ScenarioSpec",
@@ -77,8 +69,6 @@ __all__ = [
     "SlabStructure",
     "TrainedModel",
     "TrainingConfig",
-    "UniformRect",
-    "UniformSegment",
     "brute_force_maxima",
     "build_scenario",
     "build_search_tree",

@@ -2,20 +2,18 @@
 
 A scenario assigns an independent distribution to each of the n input
 positions; an input set is one draw from the product.  A ScenarioSpec holds
-the n distributions as numpy columns, one group per sampling formula, and a
-model file stores those columns as they are.  The per-point dataclasses are
-a view of a spec, and scenario JSON lists them one object per position.
-Specs are sampled with a named PCG64 stream so every experiment is
-replayable from (scenario, seed).
+the n distributions as numpy columns, one group per sampling formula, and
+its constructor is the one place a scenario's values are checked.  An API
+caller builds a spec from columns; scenario JSON lists one object per
+position, and its reader appends each object's numbers to the columns.
+A model file stores the columns as they are.  Specs are sampled with a
+named PCG64 stream so every experiment is replayable from (scenario, seed).
 """
 
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass
 from types import MappingProxyType
-from typing import ClassVar, Union
 
 import numpy as np
 
@@ -23,97 +21,18 @@ from .geometry import InputSet
 
 
 class ScenarioError(ValueError):
-    """Invalid scenario structure or parameters (message carries field context)."""
+    """Invalid scenario structure or parameters (message carries field context).
+
+    An error in one entry of a spec's column also names it in `column` and
+    `entry`, so the JSON reader can say which position the entry came from.
+    """
+
+    def __init__(self, message: str, column: str | None = None, entry: int | None = None):
+        super().__init__(message)
+        self.column, self.entry = column, entry
 
 
-def _require_finite(value: float, where: str, name: str) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise ScenarioError(f"{where}.{name}: must be finite, got {value!r}")
-    return value
-
-
-class _FiniteFields:
-    """Base of the kinds whose fields are all finite coordinates (converted to float)."""
-
-    kind: ClassVar[str]  # the kind's name in scenario JSON
-
-    def __post_init__(self):
-        kind = self.kind
-        for name in self.__match_args__:  # the dataclass's field names, in order
-            object.__setattr__(self, name, _require_finite(getattr(self, name), kind, name))
-
-
-@dataclass(frozen=True)
-class PointMass(_FiniteFields):
-    """Always produces the single point (x, y)."""
-
-    kind = "point_mass"
-    x: float
-    y: float
-
-
-@dataclass(frozen=True)
-class FiniteMixture:
-    """Picks one of finitely many atoms with the given probabilities."""
-
-    kind = "finite_mixture"
-    atoms: tuple[tuple[float, float], ...]
-    weights: tuple[float, ...]
-
-    def __post_init__(self):
-        if not self.atoms:
-            raise ScenarioError("finite_mixture.atoms: must be nonempty")
-        if len(self.atoms) != len(self.weights):
-            raise ScenarioError("finite_mixture: atoms and weights differ in length")
-        atoms = tuple(
-            (
-                _require_finite(a[0], f"finite_mixture.atoms[{k}]", "x"),
-                _require_finite(a[1], f"finite_mixture.atoms[{k}]", "y"),
-            )
-            for k, a in enumerate(self.atoms)
-        )
-        weights = tuple(float(w) for w in self.weights)
-        for k, w in enumerate(weights):
-            if not (math.isfinite(w) and w > 0):
-                raise ScenarioError(f"finite_mixture.weights[{k}]: must be positive, got {w!r}")
-        total = sum(weights)
-        if abs(total - 1.0) > 1e-9:
-            raise ScenarioError(f"finite_mixture.weights: sum to {total!r}, expected 1 within 1e-9")
-        object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "weights", weights)
-
-
-@dataclass(frozen=True)
-class UniformRect(_FiniteFields):
-    """Uniform over the axis-aligned rectangle [x0, x1] x [y0, y1]."""
-
-    kind = "uniform_rect"
-    x0: float
-    x1: float
-    y0: float
-    y1: float
-
-    def __post_init__(self):
-        _FiniteFields.__post_init__(self)
-        if self.x0 > self.x1 or self.y0 > self.y1:
-            raise ScenarioError("uniform_rect: extents must satisfy x0 <= x1 and y0 <= y1")
-
-
-@dataclass(frozen=True)
-class UniformSegment(_FiniteFields):
-    """Uniform over the segment from (ax, ay) to (bx, by)."""
-
-    kind = "uniform_segment"
-    ax: float
-    ay: float
-    bx: float
-    by: float
-
-
-PointDistribution = Union[PointMass, FiniteMixture, UniformRect, UniformSegment]
-
-KINDS = (PointMass, UniformRect, UniformSegment, FiniteMixture)  # a position's kind code indexes this
+KINDS = ("point_mass", "uniform_rect", "uniform_segment", "finite_mixture")  # a position's kind code indexes this
 _MASS, _RECT, _SEGMENT, _MIXTURE = range(len(KINDS))
 
 # a spec's columns and their dtypes in a model file; within each group, entries follow position order
@@ -124,8 +43,13 @@ SCENARIO_COLUMNS = {
     "atoms": "<u4",  # one atom count per mixture
     **dict.fromkeys(("atom_x", "atom_y", "weight"), "<f8"),  # one per atom, mixture after mixture; weights as given
 }
-# the columns of the other kinds' dataclass fields, by kind code and in field order
-_FIELDS = ({"mass_x": "x", "mass_y": "y"}, {k: k for k in ("x0", "x1", "y0", "y1")}, {"x0": "ax", "y0": "ay", "x1": "bx", "y1": "by"})
+# each kind's JSON fields by column, in the order scenario JSON writes them; a mixture's are those of each of its atoms
+_FIELDS = (
+    {"mass_x": "x", "mass_y": "y"},
+    {k: k for k in ("x0", "x1", "y0", "y1")},
+    {"x0": "ax", "y0": "ay", "x1": "bx", "y1": "by"},
+    {"atom_x": "x", "atom_y": "y", "weight": "weight"},
+)
 
 
 def _as_column(values, name: str) -> np.ndarray:
@@ -144,7 +68,7 @@ def _check(name: str, ok: np.ndarray, values: np.ndarray, what: str) -> None:
     """Raise ScenarioError naming the column `name` and its first entry where ok is False."""
     if not ok.all():
         j = np.flatnonzero(~ok)[0]
-        raise ScenarioError(f"scenario.{name}[{j}]: {what}, got {values[j].item()!r}")
+        raise ScenarioError(f"scenario.{name}[{j}]: {what}, got {values[j].item()!r}", name, int(j))
 
 
 class ScenarioSpec:
@@ -195,11 +119,11 @@ class ScenarioSpec:
         for lo, hi in (("x0", "x1"), ("y0", "y1")):
             _check(lo, ~rect | (c[lo] <= c[hi]), c[lo], f"a uniform_rect's extents must satisfy {lo} <= {hi}")
         mix, start = np.flatnonzero(kind == _MIXTURE), np.cumsum(atoms) - atoms
-        sums = np.add.reduceat(weight, start)  # in order, as FiniteMixture adds them
+        sums = np.add.reduceat(weight, start)  # numpy's own summation order, pairwise past 8 atoms
         bad = np.flatnonzero(np.abs(sums - 1.0) > 1e-9)
         if bad.size:
-            j = bad[0]
-            raise ScenarioError(f"scenario.weight: the mixture at position {mix[j]} sums to {sums[j].item()!r}, expected 1 within 1e-9")
+            j = int(bad[0])
+            raise ScenarioError(f"scenario.weight: the mixture at position {mix[j]} sums to {sums[j].item()!r}, expected 1 within 1e-9", "atoms", j)
         # the sampling plan
         draws = np.array([0, 2, 1, 1])[kind]  # uniforms per input, by kind code
         first = np.cumsum(draws) - draws  # each position's first uniform
@@ -218,30 +142,6 @@ class ScenarioSpec:
             base = np.arange(r.size) * count
             x, y = c["atom_x"][cells].ravel(), c["atom_y"][cells].ravel()
             self._mixtures.append((mix[r], first[mix[r]], np.ascontiguousarray(cw.T), x, y, base))
-
-    @classmethod
-    def from_points(cls, name: str, per_point) -> "ScenarioSpec":
-        """The spec of a sequence of per-point distributions (instances of KINDS)."""
-        columns = {k: [] for k in SCENARIO_COLUMNS}
-        for i, d in enumerate(per_point):
-            if type(d) not in KINDS:
-                raise ScenarioError(f"per_point[{i}]: not a point distribution: {d!r}")
-            code = KINDS.index(type(d))
-            columns["kind"].append(code)
-            if code == _MIXTURE:
-                columns["atoms"].append(len(d.atoms))
-                columns["atom_x"] += [a[0] for a in d.atoms]
-                columns["atom_y"] += [a[1] for a in d.atoms]
-                columns["weight"] += d.weights
-            else:
-                for k, field in _FIELDS[code].items():
-                    columns[k].append(getattr(d, field))
-        return cls(name, **columns)
-
-    @property
-    def per_point(self) -> tuple[PointDistribution, ...]:
-        """The n per-point dataclasses, built on each call from scenario_to_dict (sampling does not use them)."""
-        return tuple(_dist_from_dict(d, f"per_point[{i}]") for i, d in enumerate(scenario_to_dict(self)["per_point"]))
 
     @property
     def n(self) -> int:
@@ -355,81 +255,117 @@ def build_scenario(kind: str, n: int) -> ScenarioSpec:
 
 
 # ---------------------------------------------------------------------------
-# JSON round-trip: one object per position (the only per-point reader)
+# JSON round-trip: one object per position
 
-# the kinds written as their dataclass fields, in field order
-_SIMPLE_KINDS = {cls.kind: cls for cls in (PointMass, UniformRect, UniformSegment)}
+# each kind's keys, and a mixture atom's, in the order a missing one is reported
+_KEYS = tuple(dict.fromkeys(("kind", *f.values())) for f in _FIELDS[:_MIXTURE]) + (dict.fromkeys(("kind", "atoms")),)
+_ATOM_KEYS = dict.fromkeys(_FIELDS[_MIXTURE].values())
 
-
-def _get(obj: dict, key: str, where: str):
-    if key not in obj:
-        raise ScenarioError(f"{where}: missing field {key!r}")
-    return obj[key]
+# The per-point readers raise with the message's suffix after the object's position, which the caller prepends
+# (per_point[i], then .atoms[k]) only when it raises, so a valid file formats no position.
 
 
-def _number(obj: dict, key: str, where: str) -> float:
-    value = obj.get(key)
+def _require_keys(obj, keys: dict) -> None:
+    """Raise ScenarioError unless obj is a dict whose keys are exactly those of keys."""
+    if not isinstance(obj, dict):
+        raise ScenarioError(f": expected an object, got {type(obj).__name__}")
+    if obj.keys() != keys.keys():
+        missing = [k for k in keys if k not in obj]
+        if missing:
+            raise ScenarioError(f": missing field {missing[0]!r}")
+        raise ScenarioError(f": unknown field {next(k for k in obj if k not in keys)!r}")
+
+
+def _number(obj: dict, key: str) -> float:
+    value = obj[key]
     if type(value) not in (int, float):  # JSON numbers; a bool is not one
-        _get(obj, key, where)  # a missing field is reported as missing
-        raise ScenarioError(f"{where}.{key}: expected a number, got {value!r}")
+        raise ScenarioError(f".{key}: expected a number, got {value!r}")
     try:
         return float(value)
     except OverflowError:
-        raise ScenarioError(f"{where}.{key}: an integer too large for a float") from None
+        raise ScenarioError(f".{key}: an integer too large for a float") from None
 
 
-def _dist_from_dict(obj, where: str) -> PointDistribution:
-    if not isinstance(obj, dict):
-        raise ScenarioError(f"{where}: expected an object, got {type(obj).__name__}")
-    kind = _get(obj, "kind", where)
+def _append_point(obj, columns: dict) -> None:
+    """Append one per-point object's kind code and numbers to the column lists."""
+    if not isinstance(obj, dict) or "kind" not in obj:
+        _require_keys(obj, {"kind": None})  # raises: not an object, or no kind
     try:
-        if kind == "finite_mixture":
-            atoms_raw = _get(obj, "atoms", where)
-            if not isinstance(atoms_raw, list) or not atoms_raw:
-                raise ScenarioError(f"{where}.atoms: expected a nonempty list")
-            atoms = []
-            weights = []
-            for k, a in enumerate(atoms_raw):
-                aw = f"{where}.atoms[{k}]"
-                if not isinstance(a, dict):
-                    raise ScenarioError(f"{aw}: expected an object")
-                atoms.append((_number(a, "x", aw), _number(a, "y", aw)))
-                weights.append(_number(a, "weight", aw))
-            return FiniteMixture(atoms=tuple(atoms), weights=tuple(weights))
-        if isinstance(kind, str) and kind in _SIMPLE_KINDS:
-            cls = _SIMPLE_KINDS[kind]
-            return cls(*[_number(obj, name, where) for name in cls.__match_args__])
-    except ScenarioError as e:
-        # prepend position context when the variant validator raised bare
-        if str(e).startswith(where):
-            raise
-        raise ScenarioError(f"{where}: {e}") from None
-    raise ScenarioError(f"{where}.kind: unknown variant {kind!r}")
+        code = KINDS.index(obj["kind"])
+    except ValueError:
+        raise ScenarioError(f".kind: unknown variant {obj['kind']!r}") from None
+    _require_keys(obj, _KEYS[code])
+    columns["kind"].append(code)
+    if code != _MIXTURE:
+        for k, field in _FIELDS[code].items():
+            columns[k].append(_number(obj, field))
+        return
+    atoms = obj["atoms"]
+    if not isinstance(atoms, list):
+        raise ScenarioError(f".atoms: expected a list, got {type(atoms).__name__}")
+    columns["atoms"].append(len(atoms))  # ScenarioSpec rejects an empty list
+    for k, atom in enumerate(atoms):
+        try:
+            _require_keys(atom, _ATOM_KEYS)
+            for c, field in _FIELDS[_MIXTURE].items():
+                columns[c].append(_number(atom, field))
+        except ScenarioError as e:
+            raise ScenarioError(f".atoms[{k}]{e}") from None
+
+
+def _position(columns: dict, name: str, entry: int) -> str:
+    """The per-point object that entry `entry` of column `name` came from: per_point[i], or per_point[i].atoms[k]."""
+    atom = ""
+    if name in _FIELDS[_MIXTURE]:  # an atom's entry: find its mixture
+        ends = np.cumsum(columns["atoms"])
+        m = int(np.searchsorted(ends, entry, side="right"))
+        atom = f".atoms[{entry - ends[m] + columns['atoms'][m]}]"
+        name, entry = "atoms", m
+    codes = [_MIXTURE] if name == "atoms" else [code for code, f in enumerate(_FIELDS) if name in f]
+    return f"per_point[{np.flatnonzero(np.isin(columns['kind'], codes))[entry]}]{atom}"
 
 
 def scenario_to_dict(spec: ScenarioSpec) -> dict:
-    """The per-point JSON form: one object per position, its kind and then its dataclass fields in order."""
+    """The per-point JSON form: one object per position, its kind and then its fields in _FIELDS order."""
     c = {k: iter(v.tolist()) for k, v in spec.columns.items()}
     per_point = []
     for code in spec.columns["kind"].tolist():
+        fields = _FIELDS[code].items()
         if code == _MIXTURE:
-            atoms = [{"x": next(c["atom_x"]), "y": next(c["atom_y"]), "weight": next(c["weight"])} for _ in range(next(c["atoms"]))]
-            per_point.append({"kind": "finite_mixture", "atoms": atoms})
+            atoms = [{field: next(c[k]) for k, field in fields} for _ in range(next(c["atoms"]))]
+            per_point.append({"kind": KINDS[code], "atoms": atoms})
         else:
-            per_point.append({"kind": KINDS[code].kind, **{field: next(c[k]) for k, field in _FIELDS[code].items()}})
+            per_point.append({"kind": KINDS[code], **{field: next(c[k]) for k, field in fields}})
     return {"name": spec.name, "n": spec.n, "per_point": per_point}
 
 
 def scenario_from_dict(obj) -> ScenarioSpec:
-    """Parse scenario JSON's per-point form, then check it as columns like a model file's scenario."""
+    """Read scenario JSON's per-point form into columns, and check them as a ScenarioSpec.
+
+    A ScenarioError names the field, and an error in a column entry names
+    the per-point object it came from as well.
+    """
     if not isinstance(obj, dict):
         raise ScenarioError(f"scenario: expected an object, got {type(obj).__name__}")
-    name = _get(obj, "name", "scenario")  # ScenarioSpec checks it is a string
-    per_raw = _get(obj, "per_point", "scenario")
-    if not isinstance(per_raw, list) or not per_raw:
-        raise ScenarioError("scenario.per_point: expected a nonempty list")
-    spec = ScenarioSpec.from_points(name, [_dist_from_dict(d, f"per_point[{i}]") for i, d in enumerate(per_raw)])
-    declared_n = _get(obj, "n", "scenario")
+    for key in ("name", "n", "per_point"):
+        if key not in obj:
+            raise ScenarioError(f"scenario: missing field {key!r}")
+    per_raw = obj["per_point"]
+    if not isinstance(per_raw, list):
+        raise ScenarioError(f"scenario.per_point: expected a list, got {type(per_raw).__name__}")
+    columns = {k: [] for k in SCENARIO_COLUMNS}
+    for i, d in enumerate(per_raw):
+        try:
+            _append_point(d, columns)
+        except ScenarioError as e:
+            raise ScenarioError(f"per_point[{i}]{e}") from None
+    try:
+        spec = ScenarioSpec(obj["name"], **columns)  # ScenarioSpec checks the name is a string
+    except ScenarioError as e:
+        if e.entry is None:
+            raise
+        raise ScenarioError(f"{_position(columns, e.column, e.entry)}: {e}") from None
+    declared_n = obj["n"]
     if type(declared_n) is not int:
         raise ScenarioError(f"scenario.n: expected an integer, got {declared_n!r}")
     if declared_n != spec.n:

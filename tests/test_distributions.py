@@ -7,13 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from simax import (
-    FiniteMixture,
-    PointMass,
     ScenarioError,
     ScenarioSpec,
     SeededRng,
-    UniformRect,
-    UniformSegment,
     brute_force_maxima,
     build_scenario,
     distributions,
@@ -26,52 +22,28 @@ from simax import (
 
 
 # ---------------------------------------------------------------------------
-# variant validation
+# per-point objects, as scenario JSON writes them
 
 
-def test_mixture_validation():
-    with pytest.raises(ScenarioError, match="nonempty"):
-        FiniteMixture(atoms=(), weights=())
-    with pytest.raises(ScenarioError, match="positive"):
-        FiniteMixture(atoms=((0, 0), (1, 1)), weights=(1.5, -0.5))
-    with pytest.raises(ScenarioError, match="sum"):
-        FiniteMixture(atoms=((0, 0), (1, 1)), weights=(0.3, 0.3))
-    with pytest.raises(ScenarioError, match="length"):
-        FiniteMixture(atoms=((0, 0),), weights=(0.5, 0.5))
-    ok = FiniteMixture(atoms=((0, 0), (1, 1)), weights=(0.25, 0.75))
-    assert sum(ok.weights) == 1.0
+def _mass(x, y):
+    return {"kind": "point_mass", "x": x, "y": y}
 
 
-def test_rect_and_segment_validation():
-    with pytest.raises(ScenarioError, match="extents"):
-        UniformRect(1.0, 0.0, 0.0, 1.0)
-    with pytest.raises(ScenarioError, match="finite"):
-        UniformRect(0.0, np.inf, 0.0, 1.0)
-    with pytest.raises(ScenarioError, match="finite"):
-        UniformSegment(0.0, np.nan, 1.0, 1.0)
-    with pytest.raises(ScenarioError, match="finite"):
-        PointMass(np.inf, 0.0)
+def _rect(x0, x1, y0, y1):
+    return {"kind": "uniform_rect", "x0": x0, "x1": x1, "y0": y0, "y1": y1}
 
 
-def test_finite_check_converts_before_checking():
-    # float() runs first, so anything it takes is accepted and it raises for the rest
-    assert PointMass("2.5", np.float32(1.0)) == PointMass(2.5, 1.0)
-    for bad in ("inf", "-inf", "nan", np.float32(np.nan)):
-        with pytest.raises(ScenarioError, match=r"point_mass\.x: must be finite"):
-            PointMass(bad, 0.0)
-    with pytest.raises(TypeError):
-        PointMass(None, 0.0)
-    with pytest.raises(OverflowError):
-        PointMass(10**400, 0.0)
-    with pytest.raises(ScenarioError, match=r"weights\[1\]: must be positive"):
-        FiniteMixture(atoms=((0, 0), (1, 1)), weights=(1.0, "nan"))
+def _segment(ax, ay, bx, by):
+    return {"kind": "uniform_segment", "ax": ax, "ay": ay, "bx": bx, "by": by}
 
 
-def test_scenario_requires_points():
-    with pytest.raises(ScenarioError, match="nonempty"):
-        ScenarioSpec.from_points("empty", ())
-    with pytest.raises(ScenarioError, match=r"per_point\[1\]: not a point distribution"):
-        ScenarioSpec.from_points("pair", (PointMass(0, 0), (1.0, 1.0)))
+def _mixture(atoms, weights):
+    return {"kind": "finite_mixture", "atoms": [{"x": x, "y": y, "weight": w} for (x, y), w in zip(atoms, weights)]}
+
+
+def _spec(name, per_point):
+    """The spec of a list of per-point objects, read as scenario JSON."""
+    return scenario_from_dict({"name": name, "n": len(per_point), "per_point": list(per_point)})
 
 
 # ---------------------------------------------------------------------------
@@ -81,19 +53,18 @@ def test_scenario_requires_points():
 def test_uniform_square_shape():
     spec = build_scenario("uniform_square", 4)
     assert spec.n == 4
-    assert all(d == UniformRect(0.0, 1.0, 0.0, 1.0) for d in spec.per_point)
+    assert scenario_to_dict(spec)["per_point"] == [_rect(0.0, 1.0, 0.0, 1.0)] * 4
 
 
 def test_staircase_line_layout():
-    spec = build_scenario("staircase_line", 8)
-    stairs = spec.per_point[:4]
-    assert [(d.x, d.y) for d in stairs] == [(1.0, 4.0), (2.0, 3.0), (3.0, 2.0), (4.0, 1.0)]
-    line = spec.per_point[4:]
-    assert all(isinstance(d, UniformSegment) for d in line)
+    per_point = scenario_to_dict(build_scenario("staircase_line", 8))["per_point"]
+    assert per_point[:4] == [_mass(1.0, 4.0), _mass(2.0, 3.0), _mass(3.0, 2.0), _mass(4.0, 1.0)]
+    line = per_point[4:]
+    assert all(d["kind"] == "uniform_segment" for d in line)
     # the whole segment lies strictly below and left of the lowest stair
     seg = line[0]
-    assert max(seg.ay, seg.by) < 1.0
-    assert max(seg.ax, seg.bx) < 4.0
+    assert max(seg["ay"], seg["by"]) < 1.0
+    assert max(seg["ax"], seg["bx"]) < 4.0
 
 
 def test_staircase_line_maxima_are_always_the_staircase():
@@ -110,15 +81,14 @@ def test_two_level_is_all_two_atom_mixtures():
     n = 6
     spec = build_scenario("two_level", n)
     assert spec.n == n
-    for d in spec.per_point[: n // 2]:  # and in fact every position
-        assert isinstance(d, FiniteMixture) and len(d.atoms) == 2
-    assert all(isinstance(d, FiniteMixture) for d in spec.per_point)
+    per_point = scenario_to_dict(spec)["per_point"]
+    assert all(d["kind"] == "finite_mixture" and len(d["atoms"]) == 2 for d in per_point)
     # each high atom dominates every low atom of every position
-    highs = [d.atoms[0] for d in spec.per_point]
-    lows = [d.atoms[1] for d in spec.per_point]
-    for hx, hy in highs:
-        for lx, ly in lows:
-            assert hx > lx and hy > ly
+    highs = [d["atoms"][0] for d in per_point]
+    lows = [d["atoms"][1] for d in per_point]
+    for h in highs:
+        for lo in lows:
+            assert h["x"] > lo["x"] and h["y"] > lo["y"]
 
 
 def test_build_scenario_rejects_bad_sizes():
@@ -146,17 +116,16 @@ def test_build_scenario_accepts_numpy_integers():
 
 
 def test_built_in_columns_match_their_per_point_definition():
-    # the built-ins as the per-point dataclasses they are defined by, computed with Python floats
+    # the built-ins as the per-point objects they are defined by, computed with Python floats
     n, half = 10, 5
     t = [(i + 1) / (n + 1) for i in range(n)]
     per_point = {
-        "uniform_square": [UniformRect(0.0, 1.0, 0.0, 1.0)] * n,
-        "staircase_line": [PointMass(float(i + 1), float(half - i)) for i in range(half)]
-        + [UniformSegment(0.5, 0.75, half - 0.5, 0.25)] * half,
-        "two_level": [FiniteMixture(atoms=((1.0 + ti, 2.0 - ti), (ti, 1.0 - ti)), weights=(0.5, 0.5)) for ti in t],
+        "uniform_square": [_rect(0.0, 1.0, 0.0, 1.0)] * n,
+        "staircase_line": [_mass(float(i + 1), float(half - i)) for i in range(half)] + [_segment(0.5, 0.75, half - 0.5, 0.25)] * half,
+        "two_level": [_mixture(((1.0 + ti, 2.0 - ti), (ti, 1.0 - ti)), (0.5, 0.5)) for ti in t],
     }
     for kind, dists in per_point.items():
-        assert build_scenario(kind, n) == ScenarioSpec.from_points(kind, dists)
+        assert build_scenario(kind, n) == _spec(kind, dists)
 
 
 # ---------------------------------------------------------------------------
@@ -190,15 +159,14 @@ def test_sampling_is_deterministic_per_seed():
 
 
 def test_point_mass_sampling_is_exact():
-    spec = ScenarioSpec.from_points("custom", (PointMass(2.5, -1.0), PointMass(0.0, 3.0)))
+    spec = ScenarioSpec("custom", kind=[0, 0], mass_x=[2.5, 0.0], mass_y=[-1.0, 3.0])
     inp = sample_input(spec, SeededRng(0))
     assert inp.xs.tolist() == [2.5, 0.0]
     assert inp.ys.tolist() == [-1.0, 3.0]
 
 
 def test_rect_sampling_stays_inside_and_consumes_two_draws():
-    rect = UniformRect(2.0, 3.0, -1.0, 0.5)
-    spec = ScenarioSpec.from_points("custom", (PointMass(9, 9), rect))
+    spec = _spec("custom", (_mass(9, 9), _rect(2.0, 3.0, -1.0, 0.5)))
     inp = sample_input(spec, SeededRng(11))
     assert 2.0 <= inp.xs[1] <= 3.0 and -1.0 <= inp.ys[1] <= 0.5
     # draws are consumed in point order: the mass takes none, the rect takes u[0], u[1]
@@ -208,8 +176,8 @@ def test_rect_sampling_stays_inside_and_consumes_two_draws():
 
 
 def test_segment_sampling_is_collinear():
-    seg = UniformSegment(0.0, 0.0, 2.0, 4.0)
-    spec = ScenarioSpec.from_points("custom", (seg, seg))
+    seg = _segment(0.0, 0.0, 2.0, 4.0)
+    spec = _spec("custom", (seg, seg))
     inp = sample_input(spec, SeededRng(3))
     for x, y in zip(inp.xs, inp.ys):
         assert y == pytest.approx(2.0 * x)
@@ -217,8 +185,8 @@ def test_segment_sampling_is_collinear():
 
 
 def test_mixture_sampling_hits_only_atoms_with_expected_rates():
-    mix = FiniteMixture(atoms=((0.0, 0.0), (5.0, 5.0)), weights=(0.25, 0.75))
-    spec = ScenarioSpec.from_points("custom", (mix, mix))
+    mix = _mixture(((0.0, 0.0), (5.0, 5.0)), (0.25, 0.75))
+    spec = _spec("custom", (mix, mix))
     rng = SeededRng(21)
     hits = 0
     trials = 2000
@@ -232,19 +200,19 @@ def test_mixture_sampling_hits_only_atoms_with_expected_rates():
 
 def _interleaved_spec():
     """All four kinds in turn, so each group's uniforms sit at scattered offsets of the batch."""
-    mix9 = FiniteMixture(atoms=tuple((k / 8, 1 - k / 8) for k in range(9)), weights=tuple((k + 1) / 45 for k in range(9)))
-    mix2 = FiniteMixture(atoms=((0.0, 2.0), (2.0, 0.0)), weights=(0.25, 0.75))
+    mix9 = _mixture([(k / 8, 1 - k / 8) for k in range(9)], [(k + 1) / 45 for k in range(9)])
+    mix2 = _mixture(((0.0, 2.0), (2.0, 0.0)), (0.25, 0.75))
     cycle = (
-        PointMass(-0.0, 1.5),
-        UniformRect(0.5, 0.5, -1.0, 1.0),  # degenerate in x
+        _mass(-0.0, 1.5),
+        _rect(0.5, 0.5, -1.0, 1.0),  # degenerate in x
         mix9,
-        UniformSegment(0.0, 1.0, 3.0, -2.0),
-        UniformRect(0.0, 1.0, 0.0, 2.0),
+        _segment(0.0, 1.0, 3.0, -2.0),
+        _rect(0.0, 1.0, 0.0, 2.0),
         mix2,
-        PointMass(2.0, -0.0),
-        UniformSegment(1.0, 1.0, 1.0, 4.0),
+        _mass(2.0, -0.0),
+        _segment(1.0, 1.0, 1.0, 4.0),
     )
-    return ScenarioSpec.from_points("interleaved", cycle * 4)
+    return _spec("interleaved", cycle * 4)
 
 
 # sha256 of xs.tobytes() + ys.tobytes() for one draw of _interleaved_spec per seed
@@ -265,50 +233,50 @@ def test_interleaved_kinds_draw_pinned_bytes():
 
 
 def _sample_reference(per_point, rng):
-    """One draw, one position at a time: the reference for sample_input's column groups (same formulas, same uniform order)."""
-    u = rng.random(sum(0 if isinstance(d, PointMass) else 2 if isinstance(d, UniformRect) else 1 for d in per_point))
+    """One draw, one position at a time from per-point objects: the reference for sample_input's column groups (same formulas, same uniform order)."""
+    draws = {"point_mass": 0, "uniform_rect": 2, "uniform_segment": 1, "finite_mixture": 1}
+    u = rng.random(sum(draws[d["kind"]] for d in per_point))
     xs, ys = np.empty(len(per_point)), np.empty(len(per_point))
     k = 0
     for i, d in enumerate(per_point):
-        if isinstance(d, PointMass):
-            xs[i], ys[i] = d.x, d.y
-        elif isinstance(d, UniformRect):
-            xs[i], ys[i] = d.x0 + (d.x1 - d.x0) * u[k], d.y0 + (d.y1 - d.y0) * u[k + 1]
-            k += 2
-        elif isinstance(d, UniformSegment):
-            xs[i], ys[i] = d.ax + (d.bx - d.ax) * u[k], d.ay + (d.by - d.ay) * u[k]
-            k += 1
+        if d["kind"] == "point_mass":
+            xs[i], ys[i] = d["x"], d["y"]
+        elif d["kind"] == "uniform_rect":
+            xs[i], ys[i] = d["x0"] + (d["x1"] - d["x0"]) * u[k], d["y0"] + (d["y1"] - d["y0"]) * u[k + 1]
+        elif d["kind"] == "uniform_segment":
+            xs[i], ys[i] = d["ax"] + (d["bx"] - d["ax"]) * u[k], d["ay"] + (d["by"] - d["ay"]) * u[k]
         else:
-            w = np.array(d.weights)
+            w = np.array([a["weight"] for a in d["atoms"]])
             c = np.cumsum(w / w.sum())
             c[-1] = 1.0
-            xs[i], ys[i] = d.atoms[int((c <= u[k]).sum())]
-            k += 1
+            atom = d["atoms"][int((c <= u[k]).sum())]
+            xs[i], ys[i] = atom["x"], atom["y"]
+        k += draws[d["kind"]]
     return xs, ys
+
+
+def _normalised_mixture(pairs):
+    total = sum(w for _, w in pairs)
+    return _mixture([a for a, _ in pairs], [w / total for _, w in pairs])
 
 
 def _mixed_dist_strategy():
     """Every kind, with -0.0 coordinates, degenerate rectangles and segments, and mixtures of 1 to 3 and of 9 to 12 atoms."""
     coord = st.one_of(st.just(-0.0), st.integers(-50, 50).map(lambda v: v / 4), st.floats(-1e6, 1e6))
     extent = st.one_of(st.just(0.0), st.floats(0, 1e3))
-    mass = st.builds(PointMass, coord, coord)
-    rect = st.builds(lambda x0, dx, y0, dy: UniformRect(x0, x0 + dx, y0, y0 + dy), coord, extent, coord, extent)
-    seg = st.builds(UniformSegment, coord, coord, coord, coord)
-
-    def make_mixture(pairs):
-        total = sum(w for _, w in pairs)
-        return FiniteMixture(atoms=tuple(a for a, _ in pairs), weights=tuple(w / total for _, w in pairs))
-
+    mass = st.builds(_mass, coord, coord)
+    rect = st.builds(lambda x0, dx, y0, dy: _rect(x0, x0 + dx, y0, y0 + dy), coord, extent, coord, extent)
+    seg = st.builds(_segment, coord, coord, coord, coord)
     atom = st.tuples(st.tuples(coord, coord), st.integers(1, 1000))
-    narrow, wide = st.lists(atom, min_size=1, max_size=3), st.lists(atom, min_size=9, max_size=12)  # 8+ weights sum pairwise
-    return st.one_of(mass, rect, seg, narrow.map(make_mixture), wide.map(make_mixture))
+    narrow, wide = st.lists(atom, min_size=1, max_size=3), st.lists(atom, min_size=9, max_size=12)  # 9+ weights sum pairwise
+    return st.one_of(mass, rect, seg, narrow.map(_normalised_mixture), wide.map(_normalised_mixture))
 
 
 @settings(deadline=None)
 @given(dists=st.lists(_mixed_dist_strategy(), min_size=1, max_size=24), seed=st.integers(0, 2**32))
 def test_sampler_matches_the_per_position_reference(dists, seed):
-    spec = ScenarioSpec.from_points("mixed", dists)
-    assert [repr(d) for d in spec.per_point] == [repr(d) for d in dists]  # columns give back the dataclasses, -0.0 included
+    spec = _spec("mixed", dists)
+    assert json.dumps(scenario_to_dict(spec)["per_point"]) == json.dumps(dists)  # columns give back the objects, -0.0 included
     rng, ref = SeededRng(seed), SeededRng(seed)
     for _ in range(3):
         inp = sample_input(spec, rng)
@@ -318,11 +286,11 @@ def test_sampler_matches_the_per_position_reference(dists, seed):
 
 def test_mixture_tables_hold_one_cell_per_atom():
     # one wide mixture must not pad every other mixture's table to its width
-    pair = FiniteMixture(atoms=((0.0, 1.0), (1.0, 0.0)), weights=(0.25, 0.75))
-    wide = FiniteMixture(atoms=tuple((k / 5000, 1 - k / 5000) for k in range(5000)), weights=(1 / 5000,) * 5000)
-    tenths = FiniteMixture(atoms=tuple((k / 10, 1 - k / 10) for k in range(10)), weights=(0.1,) * 10)  # cumsum ends at 1 - 2**-53
+    pair = _mixture(((0.0, 1.0), (1.0, 0.0)), (0.25, 0.75))
+    wide = _mixture([(k / 5000, 1 - k / 5000) for k in range(5000)], [1 / 5000] * 5000)
+    tenths = _mixture([(k / 10, 1 - k / 10) for k in range(10)], [0.1] * 10)  # cumsum ends at 1 - 2**-53
     dists = (pair,) * 1023 + (wide, tenths) + (pair,) * 1023
-    spec = ScenarioSpec.from_points("wide", dists)
+    spec = _spec("wide", dists)
     assert sum(cw.size for _, _, cw, *_ in spec._mixtures) == 2046 * 2 + 5000 + 10
     assert all((cw[-1] == 1.0).all() for _, _, cw, *_ in spec._mixtures)  # so no draw < 1 runs past a mixture's last atom
     inp = sample_input(spec, SeededRng(3))
@@ -341,6 +309,8 @@ def test_spec_columns_are_checked_by_name():
         ScenarioSpec("s", kind=[1], x0=[0.0], x1=[1.0], y0=[False], y1=[1.0])
     with pytest.raises(ScenarioError, match=r"scenario\.x0: expected a 1-d column of numbers, got float64 of shape \(1, 1\)"):
         ScenarioSpec("s", kind=[2], x0=[[0.0]], x1=[1.0], y0=[0.0], y1=[1.0])
+    with pytest.raises(ScenarioError, match=r"scenario\.mass_x: expected a 1-d column of numbers, got object"):
+        ScenarioSpec("s", kind=[0], mass_x=[10**400], mass_y=[0.0])  # an integer too large for a float
     with pytest.raises(ScenarioError, match=r"scenario\.name: expected a string"):
         ScenarioSpec(None, kind=[0], mass_x=[0.0], mass_y=[0.0])
     spec = ScenarioSpec("s", kind=[0], mass_x=[1], mass_y=[2])
@@ -374,8 +344,8 @@ def test_equal_specs_draw_alike():
         x, y = sample_input(a, SeededRng(seed)), sample_input(b, SeededRng(seed))
         assert np.array_equal(x.xs, y.xs) and np.array_equal(x.ys, y.ys)
     # equality is by column bytes, so a -0.0 coordinate is not 0.0
-    assert ScenarioSpec.from_points("m", (PointMass(-0.0, 1.0),)) != ScenarioSpec.from_points("m", (PointMass(0.0, 1.0),))
-    assert ScenarioSpec.from_points("m", (PointMass(0.0, 1.0),)) != ScenarioSpec.from_points("other", (PointMass(0.0, 1.0),))
+    assert ScenarioSpec("m", kind=[0], mass_x=[-0.0], mass_y=[1.0]) != ScenarioSpec("m", kind=[0], mass_x=[0.0], mass_y=[1.0])
+    assert ScenarioSpec("m", kind=[0], mass_x=[0.0], mass_y=[1.0]) != ScenarioSpec("other", kind=[0], mass_x=[0.0], mass_y=[1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -384,42 +354,41 @@ def test_equal_specs_draw_alike():
 
 def _dist_strategy():
     coord = st.integers(-50, 50).map(lambda v: v / 4)
-    mass = st.builds(PointMass, coord, coord)
+    mass = st.builds(_mass, coord, coord)
     rect = st.builds(
-        lambda x0, dx, y0, dy: UniformRect(x0, x0 + dx, y0, y0 + dy),
+        lambda x0, dx, y0, dy: _rect(x0, x0 + dx, y0, y0 + dy),
         coord,
         st.integers(0, 20).map(lambda v: v / 4),
         coord,
         st.integers(0, 20).map(lambda v: v / 4),
     )
-    seg = st.builds(UniformSegment, coord, coord, coord, coord)
-
-    def make_mixture(pairs):
-        total = sum(w for _, w in pairs)
-        return FiniteMixture(
-            atoms=tuple(a for a, _ in pairs),
-            weights=tuple(w / total for _, w in pairs),
-        )
-
-    mix = st.lists(st.tuples(st.tuples(coord, coord), st.integers(1, 8)), min_size=1, max_size=4).map(make_mixture)
-    return st.one_of(mass, rect, seg, mix)
+    seg = st.builds(_segment, coord, coord, coord, coord)
+    atom = st.tuples(st.tuples(coord, coord), st.integers(1, 8))
+    narrow, wide = st.lists(atom, min_size=1, max_size=4), st.lists(atom, min_size=9, max_size=12)  # 9+ weights sum pairwise
+    return st.one_of(mass, rect, seg, narrow.map(_normalised_mixture), wide.map(_normalised_mixture))
 
 
 @given(st.lists(_dist_strategy(), min_size=1, max_size=12))
 def test_scenario_json_round_trip(dists):
-    spec = ScenarioSpec.from_points("random", tuple(dists))
+    spec = _spec("random", dists)
     text = dumps_scenario(spec)
     again = loads_scenario(text)
-    assert again.n == spec.n
-    assert again.name == spec.name
-    for a, b in zip(again.per_point, spec.per_point):
-        assert type(a) is type(b)
-        if isinstance(a, FiniteMixture):
-            assert a.atoms == b.atoms
-            assert np.allclose(a.weights, b.weights)
-        else:
-            assert a == b
+    assert again == spec  # name and column bytes, weights included
     assert dumps_scenario(again) == text  # serialization is stable
+
+
+def test_a_mixture_whose_weights_sum_to_one_only_pairwise_round_trips():
+    # numpy sums 9 or more weights pairwise and Python's sum() adds them in turn; a search finds weights whose
+    # pairwise sum is within 1e-9 of 1 and whose sequential sum is not, so a reader that re-sums them rejects its own output
+    for seed in range(1000):
+        w = np.random.default_rng(seed).random(9) + 0.5
+        weights = (w / w.sum() * (1 + 1e-9)).tolist()
+        if abs(np.add.reduceat(weights, [0])[0] - 1.0) <= 1e-9 < abs(sum(weights) - 1.0):
+            break
+    else:
+        pytest.fail("no seed gave weights whose pairwise and sequential sums fall on either side of the tolerance")
+    spec = ScenarioSpec("pairwise", kind=[3], atoms=[9], atom_x=np.arange(9.0), atom_y=-np.arange(9.0), weight=weights)
+    assert loads_scenario(dumps_scenario(spec)) == spec
 
 
 def test_parse_errors_carry_field_context():
@@ -448,6 +417,10 @@ def test_parse_errors_carry_field_context():
 
     with pytest.raises(ScenarioError, match="declares"):
         scenario_from_dict({"name": "m", "n": 5, "per_point": [{"kind": "point_mass", "x": 0, "y": 0}]})
+    with pytest.raises(ScenarioError, match=r"scenario\.kind: must be nonempty"):
+        scenario_from_dict({"name": "m", "n": 0, "per_point": []})
+    with pytest.raises(ScenarioError, match=r"per_point\[1\]: expected an object, got list"):
+        scenario_from_dict({"name": "m", "n": 2, "per_point": [_mass(0, 0), [1.0, 1.0]]})
 
     # coordinates, weights and n must be JSON numbers, not strings or booleans
     mass = {"kind": "point_mass", "x": 0, "y": 0}
@@ -484,3 +457,42 @@ def test_scenario_dict_is_json_clean():
     json.dumps(obj)  # must not raise
     assert obj["n"] == 4
     assert obj["per_point"][0]["kind"] == "finite_mixture"
+
+
+_PAIR = (((0.0, 1.0), (1.0, 0.0)), (0.25, 0.75))
+
+
+@pytest.mark.parametrize(
+    "per_point, message",
+    [
+        ([_mass(0.0, 1.0), _rect(0, 1, 0, 1), _mass(float("nan"), 0.0)], r"^per_point\[2\]: scenario\.mass_x\[1\]: must be finite, got nan$"),
+        ([_rect(0, 1, 0, 1), _mass(0, 0), _rect(0, 1, 0, float("inf"))], r"^per_point\[2\]: scenario\.y1\[1\]: must be finite, got inf$"),
+        ([_segment(0, 0, 1, 1), _segment(float("nan"), 0, 1, 1)], r"^per_point\[1\]: scenario\.x0\[1\]: must be finite"),
+        ([_rect(0, 1, 0, 1), _segment(0, 0, 1, 1), _rect(2.0, 1.0, 0, 1)], r"^per_point\[2\]: scenario\.x0\[2\]: a uniform_rect's extents must satisfy x0 <= x1, got 2\.0$"),
+        ([_mixture(*_PAIR), _mass(0, 0), _mixture(((0, 0), (1, 1), (2, 2)), (0.5, 0.0, 0.5))], r"^per_point\[2\]\.atoms\[1\]: scenario\.weight\[3\]: must be positive, got 0\.0$"),
+        ([_mixture(*_PAIR), _mixture(*_PAIR), _mixture(((0, 0), (1, 1)), (0.5, 0.6))], r"^per_point\[2\]: scenario\.weight: the mixture at position 2 sums to 1\.1, expected 1"),
+        ([_mixture(*_PAIR), {"kind": "finite_mixture", "atoms": []}], r"^per_point\[1\]: scenario\.atoms\[1\]: a mixture needs at least one atom, got 0$"),
+    ],
+    ids=["NaN in a second point mass", "Infinity in a rectangle", "NaN in a segment", "x0 > x1", "weight 0", "weights sum to 1.1", "no atoms"],
+)
+def test_file_errors_name_the_position(per_point, message):
+    # json.dumps writes NaN and Infinity literals, which json.loads reads back as floats for ScenarioSpec to reject
+    with pytest.raises(ScenarioError, match=message):
+        loads_scenario(json.dumps({"name": "bad", "n": len(per_point), "per_point": per_point}))
+
+
+@pytest.mark.parametrize(
+    "point, message",
+    [
+        ({**_mass(1, 0), "z": 5}, r"^per_point\[1\]: unknown field 'z'$"),
+        ({**_rect(0, 1, 0, 1), "ax": 0}, r"^per_point\[1\]: unknown field 'ax'$"),
+        ({**_mixture(*_PAIR), "weights": [0.25, 0.75]}, r"^per_point\[1\]: unknown field 'weights'$"),
+        ({**_mixture(*_PAIR), "extra": None}, r"^per_point\[1\]: unknown field 'extra'$"),
+        ({"kind": "finite_mixture", "atoms": [{"x": 0, "y": 0, "weight": 1.0, "w": 1}]}, r"^per_point\[1\]\.atoms\[0\]: unknown field 'w'$"),
+        ({"kind": "finite_mixture", "atoms": [{"x": 0, "weight": 1.0, "z": 0}]}, r"^per_point\[1\]\.atoms\[0\]: missing field 'y'$"),
+    ],
+    ids=["point mass z", "rect ax", "mixture weights list", "mixture extra", "atom extra", "atom missing before unknown"],
+)
+def test_unknown_fields_are_rejected(point, message):
+    with pytest.raises(ScenarioError, match=message):
+        loads_scenario(json.dumps({"name": "u", "n": 2, "per_point": [_mass(0, 0), point]}))

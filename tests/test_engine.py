@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_distributions import _dist_strategy
+from test_distributions import _dist_strategy, _spec
 
 from simax import (
     FrequencyTable,
@@ -25,7 +25,7 @@ from simax import (
     train_model,
     verify_certificate,
 )
-from simax.distributions import PointMass, ScenarioSpec, SeededRng
+from simax.distributions import ScenarioSpec, SeededRng
 from simax import engine
 from simax.engine import EngineState, make_engine_state, update_step
 from simax.geometry import InputSet
@@ -35,7 +35,7 @@ def _fallback_model(n: int, boundaries) -> TrainedModel:
     """A model whose every tree is a bare fallback root over all slabs: pure bisection engine."""
     slabs = SlabStructure(boundaries)
     forest = SearchForest(slabs.num_slabs, n, [-1] * n)
-    spec = ScenarioSpec.from_points("fixed", tuple(PointMass(float(i), 0.0) for i in range(n)))
+    spec = ScenarioSpec("fixed", kind=np.zeros(n, dtype=int), mass_x=np.arange(float(n)), mass_y=np.zeros(n))
     return TrainedModel(
         scenario=spec,
         slabs=slabs,
@@ -197,7 +197,7 @@ def test_trained_engine_agrees_with_both_oracles(model_cache):
 @given(dists=st.lists(_dist_strategy(), min_size=1, max_size=10), seed=st.integers(0, 2**16))
 def test_trained_engine_matches_sort_scan_on_custom_scenarios(dists, seed):
     # quarter-grid coordinates: point masses sit on slab boundaries, and x and y ties are common
-    spec = ScenarioSpec.from_points("custom", tuple(dists))
+    spec = _spec("custom", dists)
     model = train_model(spec, TrainingConfig(rounds_cap=20), seed=seed)
     for t in range(3):
         inp = sample_input(spec, SeededRng(seed + t))

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from test_distributions import _mass, _mixture, _rect, _segment, _spec
 
 from simax import (
     FrequencyTable,
@@ -28,7 +29,7 @@ from simax import (
     simulate_restricted_search,
     train_model,
 )
-from simax.distributions import FiniteMixture, PointMass, ScenarioSpec, SeededRng, UniformRect, UniformSegment
+from simax.distributions import ScenarioSpec, SeededRng
 from simax.geometry import InputSet, brute_force_maxima
 from simax.learning import search_steps_to_leaf
 
@@ -187,17 +188,17 @@ def test_collect_frequencies_matches_the_plain_scatter(kind, n):
 def test_collect_frequencies_matches_the_plain_scatter_on_boundaries():
     # draws exactly on boundaries, -0.0 against the 0.0 boundary, and x values shared by several positions
     slabs = SlabStructure([-1.0, 0.0, 0.5, 2.0])
-    spec = ScenarioSpec.from_points(
+    spec = _spec(
         "boundaries",
         (
-            PointMass(-0.0, 0.0),
-            PointMass(0.0, 1.0),
-            PointMass(0.5, 0.0),
-            PointMass(0.5, 3.0),
-            FiniteMixture(atoms=((-1.0, 0.0), (2.0, 0.0), (-0.0, 1.0)), weights=(0.25, 0.25, 0.5)),
-            FiniteMixture(atoms=((0.0, 2.0), (0.5, 1.0)), weights=(0.5, 0.5)),
-            UniformSegment(-1.0, 0.0, 2.0, 0.0),
-            UniformRect(0.5, 0.5, 0.0, 1.0),
+            _mass(-0.0, 0.0),
+            _mass(0.0, 1.0),
+            _mass(0.5, 0.0),
+            _mass(0.5, 3.0),
+            _mixture(((-1.0, 0.0), (2.0, 0.0), (-0.0, 1.0)), (0.25, 0.25, 0.5)),
+            _mixture(((0.0, 2.0), (0.5, 1.0)), (0.5, 0.5)),
+            _segment(-1.0, 0.0, 2.0, 0.0),
+            _rect(0.5, 0.5, 0.0, 1.0),
         ),
     )
     got = collect_frequencies(spec, slabs, 40, SeededRng(7)).counts
@@ -219,7 +220,7 @@ def test_collect_frequencies_conserves_rounds():
 
 
 def test_point_mass_concentrates_on_one_slab():
-    spec = ScenarioSpec.from_points("fixed", (PointMass(0.7, 0.0), PointMass(2.5, 0.0)))
+    spec = ScenarioSpec("fixed", kind=[0, 0], mass_x=[0.7, 2.5], mass_y=[0.0, 0.0])
     slabs = SlabStructure([1.0, 2.0])
     freq = collect_frequencies(spec, slabs, rounds=11, rng=SeededRng(0))
     assert freq.counts[0].tolist() == [11, 0, 0]
@@ -953,7 +954,7 @@ def test_load_model_rejects_corrupt_provenance(tmp_path, model_cache, field, val
 def _hand_built_model(num_slabs: int, splits: list) -> TrainedModel:
     """A two-position model over num_slabs slabs with the given level-order splits."""
     return TrainedModel(
-        scenario=ScenarioSpec.from_points("pair", (PointMass(0.0, 1.0), PointMass(1.0, 0.0))),
+        scenario=ScenarioSpec("pair", kind=[0, 0], mass_x=[0.0, 1.0], mass_y=[1.0, 0.0]),
         slabs=SlabStructure(np.arange(num_slabs - 1, dtype=np.float64)),
         forest=SearchForest(num_slabs, 2, splits),
         config=TrainingConfig(),
