@@ -15,9 +15,9 @@ import numpy as np
 from simax import (
     SeededRng,
     TrainingConfig,
+    audit_forest,
     build_scenario,
     build_slab_structure,
-    check_mu_reducing,
     collect_frequencies,
     entropy_proxy,
     sample_input,
@@ -59,14 +59,13 @@ print(f"entropy: min={ent.min():.2f} bits, max={ent.max():.2f} bits, "
 
 model = train_model(spec, config, seed=11, keep_frequencies=True)
 forest = model.forest  # all n trees in flat columns, in level order; tree i's root is node i
-sizes = [forest.node_count(i) for i in range(n)]
-depths = [forest.max_search_steps(i) for i in range(n)]
-print(f"trees: {model.total_nodes()} nodes in one forest, per position min={min(sizes)} max={max(sizes)}, "
-      f"worst-case search steps max={max(depths)}")
+# one pass per depth audits all n trees against their training counts
+audit = audit_forest(forest, model.frequencies, 2.0 / 3.0)
+print(f"trees: {model.total_nodes()} nodes in one forest, per position min={audit.nodes.min()} max={audit.nodes.max()}, "
+      f"worst-case search steps max={audit.steps.max()}")
 
 # every child subtree carries at most 2/3 of its parent's training mass
-ok = all(check_mu_reducing(forest, i, model.frequencies, 2.0 / 3.0) for i in range(n))
-print("all trees 2/3-mass-reducing:", ok)
+print("all trees 2/3-mass-reducing:", bool(audit.reducing.all()))
 
 # a restricted search stops as soon as its interval is pinned down; compare
 # the mean step count against a search that must find the exact slab

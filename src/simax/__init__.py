@@ -42,6 +42,7 @@ from .learning import (
     SlabStructure,
     TrainedModel,
     TrainingConfig,
+    audit_forest,
     build_search_tree,
     build_slab_structure,
     check_mu_reducing,
@@ -69,6 +70,7 @@ __all__ = [
     "SlabStructure",
     "TrainedModel",
     "TrainingConfig",
+    "audit_forest",
     "brute_force_maxima",
     "build_scenario",
     "build_search_tree",

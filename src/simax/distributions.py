@@ -260,6 +260,7 @@ def build_scenario(kind: str, n: int) -> ScenarioSpec:
 # each kind's keys, and a mixture atom's, in the order a missing one is reported
 _KEYS = tuple(dict.fromkeys(("kind", *f.values())) for f in _FIELDS[:_MIXTURE]) + (dict.fromkeys(("kind", "atoms")),)
 _ATOM_KEYS = dict.fromkeys(_FIELDS[_MIXTURE].values())
+_SCENARIO_KEYS = dict.fromkeys(("name", "n", "per_point"))
 
 # The per-point readers raise with the message's suffix after the object's position, which the caller prepends
 # (per_point[i], then .atoms[k]) only when it raises, so a valid file formats no position.
@@ -314,15 +315,14 @@ def _append_point(obj, columns: dict) -> None:
 
 
 def _position(columns: dict, name: str, entry: int) -> str:
-    """The per-point object that entry `entry` of column `name` came from: per_point[i], or per_point[i].atoms[k]."""
-    atom = ""
+    """The file field that entry `entry` of column `name` came from: per_point[i].<field>, or per_point[i].atoms[k].<field>."""
     if name in _FIELDS[_MIXTURE]:  # an atom's entry: find its mixture
         ends = np.cumsum(columns["atoms"])
         m = int(np.searchsorted(ends, entry, side="right"))
-        atom = f".atoms[{entry - ends[m] + columns['atoms'][m]}]"
-        name, entry = "atoms", m
+        return f"{_position(columns, 'atoms', m)}[{entry - ends[m] + columns['atoms'][m]}].{_FIELDS[_MIXTURE][name]}"
     codes = [_MIXTURE] if name == "atoms" else [code for code, f in enumerate(_FIELDS) if name in f]
-    return f"per_point[{np.flatnonzero(np.isin(columns['kind'], codes))[entry]}]{atom}"
+    i = np.flatnonzero(np.isin(columns["kind"], codes))[entry]
+    return f"per_point[{i}].{_FIELDS[columns['kind'][i]].get(name, name)}"
 
 
 def scenario_to_dict(spec: ScenarioSpec) -> dict:
@@ -343,13 +343,12 @@ def scenario_from_dict(obj) -> ScenarioSpec:
     """Read scenario JSON's per-point form into columns, and check them as a ScenarioSpec.
 
     A ScenarioError names the field, and an error in a column entry names
-    the per-point object it came from as well.
+    the file's field it came from (per_point[i].ax, not scenario.x0[j]).
     """
-    if not isinstance(obj, dict):
-        raise ScenarioError(f"scenario: expected an object, got {type(obj).__name__}")
-    for key in ("name", "n", "per_point"):
-        if key not in obj:
-            raise ScenarioError(f"scenario: missing field {key!r}")
+    try:
+        _require_keys(obj, _SCENARIO_KEYS)
+    except ScenarioError as e:
+        raise ScenarioError(f"scenario{e}") from None
     per_raw = obj["per_point"]
     if not isinstance(per_raw, list):
         raise ScenarioError(f"scenario.per_point: expected a list, got {type(per_raw).__name__}")
@@ -364,7 +363,7 @@ def scenario_from_dict(obj) -> ScenarioSpec:
     except ScenarioError as e:
         if e.entry is None:
             raise
-        raise ScenarioError(f"{_position(columns, e.column, e.entry)}: {e}") from None
+        raise ScenarioError(f"{_position(columns, e.column, e.entry)}: {str(e).partition(': ')[2]}") from None  # drop the column's name
     declared_n = obj["n"]
     if type(declared_n) is not int:
         raise ScenarioError(f"scenario.n: expected an integer, got {declared_n!r}")

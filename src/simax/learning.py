@@ -14,7 +14,7 @@ import json
 import math
 from array import array
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -224,34 +224,6 @@ class SearchForest:
         if end != split.size:
             raise ValueError(f"search forest splits go on past its last level: {split.size - end} more")
 
-    def walk(self, i: int):
-        """Yield (node, lo, hi, depth) for every node of tree i, in preorder down from root i."""
-        if not 0 <= i < self.n:
-            raise ValueError(f"tree {i} out of range for {self.n} trees")
-        split, right = self.split, self.right
-        pending = [(i, 0, self.num_slabs - 1, 0)]
-        while pending:
-            nid, lo, hi, depth = pending.pop()
-            yield nid, lo, hi, depth
-            s = split[nid]
-            if s >= 0:
-                if s < hi:
-                    pending.append((right[nid], s + 1, hi, depth + 1))
-                if s > lo:
-                    pending.append((right[nid] - 1, lo, s - 1, depth + 1))
-
-    def node_count(self, i: int) -> int:
-        return sum(1 for _ in self.walk(i))
-
-    def intervals(self, i: int) -> list[tuple[int, int]]:
-        """The inclusive slab interval (lo, hi) of every node of tree i, in preorder."""
-        return [(lo, hi) for _, lo, hi, _ in self.walk(i)]
-
-    def max_search_steps(self, i: int) -> int:
-        """Worst-case steps to locate any leaf slab in tree i (tree edges + bisection probes)."""
-        # a search ends at an internal node's split slab with that node's step, or at a fallback node after bisecting
-        return max(d + (1 if self.split[nid] >= 0 else math.ceil(math.log2(hi - lo + 1))) for nid, lo, hi, d in self.walk(i))
-
 
 def build_search_tree(freq: FrequencyTable, leaf_threshold: int) -> array:
     """The level-order split list (see SearchForest) of every position's partial search tree.
@@ -295,25 +267,59 @@ def build_search_tree(freq: FrequencyTable, leaf_threshold: int) -> array:
     return splits
 
 
-def check_mu_reducing(forest: SearchForest, i: int, freq: FrequencyTable, mu: float) -> bool:
-    """True iff every child subtree of every internal node of tree i carries at most mu times its parent's mass.
+class ForestAudit(NamedTuple):
+    """Per-tree arrays: node counts, worst-case search steps (tree edges plus bisection probes) and mu-reducing verdicts."""
 
-    The split slab itself is a completed search, not a subproblem, so it is
-    exempt; left and right children are checked whether they were expanded
-    into internal nodes or left as fallback regions.
+    nodes: np.ndarray
+    steps: np.ndarray
+    reducing: np.ndarray
+
+
+def audit_forest(forest: SearchForest, freq: FrequencyTable, mu: float) -> ForestAudit:
+    """Audit all n trees against their training counts, one numpy pass per depth.
+
+    A tree is mu-reducing iff each child subtree of each internal node,
+    expanded or a fallback region, carries at most mu times its parent's
+    mass; the split slab is a completed search, not a subproblem, so it is
+    exempt.  A search ends at an internal node's split slab, or bisects an
+    unexpanded node's interval.  Rows go in blocks of at most 2**20 cells,
+    each with its own prefix sums, so no (n, num_slabs) prefix is built.
     """
-    row = freq.counts[i]
-    prefix = np.zeros(row.size + 1, dtype=np.int64)
-    np.cumsum(row, out=prefix[1:])
+    n, num_slabs = forest.n, forest.num_slabs
+    if freq.counts.shape != (n, num_slabs):
+        raise ValueError(f"frequency table has shape {freq.counts.shape}, the forest needs {(n, num_slabs)}")
+    split, right = np.frombuffer(forest.split, dtype=np.intc), np.frombuffer(forest.right, dtype=np.intc)
+    audit = ForestAudit(np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.intc), np.ones(n, dtype=bool))  # steps in frexp's int32, so maximum.at need not cast
+    step = max(1, 2**20 // num_slabs)
+    for first in range(0, n, step):
+        block = freq.counts[first : first + step]
+        prefix = np.zeros(block.size + 1, dtype=np.int64)
+        np.cumsum(block.ravel(), out=prefix[1:])
+        nodes, steps, reducing = (a[first : first + block.shape[0]] for a in audit)
+        # one entry per node of the current depth: its slot, and its tree's row in the block
+        ids, row = np.arange(first, first + block.shape[0]), np.arange(block.shape[0])
+        lo, hi = np.zeros(row.size, dtype=np.intc), np.full(row.size, num_slabs - 1, dtype=np.intc)
+        depth = 0
+        while ids.size:
+            s = split[ids]
+            inner = s >= 0
+            nodes += np.bincount(row, minlength=nodes.size)
+            # bisecting hi - lo + 1 slabs takes ceil(log2(hi - lo + 1)) probes: the bit length of hi - lo, frexp's exponent
+            np.maximum.at(steps, row, np.where(inner, depth + 1, depth + np.frexp(hi - lo)[1]))
+            j = np.flatnonzero(inner)
+            base, sj = row[j] * num_slabs, s[j]
+            below, top = prefix[base + lo[j]], prefix[base + hi[j] + 1]
+            heavier = np.maximum(prefix[base + sj] - below, top - prefix[base + sj + 1])
+            reducing[row[j[heavier > mu * (top - below)]]] = False
+            kept, lo, hi = _children(lo, hi, s)
+            k = np.flatnonzero(kept)  # two slots per node: its left child, then its right
+            ids, row, depth = right[ids[k // 2]] - 1 + k % 2, row[k // 2], depth + 1
+    return audit
 
-    def mass(lo: int, hi: int) -> int:
-        return int(prefix[hi + 1] - prefix[lo])
 
-    for nid, lo, hi, _ in forest.walk(i):
-        s = forest.split[nid]
-        if s >= 0 and max(mass(lo, s - 1), mass(s + 1, hi)) > mu * mass(lo, hi):
-            return False
-    return True
+def check_mu_reducing(forest: SearchForest, freq: FrequencyTable, mu: float) -> np.ndarray:
+    """Per tree, whether every child subtree of every internal node carries at most mu times its parent's mass (see audit_forest)."""
+    return audit_forest(forest, freq, mu).reducing
 
 
 def search_steps_to_leaf(forest: SearchForest, i: int, leaf: int, interval: tuple[int, int] | None) -> int:
@@ -330,29 +336,18 @@ def search_steps_to_leaf(forest: SearchForest, i: int, leaf: int, interval: tupl
             raise ValueError(f"bad interval {interval!r}")
         if not ilo <= leaf <= ihi:
             raise ValueError(f"leaf {leaf} outside interval {interval!r}")
-    steps = 0
-    nid, lo, hi = i, 0, forest.num_slabs - 1
-    fallback = forest.split[nid] < 0
-    while True:
-        if interval is not None and interval[0] <= lo and hi <= interval[1]:
-            return steps
-        if lo == hi:
-            return steps
-        if fallback:
-            steps += 1
-            mid = (lo + hi) // 2
-            if leaf <= mid:
-                hi = mid
-            else:
-                lo = mid + 1
-            continue
-        s = forest.split[nid]
+    steps, nid, lo, hi = 0, i, 0, forest.num_slabs - 1
+    while lo < hi and not (interval is not None and interval[0] <= lo and hi <= interval[1]):
         steps += 1
-        if leaf == s:
-            lo = hi = s
-            continue
-        nid, lo, hi = (forest.right[nid] - 1, lo, s - 1) if leaf < s else (forest.right[nid], s + 1, hi)
-        fallback = forest.split[nid] < 0
+        s = forest.split[nid]
+        if s < 0:  # an unexpanded node: bisect what is left of its interval
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if leaf <= mid else (mid + 1, hi)
+        elif leaf == s:
+            break
+        else:
+            nid, lo, hi = (forest.right[nid] - 1, lo, s - 1) if leaf < s else (forest.right[nid], s + 1, hi)
+    return steps
 
 
 def simulate_restricted_search(

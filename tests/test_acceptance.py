@@ -92,11 +92,9 @@ def test_03_every_tree_edge_is_two_thirds_reducing(model_cache, capsys):
     jobs += [("uniform_square", 8192), ("staircase_line", 8192)]
     for kind, n in jobs:
         model = model_cache(kind, n)
-        freq = model.frequencies
-        for i in range(model.n):
-            checked += 1
-            if not check_mu_reducing(model.forest, i, freq, mu=2 / 3):
-                bad += 1
+        reducing = check_mu_reducing(model.forest, model.frequencies, mu=2 / 3)
+        checked += reducing.size
+        bad += int(np.count_nonzero(~reducing))
     ok = bad == 0
     _report(capsys, 3, ok, f"{checked - bad}/{checked} trees 2/3-reducing across {len(jobs)} models (exact)")
 

@@ -465,13 +465,13 @@ _PAIR = (((0.0, 1.0), (1.0, 0.0)), (0.25, 0.75))
 @pytest.mark.parametrize(
     "per_point, message",
     [
-        ([_mass(0.0, 1.0), _rect(0, 1, 0, 1), _mass(float("nan"), 0.0)], r"^per_point\[2\]: scenario\.mass_x\[1\]: must be finite, got nan$"),
-        ([_rect(0, 1, 0, 1), _mass(0, 0), _rect(0, 1, 0, float("inf"))], r"^per_point\[2\]: scenario\.y1\[1\]: must be finite, got inf$"),
-        ([_segment(0, 0, 1, 1), _segment(float("nan"), 0, 1, 1)], r"^per_point\[1\]: scenario\.x0\[1\]: must be finite"),
-        ([_rect(0, 1, 0, 1), _segment(0, 0, 1, 1), _rect(2.0, 1.0, 0, 1)], r"^per_point\[2\]: scenario\.x0\[2\]: a uniform_rect's extents must satisfy x0 <= x1, got 2\.0$"),
-        ([_mixture(*_PAIR), _mass(0, 0), _mixture(((0, 0), (1, 1), (2, 2)), (0.5, 0.0, 0.5))], r"^per_point\[2\]\.atoms\[1\]: scenario\.weight\[3\]: must be positive, got 0\.0$"),
-        ([_mixture(*_PAIR), _mixture(*_PAIR), _mixture(((0, 0), (1, 1)), (0.5, 0.6))], r"^per_point\[2\]: scenario\.weight: the mixture at position 2 sums to 1\.1, expected 1"),
-        ([_mixture(*_PAIR), {"kind": "finite_mixture", "atoms": []}], r"^per_point\[1\]: scenario\.atoms\[1\]: a mixture needs at least one atom, got 0$"),
+        ([_mass(0.0, 1.0), _rect(0, 1, 0, 1), _mass(float("nan"), 0.0)], r"^per_point\[2\]\.x: must be finite, got nan$"),
+        ([_rect(0, 1, 0, 1), _mass(0, 0), _rect(0, 1, 0, float("inf"))], r"^per_point\[2\]\.y1: must be finite, got inf$"),
+        ([_segment(0, 0, 1, 1), _segment(float("nan"), 0, 1, 1)], r"^per_point\[1\]\.ax: must be finite, got nan$"),
+        ([_rect(0, 1, 0, 1), _segment(0, 0, 1, 1), _rect(2.0, 1.0, 0, 1)], r"^per_point\[2\]\.x0: a uniform_rect's extents must satisfy x0 <= x1, got 2\.0$"),
+        ([_mixture(*_PAIR), _mass(0, 0), _mixture(((0, 0), (1, 1), (2, 2)), (0.5, 0.0, 0.5))], r"^per_point\[2\]\.atoms\[1\]\.weight: must be positive, got 0\.0$"),
+        ([_mixture(*_PAIR), _mixture(*_PAIR), _mixture(((0, 0), (1, 1)), (0.5, 0.6))], r"^per_point\[2\]\.atoms: the mixture at position 2 sums to 1\.1, expected 1 within 1e-9$"),
+        ([_mixture(*_PAIR), {"kind": "finite_mixture", "atoms": []}], r"^per_point\[1\]\.atoms: a mixture needs at least one atom, got 0$"),
     ],
     ids=["NaN in a second point mass", "Infinity in a rectangle", "NaN in a segment", "x0 > x1", "weight 0", "weights sum to 1.1", "no atoms"],
 )
@@ -481,18 +481,24 @@ def test_file_errors_name_the_position(per_point, message):
         loads_scenario(json.dumps({"name": "bad", "n": len(per_point), "per_point": per_point}))
 
 
+def _second(point, **top) -> dict:
+    """A two-position scenario document: a point mass, then `point`, and any extra top-level fields."""
+    return {"name": "u", "n": 2, "per_point": [_mass(0, 0), point], **top}
+
+
 @pytest.mark.parametrize(
-    "point, message",
+    "doc, message",
     [
-        ({**_mass(1, 0), "z": 5}, r"^per_point\[1\]: unknown field 'z'$"),
-        ({**_rect(0, 1, 0, 1), "ax": 0}, r"^per_point\[1\]: unknown field 'ax'$"),
-        ({**_mixture(*_PAIR), "weights": [0.25, 0.75]}, r"^per_point\[1\]: unknown field 'weights'$"),
-        ({**_mixture(*_PAIR), "extra": None}, r"^per_point\[1\]: unknown field 'extra'$"),
-        ({"kind": "finite_mixture", "atoms": [{"x": 0, "y": 0, "weight": 1.0, "w": 1}]}, r"^per_point\[1\]\.atoms\[0\]: unknown field 'w'$"),
-        ({"kind": "finite_mixture", "atoms": [{"x": 0, "weight": 1.0, "z": 0}]}, r"^per_point\[1\]\.atoms\[0\]: missing field 'y'$"),
+        (_second({**_mass(1, 0), "z": 5}), r"^per_point\[1\]: unknown field 'z'$"),
+        (_second({**_rect(0, 1, 0, 1), "ax": 0}), r"^per_point\[1\]: unknown field 'ax'$"),
+        (_second({**_mixture(*_PAIR), "weights": [0.25, 0.75]}), r"^per_point\[1\]: unknown field 'weights'$"),
+        (_second({**_mixture(*_PAIR), "extra": None}), r"^per_point\[1\]: unknown field 'extra'$"),
+        (_second({"kind": "finite_mixture", "atoms": [{"x": 0, "y": 0, "weight": 1.0, "w": 1}]}), r"^per_point\[1\]\.atoms\[0\]: unknown field 'w'$"),
+        (_second({"kind": "finite_mixture", "atoms": [{"x": 0, "weight": 1.0, "z": 0}]}), r"^per_point\[1\]\.atoms\[0\]: missing field 'y'$"),
+        (_second(_mass(1, 0), descripton="x"), r"^scenario: unknown field 'descripton'$"),
     ],
-    ids=["point mass z", "rect ax", "mixture weights list", "mixture extra", "atom extra", "atom missing before unknown"],
+    ids=["point mass z", "rect ax", "mixture weights list", "mixture extra", "atom extra", "atom missing before unknown", "top-level descripton"],
 )
-def test_unknown_fields_are_rejected(point, message):
+def test_unknown_fields_are_rejected(doc, message):
     with pytest.raises(ScenarioError, match=message):
-        loads_scenario(json.dumps({"name": "u", "n": 2, "per_point": [_mass(0, 0), point]}))
+        loads_scenario(json.dumps(doc))

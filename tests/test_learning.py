@@ -17,6 +17,7 @@ from simax import (
     SlabStructure,
     TrainedModel,
     TrainingConfig,
+    audit_forest,
     build_scenario,
     build_search_tree,
     build_slab_structure,
@@ -267,18 +268,61 @@ def _preorder_reference(row, leaf_threshold: int) -> list[int]:
     return splits
 
 
+def _walk(forest: SearchForest, i: int):
+    """Yield (node, lo, hi, depth) for every node of tree i, in preorder down from root i, one node at a time."""
+    split, right = forest.split, forest.right
+    pending = [(i, 0, forest.num_slabs - 1, 0)]
+    while pending:
+        nid, lo, hi, depth = pending.pop()
+        yield nid, lo, hi, depth
+        s = split[nid]
+        if s >= 0:
+            if s < hi:
+                pending.append((right[nid], s + 1, hi, depth + 1))
+            if s > lo:
+                pending.append((right[nid] - 1, lo, s - 1, depth + 1))
+
+
 def _preorder(forest: SearchForest, i: int) -> list[int]:
-    return [forest.split[nid] for nid, *_ in forest.walk(i)]
+    return [forest.split[nid] for nid, *_ in _walk(forest, i)]
+
+
+def _intervals(forest: SearchForest, i: int) -> list[tuple[int, int]]:
+    return [(lo, hi) for _, lo, hi, _ in _walk(forest, i)]
+
+
+def _walk_audit(forest: SearchForest, freq: FrequencyTable, mu: float) -> list[tuple[int, int, bool]]:
+    """audit_forest's (nodes, steps, reducing) for every tree, from the preorder walk and Python ints."""
+    audits = []
+    for i in range(forest.n):
+        prefix = [0]
+        for c in freq.counts[i]:
+            prefix.append(prefix[-1] + int(c))
+        nodes = steps = 0
+        reducing = True
+        for nid, lo, hi, depth in _walk(forest, i):
+            s = forest.split[nid]
+            nodes += 1
+            steps = max(steps, depth + (1 if s >= 0 else math.ceil(math.log2(hi - lo + 1))))
+            if s >= 0 and max(prefix[s] - prefix[lo], prefix[hi + 1] - prefix[s + 1]) > mu * (prefix[hi + 1] - prefix[lo]):
+                reducing = False
+        audits.append((nodes, steps, reducing))
+    return audits
+
+
+def _audit(forest: SearchForest, freq: FrequencyTable, mu: float) -> list[tuple[int, int, bool]]:
+    a = audit_forest(forest, freq, mu)
+    return list(zip(a.nodes.tolist(), a.steps.tolist(), a.reducing.tolist()))
 
 
 def test_weighted_median_split_example():
     freq = FrequencyTable(counts=np.array([[4, 4, 8]], dtype=np.uint16), rounds=16)
     forest = _build_forest(freq, leaf_threshold=1)
     assert forest.split[0] == 1
-    assert forest.node_count(0) == 3
+    assert audit_forest(forest, freq, mu=2 / 3).nodes.tolist() == [3]
     assert forest.right[0] == 2  # the right child's slot; the left child, node 1, sits just before it
-    assert forest.intervals(0) == [(0, 2), (0, 0), (2, 2)]
-    assert check_mu_reducing(forest, 0, freq, mu=2 / 3)
+    assert _intervals(forest, 0) == [(0, 2), (0, 0), (2, 2)]
+    assert check_mu_reducing(forest, freq, mu=2 / 3).tolist() == [True]
 
 
 def test_split_picks_smallest_majority_slab():
@@ -295,15 +339,15 @@ def test_split_picks_smallest_majority_slab():
 def test_low_mass_region_stays_fallback():
     freq = FrequencyTable(counts=np.array([[1, 1, 1]], dtype=np.uint16), rounds=3)
     forest = _build_forest(freq, leaf_threshold=5)
-    assert forest.node_count(0) == 1
+    assert audit_forest(forest, freq, mu=2 / 3).nodes.tolist() == [1]
     assert forest.split.tolist() == [-1]
-    assert forest.intervals(0) == [(0, 2)]
+    assert _intervals(forest, 0) == [(0, 2)]
 
 
 def test_uniform_counts_give_logarithmic_depth():
     freq = FrequencyTable(counts=np.ones((1, 256), dtype=np.uint16), rounds=256)
     forest = _build_forest(freq, leaf_threshold=1)
-    assert forest.max_search_steps(0) <= 9  # median split halves the mass every level
+    assert audit_forest(forest, freq, mu=2 / 3).steps[0] <= 9  # median split halves the mass every level
 
 
 def test_build_search_tree_rejects_bad_threshold():
@@ -319,9 +363,9 @@ def test_build_search_tree_rejects_bad_threshold():
 def test_built_trees_are_always_two_thirds_reducing(counts, threshold):
     freq = FrequencyTable(counts=np.array([counts], dtype=np.uint16), rounds=max(1, sum(counts)))
     forest = _build_forest(freq, threshold)
-    assert check_mu_reducing(forest, 0, freq, mu=2 / 3)
+    assert check_mu_reducing(forest, freq, mu=2 / 3).all()
     # children partition the parent slab minus the split leaf; the left child sits just before the right-child slot
-    intervals = {nid: (lo, hi) for nid, lo, hi, _ in forest.walk(0)}
+    intervals = {nid: (lo, hi) for nid, lo, hi, _ in _walk(forest, 0)}
     assert sorted(intervals) == list(range(len(forest.split)))
     for nid, (lo, hi) in intervals.items():
         s = forest.split[nid]
@@ -346,10 +390,10 @@ def test_built_forest_decodes_from_its_splits_alone(rows, threshold):
     freq = FrequencyTable(counts=np.array(rows, dtype=np.uint16), rounds=30)
     forest = _build_forest(freq, threshold)
     # level order: node ids run through depth 0, then depth 1, ..., and tree by tree within a depth
-    order = sorted((nid, depth, i) for i in range(freq.n) for nid, _, _, depth in forest.walk(i))
+    order = sorted((nid, depth, i) for i in range(freq.n) for nid, _, _, depth in _walk(forest, i))
     assert [nid for nid, _, _ in order] == list(range(len(forest.split)))
     assert [(depth, i) for _, depth, i in order] == sorted((depth, i) for _, depth, i in order)
-    assert all(next(forest.walk(i))[0] == i for i in range(freq.n))  # root i is node i
+    assert all(next(_walk(forest, i))[0] == i for i in range(freq.n))  # root i is node i
 
 
 def _tables(max_rows: int = 5, max_slabs: int = 12):
@@ -392,9 +436,10 @@ def test_trees_survive_the_level_order_format(model_cache, kind):
 
 def test_search_forest_decodes_level_order_splits():
     forest = SearchForest(4, 2, [1, -1, -1, -1])  # root 0 splits at 1; root 1 is bare; then root 0's left leaf [0, 0] and right fallback [2, 3]
-    assert forest.intervals(0) == [(0, 3), (0, 0), (2, 3)] and forest.intervals(1) == [(0, 3)]
+    assert _intervals(forest, 0) == [(0, 3), (0, 0), (2, 3)] and _intervals(forest, 1) == [(0, 3)]
     assert forest.right.tolist() == [3, -1, -1, -1]
-    assert forest.n == 2 and forest.node_count(0) == 3 and forest.node_count(1) == 1
+    empty = FrequencyTable(counts=np.zeros((2, 4), dtype=np.uint16), rounds=1)
+    assert forest.n == 2 and audit_forest(forest, empty, mu=2 / 3).nodes.tolist() == [3, 1]
 
 
 @pytest.mark.parametrize(
@@ -420,14 +465,42 @@ def test_check_mu_reducing_flags_handmade_violation():
     # child holds 9 of the parent's 10: far above 2/3
     freq = FrequencyTable(counts=np.array([[9, 0, 1]], dtype=np.uint16), rounds=10)
     forest = SearchForest(3, 1, [1, -1, -1])
-    assert not check_mu_reducing(forest, 0, freq, mu=2 / 3)
-    assert check_mu_reducing(forest, 0, freq, mu=0.95)
+    assert check_mu_reducing(forest, freq, mu=2 / 3).tolist() == [False]
+    assert check_mu_reducing(forest, freq, mu=0.95).tolist() == [True]
+    with pytest.raises(ValueError, match=r"frequency table has shape \(2, 3\), the forest needs \(1, 3\)"):
+        check_mu_reducing(forest, FrequencyTable(counts=np.zeros((2, 3), dtype=np.uint16), rounds=1), mu=2 / 3)
 
 
 def test_single_node_tree_is_vacuously_reducing():
     freq = FrequencyTable(counts=np.array([[5]], dtype=np.uint16), rounds=5)
     forest = _build_forest(freq, leaf_threshold=10)
-    assert check_mu_reducing(forest, 0, freq, mu=2 / 3)
+    assert check_mu_reducing(forest, freq, mu=2 / 3).tolist() == [True]
+
+
+@given(rows=_tables(), threshold=st.integers(1, 20))
+def test_audit_matches_the_preorder_walk(rows, threshold):
+    freq = FrequencyTable(counts=np.array(rows, dtype=np.uint16), rounds=30)
+    forest = _build_forest(freq, threshold)
+    mirrored = FrequencyTable(counts=freq.counts[:, ::-1], rounds=30)  # masses the trees were not built from, so some fail
+    for table in (freq, mirrored):
+        for mu in (2 / 3, 0.45):
+            assert _audit(forest, table, mu) == _walk_audit(forest, table, mu)
+
+
+def test_split_moved_off_its_weighted_median_is_flagged():
+    freq = FrequencyTable(counts=np.array([[0] * 6, [5] * 6], dtype=np.uint16), rounds=30)
+    built = _build_forest(freq, leaf_threshold=20)  # row 1's root splits at its weighted median, slab 2; both children stay fallback
+    assert built.split.tolist() == [-1, 2, -1, -1]
+    assert _audit(built, freq, 2 / 3) == _walk_audit(built, freq, 2 / 3) == [(1, 3, True), (3, 3, True)]
+    moved = SearchForest(6, 2, [-1, 0, -1])  # split at slab 0 instead: its right child carries 25 of 30
+    assert _audit(moved, freq, 2 / 3) == _walk_audit(moved, freq, 2 / 3) == [(1, 3, True), (2, 4, False)]
+
+
+@pytest.mark.parametrize("kind", ["uniform_square", "staircase_line", "two_level"])
+def test_audit_matches_the_preorder_walk_on_trained_forests(model_cache, kind):
+    model = model_cache(kind, 256)
+    for mu in (2 / 3, 0.45):
+        assert _audit(model.forest, model.frequencies, mu) == _walk_audit(model.forest, model.frequencies, mu)
 
 
 # ---------------------------------------------------------------------------
@@ -460,10 +533,9 @@ def test_search_locates_split_leaf_in_one_step():
 def test_fallback_region_is_resolved_by_bisection():
     freq = FrequencyTable(counts=np.ones((1, 4), dtype=np.uint16), rounds=4)
     forest = _build_forest(freq, leaf_threshold=99)
-    assert forest.node_count(0) == 1
     for leaf in range(4):
         assert search_steps_to_leaf(forest, 0, leaf, interval=None) == 2  # ceil(log2 4)
-    assert forest.max_search_steps(0) == 2
+    assert _audit(forest, freq, mu=2 / 3) == [(1, 2, True)]
 
 
 def test_search_argument_validation():
@@ -477,8 +549,6 @@ def test_search_argument_validation():
     # node 1 exists but is no root: a one-tree forest has no tree 1
     with pytest.raises(ValueError, match="tree 1 out of range"):
         search_steps_to_leaf(forest, 1, 0, interval=None)
-    with pytest.raises(ValueError, match="tree 1 out of range"):
-        forest.node_count(1)
 
 
 def test_simulate_restricted_search_validation():
@@ -525,16 +595,15 @@ def test_model_structural_bounds(model_cache, kind):
         eps = model.config.epsilon
         per_point_cap = STORAGE_C * n**eps
         depth_cap = (1 + 3 * eps) * math.log2(model.slabs.num_slabs) + DEPTH_SLACK
-        for i in range(n):
-            assert model.forest.node_count(i) <= per_point_cap
-            assert model.forest.max_search_steps(i) <= depth_cap
+        audit = audit_forest(model.forest, model.frequencies, mu=2 / 3)
+        assert audit.nodes.max() <= per_point_cap
+        assert audit.steps.max() <= depth_cap
 
 
 def test_all_trained_trees_are_mu_reducing(model_cache):
     for kind in ("uniform_square", "staircase_line", "two_level"):
         model = model_cache(kind, 256)
-        freq = model.frequencies
-        assert all(check_mu_reducing(model.forest, i, freq, mu=2 / 3) for i in range(model.n))
+        assert check_mu_reducing(model.forest, model.frequencies, mu=2 / 3).all()
 
 
 # ---------------------------------------------------------------------------
