@@ -12,6 +12,12 @@ maximum found so far dominates-checks every advanced point, so points doomed
 to be dominated usually die after O(1) steps instead of paying for a full
 location.  Discovered maxima accumulate left to right, giving the same
 certificate shape as the baselines.
+
+Per-run and per-move overhead is kept off the counted work: a frontier move
+with an empty buffer only moves the frontier, without calling update_step;
+slabs no point has moved into share one empty tuple until their first
+decrease-key; and a one- or two-point buffer is ordered directly, at the 0
+or 1 comparisons merge sort would count.
 """
 
 from __future__ import annotations
@@ -38,7 +44,10 @@ class RunStats:
     a search step leaves its interval's hi end left of the bucket being
     drained.  find_max_scans: buckets the sweep passes, which is num_slabs
     per run.  update_sorted_points: total buffered points sorted;
-    update_sort_comparisons: key comparisons spent sorting them.
+    update_sort_comparisons: key comparisons spent sorting them, as a stable
+    merge sort counts them (0 for one point, 1 for two), whether or not the
+    fold actually runs the merge sort.  Frontier moves that find the buffer
+    empty fold nothing and count nothing.
     """
 
     tree_steps: int = 0
@@ -79,10 +88,12 @@ class EngineState:
     """Mutable run state: the per-slab buckets plus per-point search positions.
 
     buckets[m] holds the points whose slab interval ends at slab m, in
-    arrival order; slab_lo holds each point's lo end.
+    arrival order; slab_lo holds each point's lo end.  A slab no point has
+    moved into yet holds the shared empty tuple, and its first decrease-key
+    replaces it with a list.
     """
 
-    buckets: list[list[int]]
+    buckets: list[list[int] | tuple[()]]
     lam_hat: int
     buffer: list[int] = field(default_factory=list)
     maxima_rev: list[int] = field(default_factory=list)  # rightmost maximum first
@@ -100,7 +111,7 @@ def make_engine_state(model: "TrainedModel", inp: InputSet) -> EngineState:
     n = inp.n
     top = model.slabs.num_slabs - 1
     # every point starts with the whole slab range [0, top]
-    state = EngineState(buckets=[[] for _ in range(top)] + [list(range(n))], lam_hat=top)
+    state = EngineState(buckets=[()] * top + [list(range(n))], lam_hat=top)
     state.xs = inp.xs.tolist()
     state.ys = inp.ys.tolist()
     state.node = list(range(n))  # root i is node i and covers [0, top]
@@ -137,12 +148,23 @@ def update_step(state: EngineState, stats: RunStats, new_lam_hat: int) -> None:
     Sorts the buffer by x (ties by y then index), sweeps right to left, and
     keeps the running y-realizer as both dominance witness and next leftmost
     maximum.  The previous leftmost maximum seeds the sweep: everything
-    already in the staircase lies strictly to the right of the buffer.
+    already in the staircase lies strictly to the right of the buffer.  A
+    one-point buffer needs no sort and a two-point buffer one comparison,
+    which is what _merge_sort would count for them; longer buffers go
+    through _merge_sort.  With an empty buffer only the frontier moves.
     """
     buf = state.buffer
     if buf:
         xs, ys = state.xs, state.ys
-        keyed, comparisons = _merge_sort([(xs[i], ys[i], i) for i in buf])
+        if len(buf) == 1:
+            i = buf[0]
+            keyed, comparisons = ((xs[i], ys[i], i),), 0
+        elif len(buf) == 2:
+            i, j = buf
+            a, b = (xs[i], ys[i], i), (xs[j], ys[j], j)
+            keyed, comparisons = ((b, a) if b < a else (a, b)), 1  # the merge of two singletons
+        else:
+            keyed, comparisons = _merge_sort([(xs[i], ys[i], i) for i in buf])
         stats.update_sorted_points += len(buf)
         stats.update_sort_comparisons += comparisons
 
@@ -151,9 +173,10 @@ def update_step(state: EngineState, stats: RunStats, new_lam_hat: int) -> None:
         ry = ys[r] if r >= 0 else 0.0
         maxima_rev = state.maxima_rev
         dominators = state.dominators
+        checks = 0
         for px, py, i in reversed(keyed):
             if r >= 0:
-                stats.dominance_checks += 1
+                checks += 1
                 if rx >= px and ry >= py and (rx > px or ry > py):
                     dominators[i] = r
                     continue
@@ -162,6 +185,7 @@ def update_step(state: EngineState, stats: RunStats, new_lam_hat: int) -> None:
             else:
                 r, rx, ry = i, px, py
             maxima_rev.append(i)
+        stats.dominance_checks += checks
         state.phat = r
         buf.clear()
     state.lam_hat = new_lam_hat
@@ -176,14 +200,17 @@ def run_maxima(
     """Compute the maxima certificate for one input using the trained model.
 
     The sweep drains the buckets once, from the last slab m down to 0, and
-    the first point of bucket m moves the frontier there (update_step).  Each
+    the first point of bucket m moves the frontier there, folding the
+    buffer into the staircase (update_step) if it holds points.  Each
     advance of that point, the rightmost unresolved one, is one dominance
     check against the leftmost maximum so far plus one search step, until
     the point is dominated, buffered in the frontier slab, or stepped left of
     m into a lower bucket.  Deterministic given (model, input).  With
-    debug_invariants the run checks, at every frontier move, that the
-    staircase found so far is exactly the true staircase of the points right
-    of the frontier (quadratic oracle work, debugging only).
+    debug_invariants the run calls update_step at every frontier move, empty
+    buffer or not, and checks after each that the staircase found so far is
+    exactly the true staircase of the points right of the frontier
+    (quadratic oracle work, debugging only); the certificate and counters
+    are the same as without it.
     """
     if stats is None:
         stats = RunStats()
@@ -204,11 +231,13 @@ def run_maxima(
         # bucket left of m, so nothing touches it again until the sweep gets there
         for i in buckets[m]:
             if m < lam_hat:
-                update_step(state, stats, m)
-                lam_hat, phat = m, state.phat
-                hx, hy = xs[phat], ys[phat]  # not read while phat is -1
-                if debug_invariants:
-                    _check_frontier_invariant(state, inp, true_leaf)
+                lam_hat = m
+                if buffer or debug_invariants:
+                    update_step(state, stats, m)
+                    phat = state.phat
+                    hx, hy = xs[phat], ys[phat]  # not read while phat is -1
+                    if debug_invariants:
+                        _check_frontier_invariant(state, inp, true_leaf)
             px, py = xs[i], ys[i]
             lo, hi, nid = slab_lo[i], m, node[i]
             while True:  # i stays the rightmost point until it leaves bucket m
@@ -235,7 +264,11 @@ def run_maxima(
                     else:
                         lo = hi = s
                     if hi < m:
-                        buckets[hi].append(i)
+                        b = buckets[hi]
+                        if b:
+                            b.append(i)
+                        else:  # the shared empty tuple
+                            buckets[hi] = [i]
                         decreases += 1
                         slab_lo[i], node[i] = lo, nid
                         break

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from contextlib import suppress
 from dataclasses import dataclass
-from itertools import chain
-from typing import Iterable, NamedTuple
+from typing import Collection, Iterable, NamedTuple
 
 import numpy as np
 
@@ -209,20 +208,21 @@ def sort_scan_maxima(inp: InputSet, stats: BaselineStats | None = None) -> Certi
 # verification
 
 
-def _index_array(values: list, n: int, names: tuple[str, ...]) -> np.ndarray:
+def _index_array(values: Collection, n: int, name: str) -> np.ndarray:
     """values as an int64 array; CertificateIndexError names the first entry that is not an int in [0, n).
 
-    Entry k is a names[k % len(names)] index.  Types are checked before the
-    conversion, which would truncate 1.5 to 1 and turn True into 1.
+    values may be any sized collection (a tuple, dict keys, dict values).
+    Types are checked before the conversion, which would truncate 1.5 to 1
+    and turn True into 1.
     """
     if all(issubclass(t, (int, np.integer)) and not issubclass(t, bool) for t in set(map(type, values))):
         with suppress(OverflowError):
-            arr = np.array(values, dtype=np.int64)
+            arr = np.fromiter(values, np.int64, len(values))
             if not arr.size or (arr.min() >= 0 and arr.max() < n):
                 return arr
-    for k, v in enumerate(values):
+    for v in values:
         if not isinstance(v, (int, np.integer)) or isinstance(v, bool) or not 0 <= v < n:
-            raise CertificateIndexError(f"{names[k % len(names)]} index {v!r} is not an int in [0, {n})")
+            raise CertificateIndexError(f"{name} index {v!r} is not an int in [0, {n})")
 
 
 def check_certificate(inp: InputSet, cert: Certificate) -> str | None:
@@ -234,9 +234,9 @@ def check_certificate(inp: InputSet, cert: Certificate) -> str | None:
     """
     n = inp.n
     xs, ys = inp.xs, inp.ys
-    maxima = _index_array(cert.maxima, n, ("maxima",))
-    pairs = _index_array(list(chain.from_iterable(cert.dominators.items())), n, ("dominated", "dominator"))
-    dominated, dominator = pairs[0::2], pairs[1::2]
+    maxima = _index_array(cert.maxima, n, "maxima")
+    dominated = _index_array(cert.dominators.keys(), n, "dominated")
+    dominator = _index_array(cert.dominators.values(), n, "dominator")
 
     if not maxima.size:
         return "no maxima listed (a nonempty input always has at least one)"

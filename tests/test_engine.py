@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -144,6 +145,55 @@ def test_update_step_seeds_sweep_with_previous_leftmost_maximum():
     assert state.dominators == {1: 0}
     assert state.maxima_rev == [0, 2]
     assert state.phat == 2
+
+
+def _reference_update_step(state: EngineState, stats: RunStats, new_lam_hat: int) -> None:
+    """update_step as it was before its short-buffer paths: every nonempty buffer goes through _merge_sort."""
+    buf = state.buffer
+    if buf:
+        xs, ys = state.xs, state.ys
+        keyed, comparisons = engine._merge_sort([(xs[i], ys[i], i) for i in buf])
+        stats.update_sorted_points += len(buf)
+        stats.update_sort_comparisons += comparisons
+        r = state.phat
+        rx = xs[r] if r >= 0 else 0.0
+        ry = ys[r] if r >= 0 else 0.0
+        for px, py, i in reversed(keyed):
+            if r >= 0:
+                stats.dominance_checks += 1
+                if rx >= px and ry >= py and (rx > px or ry > py):
+                    state.dominators[i] = r
+                    continue
+                if py > ry:
+                    r, rx, ry = i, px, py
+            else:
+                r, rx, ry = i, px, py
+            state.maxima_rev.append(i)
+        state.phat = r
+        buf.clear()
+    state.lam_hat = new_lam_hat
+
+
+def test_update_step_short_buffers_fold_as_the_merge_sort_reference():
+    # every buffer of 1-4 points drawn from a 3x3 grid (duplicates, equal x
+    # and equal y included), arriving in index order and in reverse, on a
+    # fresh staircase and on one whose leftmost maximum (3, 1) lies right of
+    # the grid and dominates its lower rows
+    grid = [(x, y) for x in range(3) for y in range(3)]
+    for k in range(1, 5):
+        for pick, arrival, prior in itertools.product(
+            itertools.product(grid, repeat=k), (range(k), range(k - 1, -1, -1)), (None, (3, 1))
+        ):
+            folds = []
+            for fold in (update_step, _reference_update_step):
+                state = _bare_state(list(pick) + ([prior] if prior else []))
+                if prior:
+                    state.maxima_rev, state.phat = [k], k
+                state.buffer = list(arrival)
+                stats = RunStats()
+                fold(state, stats, -1)
+                folds.append((state.maxima_rev, state.dominators, state.phat, state.buffer, state.lam_hat, stats))
+            assert folds[0] == folds[1], (pick, list(arrival), prior)
 
 
 def test_update_step_without_buffer_only_moves_the_frontier():
@@ -312,22 +362,24 @@ def test_single_occupied_slab_degenerates_gracefully():
 
 # frozen: the exact counters and maxima of one run per scenario at n=256
 # (model seed 101, input seed 5), recorded before the search trees moved into
-# one flat forest; maxima as (count, first 16 hex digits of sha256(repr))
+# one flat forest; maxima as (count, first 16 hex digits of sha256(repr)),
+# then the same digest of sorted(dominators.items()), recorded before empty
+# frontier moves stopped calling update_step
 PINNED_RUNS = {
     "uniform_square": (
         dict(tree_steps=530, dominance_checks=288, decrease_keys=271, find_max_scans=257,
              update_sorted_points=6, update_sort_comparisons=0),
-        6, "50c0111937f1e94e",
+        6, "50c0111937f1e94e", "1db9b7d436907245",
     ),
     "staircase_line": (
         dict(tree_steps=383, dominance_checks=382, decrease_keys=255, find_max_scans=257,
              update_sorted_points=128, update_sort_comparisons=0),
-        128, "b6f3b7263babc871",
+        128, "b6f3b7263babc871", "0852315fac900163",
     ),
     "two_level": (
         dict(tree_steps=329, dominance_checks=390, decrease_keys=257, find_max_scans=257,
              update_sorted_points=137, update_sort_comparisons=32),
-        137, "d94408db782ec8ee",
+        137, "d94408db782ec8ee", "c195a8309f0458fd",
     ),
 }
 
@@ -337,7 +389,20 @@ def test_pinned_run_counters_and_maxima(model_cache, kind):
     model = model_cache(kind, 256)
     stats = RunStats()
     cert = run_maxima(model, sample_input(model.scenario, SeededRng(5)), stats)
-    counters, count, digest = PINNED_RUNS[kind]
+    counters, count, digest, dominators_digest = PINNED_RUNS[kind]
     assert dataclasses.asdict(stats) == counters
     assert len(cert.maxima) == count
     assert hashlib.sha256(repr(cert.maxima).encode()).hexdigest()[:16] == digest
+    assert hashlib.sha256(repr(sorted(cert.dominators.items())).encode()).hexdigest()[:16] == dominators_digest
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED_RUNS))
+def test_debug_run_gives_the_plain_run_certificate_and_counters(model_cache, kind):
+    # a debug run folds at every frontier move, a plain run only when the
+    # buffer holds points: skipping the empty folds must change nothing
+    model = model_cache(kind, 256)
+    for seed in range(5):
+        inp = sample_input(model.scenario, SeededRng(seed))
+        plain, debug = RunStats(), RunStats()
+        assert run_maxima(model, inp, plain) == run_maxima(model, inp, debug, debug_invariants=True)
+        assert plain == debug

@@ -162,6 +162,17 @@ def test_verify_raises_on_indices_that_are_not_ints_in_range(bad):
             check_certificate(inp, cert)
 
 
+def test_index_errors_name_the_certificate_field():
+    inp = InputSet.from_points([(0, 0), (1, 1)])
+    for cert, name in (
+        (Certificate(maxima=(1.5,), dominators={0: 1}), "maxima"),
+        (Certificate(maxima=(1,), dominators={2**70: 1}), "dominated"),
+        (Certificate(maxima=(1,), dominators={0: np.uint64(2**64 - 1)}), "dominator"),
+    ):
+        with pytest.raises(CertificateIndexError, match=f"^{name} index "):
+            check_certificate(inp, cert)
+
+
 def test_numpy_integer_indices_are_accepted():
     inp = InputSet.from_points([(0, 0), (1, 1)])
     assert check_certificate(inp, Certificate(maxima=(np.int64(1),), dominators={np.int32(0): np.uint8(1)})) is None
