@@ -45,7 +45,6 @@ from .learning import (
     audit_forest,
     build_search_tree,
     build_slab_structure,
-    check_mu_reducing,
     collect_frequencies,
     load_model,
     save_model,
@@ -76,7 +75,6 @@ __all__ = [
     "build_search_tree",
     "build_slab_structure",
     "check_certificate",
-    "check_mu_reducing",
     "collect_frequencies",
     "dominates",
     "dumps_scenario",

@@ -11,10 +11,10 @@ import argparse
 import sys
 from pathlib import Path
 
-from .bench import ALGORITHMS, BRUTE_FORCE_LIMIT, read_rows_csv, run_trials, write_report, write_rows_csv
+from .bench import ALGORITHMS, read_rows_csv, run_trials, write_report, write_rows_csv
 from .distributions import BUILTIN_SCENARIOS, ScenarioError, build_scenario, load_scenario_file, sample_input, SeededRng
 from .engine import RunStats, run_maxima
-from .geometry import brute_force_maxima, check_certificate, sort_scan_maxima
+from .geometry import check_certificate
 from .learning import TrainingConfig, load_model, save_model, train_model
 
 
@@ -74,14 +74,14 @@ def cmd_verify(args) -> int:
     model = load_model(args.model)
     inp = sample_input(model.scenario, SeededRng(args.seed))
     stats = RunStats()
-    cert = run_maxima(model, inp, stats, debug_invariants=True)
+    try:
+        cert = run_maxima(model, inp, stats, debug_invariants=True)
+    except AssertionError as e:  # the frontier check, whose last call compares the whole staircase
+        print(f"FAIL: {e}")
+        return 1
     reason = check_certificate(inp, cert)
     if reason is not None:
         print(f"FAIL: certificate invalid for seed {args.seed}: {reason}")
-        return 1
-    reference = brute_force_maxima(inp) if model.n <= BRUTE_FORCE_LIMIT else sort_scan_maxima(inp)
-    if cert.maxima_set() != reference.maxima_set():
-        print(f"FAIL: maxima disagree with the reference oracle for seed {args.seed}")
         return 1
     print(
         f"PASS: {model.scenario.name} n={model.n} seed={args.seed}: {len(cert.maxima)} maxima, "
@@ -122,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_report)
 
-    p = sub.add_parser("verify", help="replay one input with invariant checks and oracle comparison")
+    p = sub.add_parser("verify", help="replay one input, checking the staircase against a reference at every frontier move")
     p.add_argument("--model", required=True, help="model file written by train")
     p.add_argument("--seed", type=int, default=0, help="input seed to replay (default 0)")
     p.set_defaults(func=cmd_verify)

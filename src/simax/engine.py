@@ -14,10 +14,9 @@ location.  Discovered maxima accumulate left to right, giving the same
 certificate shape as the baselines.
 
 Per-run and per-move overhead is kept off the counted work: a frontier move
-with an empty buffer only moves the frontier, without calling update_step;
-slabs no point has moved into share one empty tuple until their first
-decrease-key; and a one- or two-point buffer is ordered directly, at the 0
-or 1 comparisons merge sort would count.
+with an empty buffer skips update_step; slabs no point has moved into share
+one empty tuple until their first decrease-key; and a one- or two-point
+buffer is ordered directly, at the 0 or 1 comparisons merge sort would count.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .geometry import Certificate, InputSet, brute_force_maxima
+from .geometry import Certificate, InputSet, sort_scan_maxima
 
 if TYPE_CHECKING:
     from .learning import FrequencyTable, TrainedModel
@@ -94,7 +93,6 @@ class EngineState:
     """
 
     buckets: list[list[int] | tuple[()]]
-    lam_hat: int
     buffer: list[int] = field(default_factory=list)
     maxima_rev: list[int] = field(default_factory=list)  # rightmost maximum first
     dominators: dict[int, int] = field(default_factory=dict)
@@ -111,7 +109,7 @@ def make_engine_state(model: "TrainedModel", inp: InputSet) -> EngineState:
     n = inp.n
     top = model.slabs.num_slabs - 1
     # every point starts with the whole slab range [0, top]
-    state = EngineState(buckets=[()] * top + [list(range(n))], lam_hat=top)
+    state = EngineState(buckets=[()] * top + [list(range(n))])
     state.xs = inp.xs.tolist()
     state.ys = inp.ys.tolist()
     state.node = list(range(n))  # root i is node i and covers [0, top]
@@ -142,8 +140,8 @@ def _merge_sort(a: list) -> tuple[list, int]:
     return out, comparisons
 
 
-def update_step(state: EngineState, stats: RunStats, new_lam_hat: int) -> None:
-    """Fold the buffered frontier-slab points into the maxima staircase.
+def update_step(state: EngineState, stats: RunStats) -> None:
+    """Fold the buffered frontier-slab points, at least one, into the maxima staircase.
 
     Sorts the buffer by x (ties by y then index), sweeps right to left, and
     keeps the running y-realizer as both dominance witness and next leftmost
@@ -151,44 +149,42 @@ def update_step(state: EngineState, stats: RunStats, new_lam_hat: int) -> None:
     already in the staircase lies strictly to the right of the buffer.  A
     one-point buffer needs no sort and a two-point buffer one comparison,
     which is what _merge_sort would count for them; longer buffers go
-    through _merge_sort.  With an empty buffer only the frontier moves.
+    through _merge_sort.
     """
     buf = state.buffer
-    if buf:
-        xs, ys = state.xs, state.ys
-        if len(buf) == 1:
-            i = buf[0]
-            keyed, comparisons = ((xs[i], ys[i], i),), 0
-        elif len(buf) == 2:
-            i, j = buf
-            a, b = (xs[i], ys[i], i), (xs[j], ys[j], j)
-            keyed, comparisons = ((b, a) if b < a else (a, b)), 1  # the merge of two singletons
-        else:
-            keyed, comparisons = _merge_sort([(xs[i], ys[i], i) for i in buf])
-        stats.update_sorted_points += len(buf)
-        stats.update_sort_comparisons += comparisons
+    xs, ys = state.xs, state.ys
+    if len(buf) == 1:
+        i = buf[0]
+        keyed, comparisons = ((xs[i], ys[i], i),), 0
+    elif len(buf) == 2:
+        i, j = buf
+        a, b = (xs[i], ys[i], i), (xs[j], ys[j], j)
+        keyed, comparisons = ((b, a) if b < a else (a, b)), 1  # the merge of two singletons
+    else:
+        keyed, comparisons = _merge_sort([(xs[i], ys[i], i) for i in buf])
+    stats.update_sorted_points += len(buf)
+    stats.update_sort_comparisons += comparisons
 
-        r = state.phat
-        rx = xs[r] if r >= 0 else 0.0
-        ry = ys[r] if r >= 0 else 0.0
-        maxima_rev = state.maxima_rev
-        dominators = state.dominators
-        checks = 0
-        for px, py, i in reversed(keyed):
-            if r >= 0:
-                checks += 1
-                if rx >= px and ry >= py and (rx > px or ry > py):
-                    dominators[i] = r
-                    continue
-                if py > ry:
-                    r, rx, ry = i, px, py
-            else:
+    r = state.phat
+    rx = xs[r] if r >= 0 else 0.0
+    ry = ys[r] if r >= 0 else 0.0
+    maxima_rev = state.maxima_rev
+    dominators = state.dominators
+    checks = 0
+    for px, py, i in reversed(keyed):
+        if r >= 0:
+            checks += 1
+            if rx >= px and ry >= py and (rx > px or ry > py):
+                dominators[i] = r
+                continue
+            if py > ry:
                 r, rx, ry = i, px, py
-            maxima_rev.append(i)
-        stats.dominance_checks += checks
-        state.phat = r
-        buf.clear()
-    state.lam_hat = new_lam_hat
+        else:
+            r, rx, ry = i, px, py
+        maxima_rev.append(i)
+    stats.dominance_checks += checks
+    state.phat = r
+    buf.clear()
 
 
 def run_maxima(
@@ -205,25 +201,29 @@ def run_maxima(
     advance of that point, the rightmost unresolved one, is one dominance
     check against the leftmost maximum so far plus one search step, until
     the point is dominated, buffered in the frontier slab, or stepped left of
-    m into a lower bucket.  Deterministic given (model, input).  With
-    debug_invariants the run calls update_step at every frontier move, empty
-    buffer or not, and checks after each that the staircase found so far is
-    exactly the true staircase of the points right of the frontier
-    (quadratic oracle work, debugging only); the certificate and counters
-    are the same as without it.
+    m into a lower bucket.  Deterministic given (model, input).
+
+    debug_invariants takes the same steps and adds one check after every
+    frontier move, empty or not, and after the final fold: the staircase
+    found so far must be exactly the true staircase of the points right of
+    the frontier.  Slabs do not decrease as x grows, so that staircase is
+    the suffix of the full one (one sort_scan_maxima answer per run) whose
+    slabs lie right of the frontier.  The certificate and counters are the
+    same as without it.
     """
     if stats is None:
         stats = RunStats()
     state = make_engine_state(model, inp)
-    if debug_invariants:
-        true_leaf = model.slabs.locate_array(inp.xs)
-        _check_frontier_invariant(state, inp, true_leaf)
     buckets = state.buckets
+    if debug_invariants:
+        ref = sort_scan_maxima(inp).maxima
+        ref_slab = model.slabs.locate_array(inp.xs[list(ref)])
+        ref_rev = list(reversed(ref))
     xs, ys, node, slab_lo = state.xs, state.ys, state.node, state.slab_lo
     buffer, dominators = state.buffer, state.dominators
     split, right = model.forest.split, model.forest.right
     blist = model.slabs.boundary_list()
-    lam_hat = state.lam_hat
+    lam_hat = len(buckets) - 1
     phat = hx = hy = -1
     steps = checks = decreases = 0
     for m in range(len(buckets) - 1, -1, -1):
@@ -232,12 +232,12 @@ def run_maxima(
         for i in buckets[m]:
             if m < lam_hat:
                 lam_hat = m
-                if buffer or debug_invariants:
-                    update_step(state, stats, m)
+                if buffer:
+                    update_step(state, stats)
                     phat = state.phat
-                    hx, hy = xs[phat], ys[phat]  # not read while phat is -1
-                    if debug_invariants:
-                        _check_frontier_invariant(state, inp, true_leaf)
+                    hx, hy = xs[phat], ys[phat]
+                if debug_invariants:
+                    _check_frontier_invariant(state, ref_rev, ref_slab, m)
             px, py = xs[i], ys[i]
             lo, hi, nid = slab_lo[i], m, node[i]
             while True:  # i stays the rightmost point until it leaves bucket m
@@ -278,22 +278,18 @@ def run_maxima(
     stats.tree_steps += steps
     stats.dominance_checks += checks
     stats.decrease_keys += decreases
-    update_step(state, stats, -1)
+    if buffer:
+        update_step(state, stats)
     if debug_invariants:
-        _check_frontier_invariant(state, inp, true_leaf)
+        _check_frontier_invariant(state, ref_rev, ref_slab, -1)
     stats.find_max_scans += len(buckets)  # one downward move past each bucket
     maxima = tuple(reversed(state.maxima_rev))
     return Certificate(maxima=maxima, dominators=state.dominators)
 
 
-def _check_frontier_invariant(state: EngineState, inp: InputSet, true_leaf: np.ndarray) -> None:
-    right = np.flatnonzero(true_leaf > state.lam_hat)
-    expect: tuple[int, ...] = ()
-    if right.size:
-        sub = InputSet(inp.xs[right], inp.ys[right])
-        expect = tuple(int(right[j]) for j in brute_force_maxima(sub).maxima)
-    got = tuple(reversed(state.maxima_rev))
-    if got != expect:
-        raise AssertionError(
-            f"frontier invariant broken at slab {state.lam_hat}: staircase {got}, oracle says {expect}"
-        )
+def _check_frontier_invariant(state: EngineState, ref_rev: list[int], ref_slab: np.ndarray, lam_hat: int) -> None:
+    """Raise unless the staircase is the reference's maxima (ref_rev, rightmost first) whose slab is > lam_hat."""
+    k = len(ref_rev) - int(np.searchsorted(ref_slab, lam_hat, "right"))
+    if state.maxima_rev != ref_rev[:k]:
+        got, expect = tuple(reversed(state.maxima_rev)), tuple(reversed(ref_rev[:k]))
+        raise AssertionError(f"frontier invariant broken at slab {lam_hat}: staircase {got}, oracle says {expect}")

@@ -317,11 +317,6 @@ def audit_forest(forest: SearchForest, freq: FrequencyTable, mu: float) -> Fores
     return audit
 
 
-def check_mu_reducing(forest: SearchForest, freq: FrequencyTable, mu: float) -> np.ndarray:
-    """Per tree, whether every child subtree of every internal node carries at most mu times its parent's mass (see audit_forest)."""
-    return audit_forest(forest, freq, mu).reducing
-
-
 def search_steps_to_leaf(forest: SearchForest, i: int, leaf: int, interval: tuple[int, int] | None) -> int:
     """Steps a search in tree i for `leaf` takes; stops early once its current
     interval fits inside `interval` (inclusive slab index pair), or at the

@@ -22,10 +22,10 @@ import numpy as np
 from simax import (
     RunStats,
     SeededRng,
+    audit_forest,
     build_scenario,
     build_slab_structure,
     brute_force_maxima,
-    check_mu_reducing,
     run_maxima,
     sample_input,
     simulate_restricted_search,
@@ -92,7 +92,7 @@ def test_03_every_tree_edge_is_two_thirds_reducing(model_cache, capsys):
     jobs += [("uniform_square", 8192), ("staircase_line", 8192)]
     for kind, n in jobs:
         model = model_cache(kind, n)
-        reducing = check_mu_reducing(model.forest, model.frequencies, mu=2 / 3)
+        reducing = audit_forest(model.forest, model.frequencies, mu=2 / 3).reducing
         checked += reducing.size
         bad += int(np.count_nonzero(~reducing))
     ok = bad == 0

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from simax import bench
+from simax import bench, engine
 from simax.bench import (
     ALGORITHMS,
     CSV_HEADER,
@@ -378,3 +378,18 @@ def test_cli_verify_reports_a_missing_model_field(tmp_path, capsys):
     model_path.write_text(json.dumps(obj), encoding="utf-8")
     assert main(["verify", "--model", str(model_path)]) == 1
     assert "missing model field 'scenario'" in capsys.readouterr().err
+
+
+def test_cli_verify_reports_a_broken_frontier_invariant(tmp_path, capsys, monkeypatch, model_cache):
+    model_path = tmp_path / "model.json"
+    save_model(model_cache("two_level", 256), model_path)
+    real_update = engine.update_step
+
+    def lossy_update(state, stats):
+        real_update(state, stats)
+        if len(state.maxima_rev) > 1:
+            state.maxima_rev.pop(0)
+
+    monkeypatch.setattr(engine, "update_step", lossy_update)
+    assert main(["verify", "--model", str(model_path), "--seed", "5"]) == 1
+    assert capsys.readouterr().out.startswith("FAIL: frontier invariant broken at slab ")

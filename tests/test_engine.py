@@ -103,7 +103,7 @@ def test_entropy_is_maximal_for_uniform_rows():
 
 
 def _bare_state(points) -> EngineState:
-    state = EngineState(buckets=[[]], lam_hat=0)
+    state = EngineState(buckets=[[]])
     state.xs = [float(p[0]) for p in points]
     state.ys = [float(p[1]) for p in points]
     return state
@@ -113,20 +113,20 @@ def test_update_step_folds_a_dominated_chain():
     state = _bare_state([(1, 1), (2, 2), (3, 3)])
     state.buffer = [0, 1, 2]
     stats = RunStats()
-    update_step(state, stats, -1)
+    update_step(state, stats)
     assert state.maxima_rev == [2]
     assert state.dominators == {0: 2, 1: 2}
     assert state.phat == 2
     assert stats.update_sorted_points == 3
     assert stats.dominance_checks == 2
-    assert state.buffer == [] and state.lam_hat == -1
+    assert state.buffer == []
 
 
 def test_update_step_keeps_a_staircase_in_order():
     state = _bare_state([(1, 3), (2, 2), (3, 1)])
     state.buffer = [2, 0, 1]  # arbitrary arrival order
     stats = RunStats()
-    update_step(state, stats, 0)
+    update_step(state, stats)
     assert state.maxima_rev == [2, 1, 0]  # rightmost first
     assert state.phat == 0  # leftmost maximum carries the largest y
     assert state.dominators == {}
@@ -140,38 +140,36 @@ def test_update_step_seeds_sweep_with_previous_leftmost_maximum():
     state.phat = 0
     state.buffer = [1, 2]
     stats = RunStats()
-    update_step(state, stats, -1)
+    update_step(state, stats)
     # (4,1) dies against the old maximum, (3,6) rises above it
     assert state.dominators == {1: 0}
     assert state.maxima_rev == [0, 2]
     assert state.phat == 2
 
 
-def _reference_update_step(state: EngineState, stats: RunStats, new_lam_hat: int) -> None:
-    """update_step as it was before its short-buffer paths: every nonempty buffer goes through _merge_sort."""
+def _reference_update_step(state: EngineState, stats: RunStats) -> None:
+    """update_step as it was before its short-buffer paths: every buffer goes through _merge_sort."""
     buf = state.buffer
-    if buf:
-        xs, ys = state.xs, state.ys
-        keyed, comparisons = engine._merge_sort([(xs[i], ys[i], i) for i in buf])
-        stats.update_sorted_points += len(buf)
-        stats.update_sort_comparisons += comparisons
-        r = state.phat
-        rx = xs[r] if r >= 0 else 0.0
-        ry = ys[r] if r >= 0 else 0.0
-        for px, py, i in reversed(keyed):
-            if r >= 0:
-                stats.dominance_checks += 1
-                if rx >= px and ry >= py and (rx > px or ry > py):
-                    state.dominators[i] = r
-                    continue
-                if py > ry:
-                    r, rx, ry = i, px, py
-            else:
+    xs, ys = state.xs, state.ys
+    keyed, comparisons = engine._merge_sort([(xs[i], ys[i], i) for i in buf])
+    stats.update_sorted_points += len(buf)
+    stats.update_sort_comparisons += comparisons
+    r = state.phat
+    rx = xs[r] if r >= 0 else 0.0
+    ry = ys[r] if r >= 0 else 0.0
+    for px, py, i in reversed(keyed):
+        if r >= 0:
+            stats.dominance_checks += 1
+            if rx >= px and ry >= py and (rx > px or ry > py):
+                state.dominators[i] = r
+                continue
+            if py > ry:
                 r, rx, ry = i, px, py
-            state.maxima_rev.append(i)
-        state.phat = r
-        buf.clear()
-    state.lam_hat = new_lam_hat
+        else:
+            r, rx, ry = i, px, py
+        state.maxima_rev.append(i)
+    state.phat = r
+    buf.clear()
 
 
 def test_update_step_short_buffers_fold_as_the_merge_sort_reference():
@@ -191,17 +189,9 @@ def test_update_step_short_buffers_fold_as_the_merge_sort_reference():
                     state.maxima_rev, state.phat = [k], k
                 state.buffer = list(arrival)
                 stats = RunStats()
-                fold(state, stats, -1)
-                folds.append((state.maxima_rev, state.dominators, state.phat, state.buffer, state.lam_hat, stats))
+                fold(state, stats)
+                folds.append((state.maxima_rev, state.dominators, state.phat, state.buffer, stats))
             assert folds[0] == folds[1], (pick, list(arrival), prior)
-
-
-def test_update_step_without_buffer_only_moves_the_frontier():
-    state = _bare_state([(0, 0)])
-    stats = RunStats()
-    update_step(state, stats, 3)
-    assert state.lam_hat == 3
-    assert stats.update_sorted_points == 0
 
 
 # ---------------------------------------------------------------------------
@@ -319,20 +309,32 @@ def test_stats_accumulate_across_runs(model_cache):
 def test_debug_run_checks_the_frontier_at_every_move(model_cache, monkeypatch):
     model = model_cache("two_level", 256)
     inp = sample_input(model.scenario, SeededRng(5))
-    calls = {"check": 0, "update": 0}
+    real_state, real_check, states, checked = engine.make_engine_state, engine._check_frontier_invariant, [], []
 
-    def counted(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
+    def captured(*args):
+        states.append(real_state(*args))
+        return states[-1]
 
-        return wrapper
+    def counted(state, ref_rev, ref_slab, lam_hat):
+        checked.append(lam_hat)
+        real_check(state, ref_rev, ref_slab, lam_hat)
 
-    monkeypatch.setattr(engine, "_check_frontier_invariant", counted("check", engine._check_frontier_invariant))
-    monkeypatch.setattr(engine, "update_step", counted("update", engine.update_step))
+    monkeypatch.setattr(engine, "make_engine_state", captured)
+    monkeypatch.setattr(engine, "_check_frontier_invariant", counted)
     run_maxima(model, inp, debug_invariants=True)
-    # once before the first move, after every update_step, and never in between
-    assert calls["update"] > 2 and calls["check"] == calls["update"] + 1
+    # after the move to every nonempty bucket below the top, empty buffer or not, and after the final fold
+    buckets = states[0].buckets
+    moves = [m for m in range(len(buckets) - 2, -1, -1) if buckets[m]]
+    assert len(moves) > 2 and checked == moves + [-1]
+
+
+def test_debug_run_computes_one_reference_per_run(model_cache, monkeypatch):
+    model = model_cache("two_level", 256)
+    calls = []
+    real = engine.sort_scan_maxima
+    monkeypatch.setattr(engine, "sort_scan_maxima", lambda inp: calls.append(1) or real(inp))
+    run_maxima(model, sample_input(model.scenario, SeededRng(5)), debug_invariants=True)
+    assert len(calls) == 1
 
 
 def test_debug_run_catches_an_update_that_drops_a_maximum(model_cache, monkeypatch):
@@ -340,14 +342,30 @@ def test_debug_run_catches_an_update_that_drops_a_maximum(model_cache, monkeypat
     inp = sample_input(model.scenario, SeededRng(5))
     real_update = engine.update_step
 
-    def lossy_update(state, stats, new_lam_hat):
-        real_update(state, stats, new_lam_hat)
+    def lossy_update(state, stats):
+        real_update(state, stats)
         if len(state.maxima_rev) > 1:
             state.maxima_rev.pop(0)
 
     monkeypatch.setattr(engine, "update_step", lossy_update)
     run_maxima(model, inp)  # unchecked, the broken staircase goes by unnoticed
     with pytest.raises(AssertionError, match="frontier invariant"):
+        run_maxima(model, inp, debug_invariants=True)
+
+
+def test_debug_run_catches_an_update_that_reorders_the_staircase(model_cache, monkeypatch):
+    # the staircase keeps its length and its members; only two older entries trade places
+    model = model_cache("two_level", 256)
+    inp = sample_input(model.scenario, SeededRng(5))
+    real_update = engine.update_step
+
+    def swapping_update(state, stats):
+        real_update(state, stats)
+        if len(state.maxima_rev) > 2:
+            state.maxima_rev[0], state.maxima_rev[1] = state.maxima_rev[1], state.maxima_rev[0]
+
+    monkeypatch.setattr(engine, "update_step", swapping_update)
+    with pytest.raises(AssertionError, match=r"frontier invariant broken at slab \d+: staircase \("):
         run_maxima(model, inp, debug_invariants=True)
 
 
@@ -396,11 +414,14 @@ def test_pinned_run_counters_and_maxima(model_cache, kind):
     assert hashlib.sha256(repr(sorted(cert.dominators.items())).encode()).hexdigest()[:16] == dominators_digest
 
 
-@pytest.mark.parametrize("kind", sorted(PINNED_RUNS))
-def test_debug_run_gives_the_plain_run_certificate_and_counters(model_cache, kind):
-    # a debug run folds at every frontier move, a plain run only when the
-    # buffer holds points: skipping the empty folds must change nothing
-    model = model_cache(kind, 256)
+@pytest.mark.parametrize(
+    "kind, n",
+    [pytest.param(kind, 256, id=kind) for kind in sorted(PINNED_RUNS)]
+    + [pytest.param(kind, 8192, id=f"{kind}-8192") for kind in ("staircase_line", "uniform_square")],
+)
+def test_debug_run_gives_the_plain_run_certificate_and_counters(model_cache, kind, n):
+    # a debug run takes the plain run's steps and only adds checks against its reference
+    model = model_cache(kind, n)
     for seed in range(5):
         inp = sample_input(model.scenario, SeededRng(seed))
         plain, debug = RunStats(), RunStats()

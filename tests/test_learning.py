@@ -21,7 +21,6 @@ from simax import (
     build_scenario,
     build_search_tree,
     build_slab_structure,
-    check_mu_reducing,
     collect_frequencies,
     load_model,
     run_maxima,
@@ -322,7 +321,7 @@ def test_weighted_median_split_example():
     assert audit_forest(forest, freq, mu=2 / 3).nodes.tolist() == [3]
     assert forest.right[0] == 2  # the right child's slot; the left child, node 1, sits just before it
     assert _intervals(forest, 0) == [(0, 2), (0, 0), (2, 2)]
-    assert check_mu_reducing(forest, freq, mu=2 / 3).tolist() == [True]
+    assert audit_forest(forest, freq, mu=2 / 3).reducing.tolist() == [True]
 
 
 def test_split_picks_smallest_majority_slab():
@@ -363,7 +362,7 @@ def test_build_search_tree_rejects_bad_threshold():
 def test_built_trees_are_always_two_thirds_reducing(counts, threshold):
     freq = FrequencyTable(counts=np.array([counts], dtype=np.uint16), rounds=max(1, sum(counts)))
     forest = _build_forest(freq, threshold)
-    assert check_mu_reducing(forest, freq, mu=2 / 3).all()
+    assert audit_forest(forest, freq, mu=2 / 3).reducing.all()
     # children partition the parent slab minus the split leaf; the left child sits just before the right-child slot
     intervals = {nid: (lo, hi) for nid, lo, hi, _ in _walk(forest, 0)}
     assert sorted(intervals) == list(range(len(forest.split)))
@@ -465,16 +464,16 @@ def test_check_mu_reducing_flags_handmade_violation():
     # child holds 9 of the parent's 10: far above 2/3
     freq = FrequencyTable(counts=np.array([[9, 0, 1]], dtype=np.uint16), rounds=10)
     forest = SearchForest(3, 1, [1, -1, -1])
-    assert check_mu_reducing(forest, freq, mu=2 / 3).tolist() == [False]
-    assert check_mu_reducing(forest, freq, mu=0.95).tolist() == [True]
+    assert audit_forest(forest, freq, mu=2 / 3).reducing.tolist() == [False]
+    assert audit_forest(forest, freq, mu=0.95).reducing.tolist() == [True]
     with pytest.raises(ValueError, match=r"frequency table has shape \(2, 3\), the forest needs \(1, 3\)"):
-        check_mu_reducing(forest, FrequencyTable(counts=np.zeros((2, 3), dtype=np.uint16), rounds=1), mu=2 / 3)
+        audit_forest(forest, FrequencyTable(counts=np.zeros((2, 3), dtype=np.uint16), rounds=1), mu=2 / 3)
 
 
 def test_single_node_tree_is_vacuously_reducing():
     freq = FrequencyTable(counts=np.array([[5]], dtype=np.uint16), rounds=5)
     forest = _build_forest(freq, leaf_threshold=10)
-    assert check_mu_reducing(forest, freq, mu=2 / 3).tolist() == [True]
+    assert audit_forest(forest, freq, mu=2 / 3).reducing.tolist() == [True]
 
 
 @given(rows=_tables(), threshold=st.integers(1, 20))
@@ -603,7 +602,7 @@ def test_model_structural_bounds(model_cache, kind):
 def test_all_trained_trees_are_mu_reducing(model_cache):
     for kind in ("uniform_square", "staircase_line", "two_level"):
         model = model_cache(kind, 256)
-        assert check_mu_reducing(model.forest, model.frequencies, mu=2 / 3).all()
+        assert audit_forest(model.forest, model.frequencies, mu=2 / 3).reducing.all()
 
 
 # ---------------------------------------------------------------------------
