@@ -388,4 +388,8 @@ def loads_scenario(text: str) -> ScenarioSpec:
 
 def load_scenario_file(path) -> ScenarioSpec:
     with open(path, "r", encoding="utf-8") as fh:
-        return loads_scenario(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as e:
+            raise ScenarioError(f"scenario file is not valid UTF-8: {e}") from None
+    return loads_scenario(text)

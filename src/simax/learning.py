@@ -23,9 +23,9 @@ from .distributions import SCENARIO_COLUMNS, ScenarioSpec, SeededRng, sample_inp
 from .geometry import InputSet
 
 MODEL_FORMAT = "simax-model"
-MODEL_VERSION = 8
-# the forest column's dtype: uint16 (65535 for -1) while every split fits below 65535, int32 above
-_SPLIT_U2_MAX_SLABS = 65535
+MODEL_VERSION = 9
+# the forest's splits column is uint16 while every slab index fits in it, int32 above
+_SPLIT_U2_MAX_SLABS = 65536
 
 
 class SlabStructure:
@@ -47,7 +47,7 @@ class SlabStructure:
         if not (np.diff(b) > 0).all():
             raise ValueError("boundaries must be strictly increasing")
         self.boundaries = b
-        self._blist = [float(v) for v in b]  # plain floats for hot loops
+        self._blist = b.tolist()  # plain floats for hot loops
 
     @property
     def num_slabs(self) -> int:
@@ -194,7 +194,7 @@ class SearchForest:
     __slots__ = ("num_slabs", "n", "split", "right")
 
     def __init__(self, num_slabs: int, n: int, splits):
-        """Decode the level-order split list of n trees, one numpy pass per depth.
+        """Decode the level-order split list of n trees, -1 for each node that is not expanded.
 
         splits is a sequence of ints or their native int32 bytes.  The list
         decodes only if every split is -1 or lies inside its node's interval,
@@ -205,24 +205,93 @@ class SearchForest:
             self.split = array("i", splits)
         except (TypeError, OverflowError):
             raise ValueError("search forest splits must be int32 values") from None
+        split = np.frombuffer(self.split, dtype=np.intc)
+        inner = split != -1
+        self._decode(num_slabs, n, inner, split[inner], slack=0)
+
+    @classmethod
+    def from_columns(cls, num_slabs: int, n: int, bitmap: np.ndarray, splits: np.ndarray) -> "SearchForest":
+        """Decode a model file's forest: which nodes split, and their splits.
+
+        bitmap packs one bit per node in level order, set where the node
+        splits, with its pad bits zero; splits holds the split nodes' splits
+        in the same order.  Besides the list checks of __init__, the bitmap
+        must mark exactly len(splits) nodes and be ceil(nodes / 8) bytes.  The
+        decoder reads nothing past the two columns and allocates one int32
+        split and right per bitmap bit.
+        """
+        inner = np.unpackbits(bitmap).view(bool)
+        marked = np.count_nonzero(inner)
+        if marked != splits.size:
+            raise ValueError(f"forest.bitmap marks {marked} split nodes, but forest.splits holds {splits.size} splits")
+        forest = cls.__new__(cls)
+        forest.split = array("i", [-1]) * inner.size
+        forest._decode(num_slabs, n, inner, splits, slack=7)
+        return forest
+
+    def _decode(self, num_slabs: int, n: int, inner: np.ndarray, values: np.ndarray, slack: int) -> None:
+        """Fill split and right one level at a time, touching only each level's split nodes.
+
+        inner flags the split nodes in level order and values holds their
+        splits; inner may run up to `slack` entries past the last level,
+        which must be clear.  split starts as len(inner) entries of -1 (or
+        the list itself) and is cut to the node count at the end.
+        """
         self.num_slabs, self.n = num_slabs, n
-        self.right = array("i", [-1]) * len(self.split)
+        self.right = array("i", [-1]) * inner.size
         split, right = np.frombuffer(self.split, dtype=np.intc), np.frombuffer(self.right, dtype=np.intc)
         lo, hi = np.zeros(n, dtype=np.intc), np.full(n, num_slabs - 1, dtype=np.intc)
-        start, end, depth = 0, n, 0
+        start, end, done, depth = 0, n, 0, 0  # done: splits decoded so far
         while start < end:  # a child's interval is narrower than its parent's, so there are at most num_slabs levels
-            if end > split.size:
+            if end > inner.size:
                 raise ValueError(f"search forest splits end inside level {depth}")
-            s = split[start:end]
-            bad = np.flatnonzero((s != -1) & ((s < lo) | (s > hi)))
+            level = inner[start:end]
+            s = values[done : done + np.count_nonzero(level)].astype(np.intc)
+            done += s.size
+            if s.size < level.size:  # a partly split level: keep the intervals of its split nodes only
+                j = np.flatnonzero(level)
+                lo, hi = lo[j], hi[j]
+            else:
+                j = slice(None)
+            bad = np.flatnonzero((s < lo) | (s > hi))
             if bad.size:
-                j = bad[0]
-                raise ValueError(f"search forest node {start + j} has a split outside its interval [{lo[j]}, {hi[j]}]: {s[j]}")
-            kept, lo, hi = _children(lo, hi, s)
-            right[start:end] = np.where(s >= 0, end + np.cumsum(kept, dtype=np.intc)[::2], -1)
-            start, end, depth = end, end + lo.size, depth + 1
-        if end != split.size:
-            raise ValueError(f"search forest splits go on past its last level: {split.size - end} more")
+                b = bad[0]
+                node = start + np.flatnonzero(level)[b]
+                raise ValueError(f"search forest node {node} has a split outside its interval [{lo[b]}, {hi[b]}]: {s[b]}")
+            split[start:end][j] = s
+            # split node k's children, in level order: [lo, s - 1] if s > lo, then [s + 1, hi] if s < hi
+            kept = np.empty((s.size, 2), dtype=bool)
+            np.greater(s, lo, out=kept[:, 0])
+            np.less(s, hi, out=kept[:, 1])
+            both = kept.all()
+            if both:  # two children each, so split node k's right child is node end + 2k + 1
+                right[start:end][j] = np.arange(end + 1, end + 2 * s.size, 2, dtype=np.intc)
+                children = 2 * s.size
+            else:
+                below = np.add(kept[:, 0], kept[:, 1], dtype=np.intc)
+                np.cumsum(below, out=below)  # the children of split nodes 0..k
+                right[start:end][j] = end + below - kept[:, 1]
+                children = int(below[-1]) if below.size else 0
+            if inner[end : end + children].any():
+                child_lo, child_hi = np.empty((s.size, 2), dtype=np.intc), np.empty((s.size, 2), dtype=np.intc)
+                child_lo[:, 0], child_hi[:, 1] = lo, hi
+                np.add(s, 1, out=child_lo[:, 1])
+                np.subtract(s, 1, out=child_hi[:, 0])
+                lo, hi = child_lo.ravel(), child_hi.ravel()
+                if not both:
+                    lo, hi = lo[kept.ravel()], hi[kept.ravel()]
+            else:  # the next level is all leaves (or runs past the bitmap), so no interval of it is read
+                lo = hi = np.empty(0, dtype=np.intc)
+            start, end, depth = end, end + children, depth + 1
+        del split, right  # release the buffers, so the arrays can be cut
+        if done != values.size:
+            raise ValueError(f"search forest splits go on past its last level: {values.size - done} more")
+        if inner.size - end > slack:
+            if slack:
+                raise ValueError(f"forest.bitmap is {inner.size // 8} bytes, but the {end} nodes it describes need {-(-end // 8)}")
+            raise ValueError(f"search forest splits go on past its last level: {inner.size - end} more")
+        if end < inner.size:
+            del self.split[end:], self.right[end:]
 
 
 def build_search_tree(freq: FrequencyTable, leaf_threshold: int) -> array:
@@ -445,8 +514,17 @@ class TrainedModel:
                 **{k: _column(v, SCENARIO_COLUMNS[k]) for k, v in self.scenario.columns.items()},
             },
             "boundaries": _column(self.slabs.boundaries, "<f8"),
-            "forest": _column(self.forest.split, "<u2" if self.slabs.num_slabs <= _SPLIT_U2_MAX_SLABS else "<i4"),
+            "forest": self._forest_columns(),
             "entropy_per_point": _column(self.entropy_per_point, "<f8"),
+        }
+
+    def _forest_columns(self) -> dict:
+        """The forest as a model-file field: a bitmap of which nodes split, in level order, and the splits of those nodes."""
+        split = np.frombuffer(self.forest.split, dtype=np.intc)
+        inner = split >= 0
+        return {
+            "bitmap": _column(np.packbits(inner), "<u1"),
+            "splits": _column(split[inner], "<u2" if self.slabs.num_slabs <= _SPLIT_U2_MAX_SLABS else "<i4"),
         }
 
     @classmethod
@@ -464,7 +542,7 @@ class TrainedModel:
             return cls(
                 scenario=scenario,
                 slabs=slabs,
-                forest=SearchForest(slabs.num_slabs, scenario.n, _split_bytes(obj, slabs.num_slabs)),
+                forest=_read_forest(obj["forest"], slabs.num_slabs, scenario.n),
                 config=TrainingConfig(epsilon=obj["epsilon"], delta=obj["delta"], rounds_cap=obj["rounds_cap"]),  # checks their types
                 seed=seed,
                 entropy_per_point=_read_column(obj["entropy_per_point"], "entropy_per_point", ("<f8",)).astype(np.float64),
@@ -477,7 +555,7 @@ class TrainedModel:
 
 def _column(values, dtype: str) -> dict:
     """A numeric column as a model-file field: its little-endian bytes in base64."""
-    data = np.asarray(values).astype(dtype, copy=False).tobytes()  # to "<u2", -1 wraps to 65535
+    data = np.asarray(values).astype(dtype, copy=False).tobytes()
     return {"dtype": dtype, "data": base64.b64encode(data).decode("ascii")}
 
 
@@ -510,15 +588,16 @@ def _read_scenario(obj) -> ScenarioSpec:
     return spec
 
 
-def _split_bytes(obj: dict, num_slabs: int) -> bytes:
-    """The forest column widened to native int32 bytes for SearchForest, with 65535 in a uint16 column read as -1."""
-    column = _read_column(obj["forest"], "forest", ("<u2", "<i4"))
-    splits = column.astype(np.intc)
-    if column.dtype.itemsize == 2:
-        if num_slabs > _SPLIT_U2_MAX_SLABS:
-            raise ValueError(f"forest dtype <u2 cannot hold the splits of a model with {num_slabs} slabs")
-        splits[column == 65535] = -1
-    return splits.tobytes()
+def _read_forest(obj, num_slabs: int, n: int) -> SearchForest:
+    """The forest field: its bitmap and splits columns, decoded as n trees over num_slabs slabs."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"forest must be an object, got {type(obj).__name__}")
+    try:
+        bitmap = _read_column(obj["bitmap"], "forest.bitmap", ("<u1",))
+        splits = _read_column(obj["splits"], "forest.splits", ("<u2", "<i4"))
+    except KeyError as e:
+        raise ValueError(f"missing model field 'forest.{e.args[0]}'") from None
+    return SearchForest.from_columns(num_slabs, n, bitmap, splits)
 
 
 def train_model(
@@ -563,6 +642,8 @@ def load_model(path) -> TrainedModel:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
+        except UnicodeDecodeError as e:
+            raise ValueError(f"model file is not valid UTF-8: {e}") from None
         except json.JSONDecodeError as e:
             raise ValueError(f"model file is not valid JSON: {e}") from None
         except RecursionError:

@@ -359,15 +359,20 @@ def test_model_file_is_versioned_json(tmp_path):
     main(["train", "--scenario", "uniform_square", "--n", "16", "--out", str(model_path)])
     obj = json.loads(model_path.read_text(encoding="utf-8"))
     assert obj["format"] == "simax-model"
-    assert obj["version"] == 8
+    assert obj["version"] == 9
     assert "rng_algorithm" not in obj
     assert "per_point" not in obj["scenario"] and obj["scenario"]["kind"]["dtype"] == "<u1"  # the scenario is columns too
     assert obj["boundaries"]["dtype"] == "<f8"
     boundaries = np.frombuffer(base64.b64decode(obj["boundaries"]["data"], validate=True), dtype="<f8")
-    assert obj["forest"]["dtype"] == "<u2"  # one flat level-order split list, 65535 for -1
-    splits = np.frombuffer(base64.b64decode(obj["forest"]["data"], validate=True), dtype="<u2").astype(np.int64)
-    splits[splits == 65535] = -1
-    SearchForest(boundaries.size + 1, 16, splits.tolist())  # decodes as exactly n trees, or raises
+    # which nodes split, one bit each in level order, and the splits of those nodes: "<u2" while every slab index fits
+    assert obj["forest"]["bitmap"]["dtype"] == "<u1" and obj["forest"]["splits"]["dtype"] == "<u2"
+    bitmap = np.frombuffer(base64.b64decode(obj["forest"]["bitmap"]["data"], validate=True), dtype="<u1")
+    splits = np.frombuffer(base64.b64decode(obj["forest"]["splits"]["data"], validate=True), dtype="<u2")
+    inner = np.unpackbits(bitmap).astype(bool)
+    level_order = np.full(inner.size, -1)
+    level_order[inner] = splits
+    forest = SearchForest.from_columns(boundaries.size + 1, 16, bitmap, splits)  # decodes as exactly n trees, or raises
+    assert forest.split.tolist() == level_order[: len(forest.split)].tolist() and len(forest.split) > inner.size - 8
 
 
 def test_cli_verify_reports_a_missing_model_field(tmp_path, capsys):

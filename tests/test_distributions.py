@@ -440,6 +440,13 @@ def test_parse_errors_carry_field_context():
         loads_scenario("[" * 200_000)
 
 
+def test_load_scenario_file_names_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "scenario.json"
+    path.write_bytes(b"\xff" + json.dumps(scenario_to_dict(build_scenario("uniform_square", 4))).encode())
+    with pytest.raises(ScenarioError, match="scenario file is not valid UTF-8: .* byte 0xff in position 0"):
+        distributions.load_scenario_file(path)
+
+
 def test_parse_names_an_integer_too_large_for_a_float():
     # JSON integers have no size limit; float() of one past 1.8e308 raises OverflowError, which the reader names
     mass = {"kind": "point_mass", "x": 0, "y": 0}

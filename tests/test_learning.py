@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 from bisect import bisect_left, bisect_right
+from collections import deque
 
 import numpy as np
 import pytest
@@ -460,6 +461,52 @@ def test_search_forest_rejects_malformed_splits(n, splits, message):
         SearchForest(4, n, splits)
 
 
+@st.composite
+def _level_order_forests(draw, max_nodes: int = 120):
+    """(num_slabs, n, splits): a valid level-order split list whose nodes split or not at random, so levels are mixed."""
+    num_slabs, n = draw(st.integers(1, 40)), draw(st.integers(1, 4))
+    splits, pending = [], deque([(0, num_slabs - 1)] * n)
+    while pending:
+        lo, hi = pending.popleft()
+        if len(splits) + len(pending) < max_nodes and draw(st.booleans()):
+            s = draw(st.integers(lo, hi))
+            pending.extend(child for child in ((lo, s - 1), (s + 1, hi)) if child[0] <= child[1])
+        else:
+            s = -1
+        splits.append(s)
+    return num_slabs, n, splits
+
+
+def _reference_right(num_slabs: int, n: int, splits: list) -> list:
+    """right for a level-order split list, one node at a time with a queue of the intervals still to come."""
+    pending, right, slots = deque([(0, num_slabs - 1)] * n), [], n
+    for s in splits:
+        lo, hi = pending.popleft()
+        if s < 0:
+            right.append(-1)
+            continue
+        if s > lo:
+            pending.append((lo, s - 1))
+            slots += 1
+        right.append(slots)  # the right child's slot, whether or not it exists; the left child sits just before it
+        if s < hi:
+            pending.append((s + 1, hi))
+            slots += 1
+    assert not pending
+    return right
+
+
+@given(forest=_level_order_forests())
+def test_forest_columns_decode_like_a_reference(forest):
+    num_slabs, n, splits = forest
+    column = np.array(splits)
+    inner = column >= 0
+    from_file = SearchForest.from_columns(num_slabs, n, np.packbits(inner), column[inner].astype("<u2"))
+    from_list = SearchForest(num_slabs, n, splits)
+    assert from_file.split.tolist() == from_list.split.tolist() == splits
+    assert from_file.right.tolist() == from_list.right.tolist() == _reference_right(num_slabs, n, splits)
+
+
 def test_check_mu_reducing_flags_handmade_violation():
     # child holds 9 of the parent's 10: far above 2/3
     freq = FrequencyTable(counts=np.array([[9, 0, 1]], dtype=np.uint16), rounds=10)
@@ -645,9 +692,9 @@ def test_model_file_retrains_to_the_same_bytes(tmp_path, kind, config):
 
 # sha256 of save_model's bytes for the conftest models (n=256, seed 101, eps 0.5)
 PINNED_MODEL_SHA256 = {
-    "staircase_line": "a6532b0ffd87ace90c8c4fe0122ac7a850afd3aad0263eb79fdd4bb09010c86d",
-    "two_level": "199aeac68432254116eadfdf2b6c15781ab2edad961b64bc934f4ea98ac06da7",
-    "uniform_square": "cb33e8b7c158ada3c100d4a277a6135cebc1c7cd3c72348c8ef49095e335ec96",
+    "staircase_line": "dbf4a5dbefa6f9d6675f81be1919cc27fbf8a337964bc2f0cf6e4f202b84f28a",
+    "two_level": "8c6cdb695d26aa3de5de422204767f36f9c77edd56419db399f9df84c8102c79",
+    "uniform_square": "c94ca318257247629ef69a8d1850a7f1b4cd7618a901a1d803729fbb0e35e606",
 }
 
 
@@ -680,6 +727,9 @@ def test_load_model_rejects_foreign_files(tmp_path):
     bad.write_text("[" * 200_000, encoding="utf-8")
     with pytest.raises(ValueError, match="nested too deeply"):
         load_model(bad)
+    bad.write_bytes(b"\xff" + json.dumps({"format": "simax-model"}).encode())
+    with pytest.raises(ValueError, match="model file is not valid UTF-8: .* byte 0xff in position 0"):
+        load_model(bad)
 
 
 def test_load_model_rejects_wrong_version_and_tree_count(tmp_path, model_cache):
@@ -700,27 +750,48 @@ def _write_model(tmp_path, obj):
     return path
 
 
-@pytest.mark.parametrize("field", ["scenario", "boundaries", "forest", "epsilon", "rounds_cap", "entropy_per_point"])
+def _set_path(obj, field: str, value=None) -> None:
+    """Set a dotted model field such as "forest.splits" to value, or delete it when value is None."""
+    *parents, last = field.split(".")
+    for name in parents:
+        obj = obj[name]
+    if value is None:
+        del obj[last]
+    else:
+        obj[last] = value
+
+
+@pytest.mark.parametrize(
+    "field", ["scenario", "boundaries", "forest", "forest.bitmap", "forest.splits", "epsilon", "rounds_cap", "entropy_per_point"]
+)
 def test_load_model_names_a_missing_field(tmp_path, model_cache, field):
     obj = model_cache("uniform_square", 16).to_dict()
-    del obj[field]
+    _set_path(obj, field)
     with pytest.raises(ValueError, match=f"missing model field '{field}'"):
         load_model(_write_model(tmp_path, obj))
 
 
 def _encode(values, dtype: str) -> dict:
-    """A column field as save_model writes it (a -1 split wraps to 65535 in "<u2")."""
+    """A column field as save_model writes it."""
     return {"dtype": dtype, "data": base64.b64encode(np.asarray(values).astype(dtype).tobytes()).decode("ascii")}
 
 
 def _decode(column: dict) -> list:
-    values = np.frombuffer(base64.b64decode(column["data"]), dtype=column["dtype"])
-    return [-1 if column["dtype"] == "<u2" and v == 65535 else v for v in values.tolist()]
+    return np.frombuffer(base64.b64decode(column["data"]), dtype=column["dtype"]).tolist()
+
+
+def _splits(obj) -> list:
+    """The level-order split list, -1 for a node that is not expanded, of a model file object that loads."""
+    return TrainedModel.from_dict(obj).forest.split.tolist()
 
 
 def _store_forest(obj, splits: list) -> None:
-    """Write a split list back as the forest column, as "<i4" if "<u2" cannot hold it."""
-    obj["forest"] = _encode(splits, "<u2" if all(-1 <= s < 65535 for s in splits) else "<i4")
+    """Write a split list back as the forest's bitmap and splits columns, the splits as "<i4" if "<u2" cannot hold them."""
+    splits = np.asarray(splits)
+    inner = splits != -1
+    values = splits[inner]
+    dtype = "<u2" if ((values >= 0) & (values <= 65535)).all() else "<i4"
+    obj["forest"] = {"bitmap": _encode(np.packbits(inner), "<u1"), "splits": _encode(values, dtype)}
 
 
 def test_load_model_checks_entropy_length(tmp_path, model_cache):
@@ -731,33 +802,36 @@ def test_load_model_checks_entropy_length(tmp_path, model_cache):
 
 
 def test_load_model_rejects_non_integer_column_entries(tmp_path, model_cache):
-    # the forest column is binary, so a non-integer split can only come as a float dtype
+    # the splits column is binary, so a non-integer split can only come as a float dtype
     obj = model_cache("uniform_square", 16).to_dict()
-    obj["forest"] = _encode(_decode(obj["forest"]), "<f8")
-    with pytest.raises(ValueError, match="forest must be an object with dtype <u2 or <i4"):
+    obj["forest"]["splits"] = _encode(_decode(obj["forest"]["splits"]), "<f8")
+    with pytest.raises(ValueError, match=r"forest\.splits must be an object with dtype <u2 or <i4"):
         load_model(_write_model(tmp_path, obj))
 
 
 def test_load_model_rejects_column_entries_outside_int32(tmp_path, model_cache):
     # "<i4" holds nothing outside int32, so a split of 2**31 needs a wider dtype, which is not read
     obj = model_cache("uniform_square", 16).to_dict()
-    obj["forest"] = _encode([2**31] + _decode(obj["forest"])[1:], "<i8")
-    with pytest.raises(ValueError, match="forest must be an object with dtype <u2 or <i4 .* got dtype '<i8'"):
+    obj["forest"]["splits"] = _encode([2**31] + _decode(obj["forest"]["splits"])[1:], "<i8")
+    with pytest.raises(ValueError, match=r"forest\.splits must be an object with dtype <u2 or <i4 .* got dtype '<i8'"):
         load_model(_write_model(tmp_path, obj))
 
 
 @pytest.mark.parametrize(
     "field, column, message",
     [
-        ("forest", [-1] * 16, "forest must be an object .* got list"),  # version 4's plain list
-        ("forest", {"dtype": "<u2"}, "forest must be an object .* base64 data"),
-        ("forest", {"dtype": ">u2", "data": ""}, "forest must be an object .* got dtype '>u2'"),
-        ("forest", {"dtype": "<u2", "data": "AA*A"}, "forest data is not valid base64"),
-        ("forest", {"dtype": "<u2", "data": "AAA"}, "forest data is not valid base64"),  # padding missing
-        ("forest", {"dtype": "<u2", "data": "AAA\u00e9"}, "forest data is not valid base64"),
-        ("forest", _encode([0], "<u1"), "forest must be an object .* got dtype '<u1'"),
-        ("forest", {"dtype": "<u2", "data": "AAAA"}, "forest data is 3 bytes, not a multiple of <u2's 2"),
-        ("forest", {"dtype": "<i4", "data": "AAAAAAA="}, "forest data is 5 bytes, not a multiple of <i4's 4"),
+        ("forest", [-1] * 16, "forest must be an object, got list"),  # version 4's plain list
+        ("forest.splits", {"dtype": "<u2"}, r"forest\.splits must be an object .* base64 data"),
+        ("forest.splits", {"dtype": ">u2", "data": ""}, r"forest\.splits must be an object .* got dtype '>u2'"),
+        ("forest.bitmap", {"dtype": "<u1", "data": "AA*A"}, r"forest\.bitmap data is not valid base64"),
+        ("forest.splits", {"dtype": "<u2", "data": "AAA"}, r"forest\.splits data is not valid base64"),  # padding missing
+        ("forest.splits", {"dtype": "<u2", "data": "AAA\u00e9"}, r"forest\.splits data is not valid base64"),
+        ("forest.splits", _encode([0], "<u1"), r"forest\.splits must be an object .* got dtype '<u1'"),
+        ("forest.splits", {"dtype": "<u2", "data": "AAAA"}, r"forest\.splits data is 3 bytes, not a multiple of <u2's 2"),
+        ("forest.splits", {"dtype": "<i4", "data": "AAAAAAA="}, r"forest\.splits data is 5 bytes, not a multiple of <i4's 4"),
+        ("forest", _encode([-1] * 16, "<u2"), r"missing model field 'forest\.bitmap'"),  # version 8's single column
+        ("forest.bitmap", _encode([255, 255], "<u2"), r"forest\.bitmap must be an object with dtype <u1 .* got dtype '<u2'"),
+        ("forest.bitmap", [1, 0, 1], r"forest\.bitmap must be an object .* got list"),
         ("entropy_per_point", _encode(np.zeros(16), "<f4"), "entropy_per_point must be an object with dtype <f8 .* got dtype '<f4'"),
         ("entropy_per_point", [0.0] * 16, "entropy_per_point must be an object .* got list"),
         ("entropy_per_point", {"dtype": "<f8", "data": "AAAA"}, "entropy_per_point data is 3 bytes, not a multiple of <f8's 8"),
@@ -776,6 +850,9 @@ def test_load_model_rejects_column_entries_outside_int32(tmp_path, model_cache):
         "forest uint8",
         "forest odd byte length",
         "forest int32 byte length",
+        "forest version 8 column",
+        "forest bitmap uint16",
+        "forest bitmap list",
         "entropy float32",
         "entropy list",
         "entropy byte length",
@@ -787,7 +864,7 @@ def test_load_model_rejects_column_entries_outside_int32(tmp_path, model_cache):
 )
 def test_load_model_rejects_malformed_columns(tmp_path, model_cache, field, column, message):
     obj = model_cache("uniform_square", 16).to_dict()
-    obj[field] = column
+    _set_path(obj, field, column)
     with pytest.raises(ValueError, match=message):
         load_model(_write_model(tmp_path, obj))
 
@@ -897,35 +974,47 @@ def test_load_model_rejects_a_scenario_that_is_not_an_object(tmp_path, model_cac
 
 
 def _split_past_last_slab(obj):
-    splits = _decode(obj["forest"])
+    splits = _splits(obj)
     splits[0] = len(_decode(obj["boundaries"])) + 1
     _store_forest(obj, splits)
 
 
 def _split_below_minus_one(obj):
-    splits = _decode(obj["forest"])
+    splits = _splits(obj)
     splits[0] = -2
     _store_forest(obj, splits)
 
 
 def _left_child_reaches_the_split(obj):
-    splits = _decode(obj["forest"])
+    splits = _splits(obj)
     splits[obj["scenario"]["n"]] = splits[0]  # root 0's left child, or its right one when the root splits at 0
     _store_forest(obj, splits)
 
 
 def _tree_0_missing_a_node(obj):
-    splits = _decode(obj["forest"])
+    splits = _splits(obj)
     del splits[obj["scenario"]["n"]]
     _store_forest(obj, splits)
 
 
 def _one_trailing_split(obj):
-    _store_forest(obj, _decode(obj["forest"]) + [-1])
+    _store_forest(obj, _splits(obj) + [0])  # one more bit, set, and one more split
 
 
 def _last_level_truncated(obj):
-    _store_forest(obj, _decode(obj["forest"])[:-1])
+    # the bitmap loses its last byte, and the splits lose the ones that byte marked
+    bitmap, splits = _decode(obj["forest"]["bitmap"]), _decode(obj["forest"]["splits"])
+    obj["forest"]["bitmap"] = _encode(bitmap[:-1], "<u1")
+    obj["forest"]["splits"] = _encode(splits[: len(splits) - bin(bitmap[-1]).count("1")], obj["forest"]["splits"]["dtype"])
+
+
+def _bitmap_one_byte_too_long(obj):
+    obj["forest"]["bitmap"] = _encode(_decode(obj["forest"]["bitmap"]) + [0], "<u1")
+
+
+def _one_split_missing(obj):
+    splits = obj["forest"]["splits"]
+    obj["forest"]["splits"] = _encode(_decode(splits)[:-1], splits["dtype"])
 
 
 def _version_2(obj):
@@ -952,6 +1041,10 @@ def _version_7(obj):
     obj["version"] = 7
 
 
+def _version_8(obj):
+    obj["version"] = 8
+
+
 @pytest.mark.parametrize(
     "corrupt, message",
     [
@@ -961,6 +1054,8 @@ def _version_7(obj):
         (_tree_0_missing_a_node, "search forest"),  # later splits shift into the wrong nodes
         (_one_trailing_split, "past its last level: 1 more"),
         (_last_level_truncated, "end inside level"),
+        (_bitmap_one_byte_too_long, r"forest\.bitmap is 121 bytes, but the 960 nodes it describes need 120"),
+        (_one_split_missing, r"forest\.bitmap marks \d+ split nodes, but forest\.splits holds \d+"),
         (None, "version 1 .* retrain"),
         (_version_2, "version 2 .* retrain"),
         (_version_3, "version 3 .* retrain"),
@@ -968,15 +1063,34 @@ def _version_7(obj):
         (_version_5, "version 5 .* retrain"),
         (_version_6, "version 6 .* retrain"),
         (_version_7, "version 7 .* retrain"),
+        (_version_8, "version 8 .* retrain"),
     ],
 )
 def test_load_model_rejects_corrupt_forests(tmp_path, model_cache, corrupt, message):
     obj = model_cache("uniform_square", 64).to_dict()
-    assert _decode(obj["forest"])[0] >= 0  # tree 0's root is an internal node
+    assert _splits(obj)[0] >= 0 and len(_splits(obj)) == 960  # tree 0's root is an internal node; the bitmap has no pad bits
     if corrupt is None:
         obj["version"] = 1
     else:
         corrupt(obj)
+    with pytest.raises(ValueError, match=message):
+        load_model(_write_model(tmp_path, obj))
+
+
+@pytest.mark.parametrize(
+    "set_bit, extra, message",
+    [
+        (7, [0], "past its last level: 1 more"),  # the last pad bit marks a split past the last level
+        (6, [], r"forest\.bitmap marks \d+ split nodes"),  # and one that marks no split is counted first
+    ],
+    ids=["pad bit with a split", "pad bit alone"],
+)
+def test_load_model_requires_clear_pad_bits(tmp_path, model_cache, set_bit, extra, message):
+    obj = model_cache("two_level", 64).to_dict()
+    assert len(_splits(obj)) % 8 == 6  # so the bitmap's last byte has two pad bits, 6 and 7
+    bitmap, splits = _decode(obj["forest"]["bitmap"]), _decode(obj["forest"]["splits"])
+    bitmap[-1] |= 0x80 >> set_bit
+    obj["forest"] = {"bitmap": _encode(bitmap, "<u1"), "splits": _encode(splits + extra, obj["forest"]["splits"]["dtype"])}
     with pytest.raises(ValueError, match=message):
         load_model(_write_model(tmp_path, obj))
 
@@ -1034,8 +1148,10 @@ def _hand_built_model(num_slabs: int, splits: list) -> TrainedModel:
 @pytest.mark.parametrize(
     "num_slabs, splits, dtype",
     [
-        (65535, [65534, -1, -1], "<u2"),  # the top slab one below the -1 sentinel
-        (70000, [69999, 65535, -1, -1, -1], "<i4"),  # root 1's split equals the "<u2" sentinel
+        (65535, [65534, -1, -1], "<u2"),
+        (70000, [69999, 65535, -1, -1, -1], "<i4"),  # root 1 splits at 65535
+        (65536, [65535, 0, -1, -1], "<u2"),  # the top slab: "<u2" holds every slab index, with no sentinel
+        (65537, [65536, -1, -1], "<i4"),  # the smallest model whose top slab needs "<i4"
     ],
 )
 def test_forest_column_width_round_trips(tmp_path, num_slabs, splits, dtype):
@@ -1043,16 +1159,18 @@ def test_forest_column_width_round_trips(tmp_path, num_slabs, splits, dtype):
     path = tmp_path / "model.json"
     save_model(model, path)
     obj = json.loads(path.read_text(encoding="utf-8"))
-    assert obj["forest"]["dtype"] == dtype
+    assert obj["forest"]["bitmap"]["dtype"] == "<u1" and obj["forest"]["splits"]["dtype"] == dtype
+    assert _decode(obj["forest"]["splits"]) == [s for s in splits if s >= 0]  # the splits of the split nodes only
     loaded = load_model(path)
     assert loaded.forest.split.tolist() == splits
     assert loaded.forest.right == model.forest.right
 
 
-def test_load_model_rejects_uint16_forest_over_too_many_slabs(tmp_path):
-    obj = _hand_built_model(70000, [69999, -1, -1]).to_dict()
-    obj["forest"] = _encode([69999 - 65536, -1, -1], "<u2")  # "<u2" cannot tell slab 65535 from -1
-    with pytest.raises(ValueError, match="forest dtype <u2 cannot hold the splits of a model with 70000 slabs"):
+def test_load_model_rejects_a_uint16_split_past_the_slabs(tmp_path):
+    # "<u2" holds splits up to 65535, which the interval check refuses on a model with fewer slabs
+    obj = _hand_built_model(65535, [65534, -1, -1]).to_dict()
+    obj["forest"]["splits"] = _encode([65535], "<u2")
+    with pytest.raises(ValueError, match=r"node 0 has a split outside its interval \[0, 65534\]: 65535"):
         load_model(_write_model(tmp_path, obj))
 
 
