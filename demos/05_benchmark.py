@@ -28,7 +28,7 @@ work = Path(scratch.name)
 paths = []
 for n in (64, 128, 256):
     model = train_model(build_scenario("two_level", n), seed=9)
-    path = work / f"two_level_{n}.json"
+    path = work / f"two_level_{n}.simax"
     save_model(model, path)
     paths.append(path)
 print("models trained:", [p.name for p in paths])

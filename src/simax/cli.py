@@ -102,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=0.5, help="frequency accuracy slack in (0,1) (default 0.5)")
     p.add_argument("--rounds-cap", type=int, default=10_000, help="hard cap on training rounds (default 10000)")
     p.add_argument("--seed", type=int, default=0, help="training seed (default 0)")
-    p.add_argument("--out", required=True, help="output model file (JSON)")
+    p.add_argument("--out", required=True, help="output model file (a JSON header line, then the arrays as raw bytes)")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("run", help="benchmark a trained model on fresh inputs, write CSV rows")

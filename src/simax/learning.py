@@ -9,9 +9,10 @@ to a plain binary search fallback, which caps total space.
 
 from __future__ import annotations
 
-import base64
+import contextlib
 import json
 import math
+import os
 from array import array
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -23,7 +24,7 @@ from .distributions import SCENARIO_COLUMNS, ScenarioSpec, SeededRng, sample_inp
 from .geometry import InputSet
 
 MODEL_FORMAT = "simax-model"
-MODEL_VERSION = 9
+MODEL_VERSION = 10
 # the forest's splits column is uint16 while every slab index fits in it, int32 above
 _SPLIT_U2_MAX_SLABS = 65536
 
@@ -499,9 +500,22 @@ class TrainedModel:
     def total_nodes(self) -> int:
         return len(self.forest.split)
 
-    def to_dict(self) -> dict:
-        """The model-file object: the replay key as JSON, and every array, the scenario's too, as a column (see _column)."""
-        return {
+    def to_bytes(self) -> bytes:
+        """The model file: a JSON header line with the replay key and each column's dtype and count, then the columns' bytes.
+
+        The columns' little-endian bytes follow the header's newline in the
+        order the header lists them, with nothing between or after them.
+        """
+        columns = []
+
+        def column(values, dtype: str) -> dict:
+            columns.append(np.ascontiguousarray(values, dtype=dtype))
+            return {"dtype": dtype, "count": columns[-1].size}
+
+        split = np.frombuffer(self.forest.split, dtype=np.intc)
+        inner = split >= 0
+        # a dict display evaluates in key order, so the columns are appended in the header's document order
+        header = {
             "format": MODEL_FORMAT,
             "version": MODEL_VERSION,
             "seed": self.seed,
@@ -511,41 +525,50 @@ class TrainedModel:
             "scenario": {
                 "name": self.scenario.name,
                 "n": self.n,
-                **{k: _column(v, SCENARIO_COLUMNS[k]) for k, v in self.scenario.columns.items()},
+                **{k: column(v, SCENARIO_COLUMNS[k]) for k, v in self.scenario.columns.items()},
             },
-            "boundaries": _column(self.slabs.boundaries, "<f8"),
-            "forest": self._forest_columns(),
-            "entropy_per_point": _column(self.entropy_per_point, "<f8"),
+            "boundaries": column(self.slabs.boundaries, "<f8"),
+            # which nodes split, one bit each in level order, and the splits of those nodes
+            "forest": {
+                "bitmap": column(np.packbits(inner), "<u1"),
+                "splits": column(split[inner], "<u2" if self.slabs.num_slabs <= _SPLIT_U2_MAX_SLABS else "<i4"),
+            },
+            "entropy_per_point": column(self.entropy_per_point, "<f8"),
         }
-
-    def _forest_columns(self) -> dict:
-        """The forest as a model-file field: a bitmap of which nodes split, in level order, and the splits of those nodes."""
-        split = np.frombuffer(self.forest.split, dtype=np.intc)
-        inner = split >= 0
-        return {
-            "bitmap": _column(np.packbits(inner), "<u1"),
-            "splits": _column(split[inner], "<u2" if self.slabs.num_slabs <= _SPLIT_U2_MAX_SLABS else "<i4"),
-        }
+        return b"".join([json.dumps(header, separators=(",", ":")).encode("ascii"), b"\n", *columns])
 
     @classmethod
-    def from_dict(cls, obj: dict) -> "TrainedModel":
-        if not isinstance(obj, dict) or obj.get("format") != MODEL_FORMAT:
-            raise ValueError("not a model file (bad or missing format tag)")
-        if obj.get("version") != MODEL_VERSION:
-            raise ValueError(f"model file version {obj.get('version')!r} is not read (only version {MODEL_VERSION}); retrain the model")
+    def from_bytes(cls, data: bytes) -> "TrainedModel":
+        """Decode and check a model file as to_bytes writes it; raises ValueError naming what is wrong."""
+        end = data.find(b"\n")
         try:
-            seed = obj["seed"]
+            header = json.loads((data[:end] if end >= 0 else data).decode("utf-8"))
+        except UnicodeDecodeError as e:
+            raise ValueError(f"model file header is not valid UTF-8: {e}") from None
+        except json.JSONDecodeError as e:
+            raise ValueError(f"model file header is not valid JSON: {e}") from None
+        except RecursionError:
+            raise ValueError("model file header is nested too deeply to be read") from None
+        if not isinstance(header, dict) or header.get("format") != MODEL_FORMAT:
+            raise ValueError("not a model file (bad or missing format tag)")
+        if header.get("version") != MODEL_VERSION:
+            raise ValueError(f"model file version {header.get('version')!r} is not read (only version {MODEL_VERSION}); retrain the model")
+        if end < 0:
+            raise ValueError("model file has no newline after its header line")
+        columns = _read_columns(header, memoryview(data)[end + 1 :])
+        try:
+            seed = header["seed"]
             if type(seed) is not int:  # SeededRng would take "7" or True
                 raise ValueError(f"seed must be an integer, got {seed!r}")
-            slabs = SlabStructure(_read_column(obj["boundaries"], "boundaries", ("<f8",)))
-            scenario = _read_scenario(obj["scenario"])
+            slabs = SlabStructure(columns["boundaries"].copy())  # a copy, so the model keeps no view of the file
+            scenario = _read_scenario(header["scenario"], columns)
             return cls(
                 scenario=scenario,
                 slabs=slabs,
-                forest=_read_forest(obj["forest"], slabs.num_slabs, scenario.n),
-                config=TrainingConfig(epsilon=obj["epsilon"], delta=obj["delta"], rounds_cap=obj["rounds_cap"]),  # checks their types
+                forest=_read_forest(header["forest"], columns, slabs.num_slabs, scenario.n),
+                config=TrainingConfig(epsilon=header["epsilon"], delta=header["delta"], rounds_cap=header["rounds_cap"]),  # checks their types
                 seed=seed,
-                entropy_per_point=_read_column(obj["entropy_per_point"], "entropy_per_point", ("<f8",)).astype(np.float64),
+                entropy_per_point=columns["entropy_per_point"].astype(np.float64),
             )
         except KeyError as e:
             raise ValueError(f"missing model field {e}") from None
@@ -553,51 +576,68 @@ class TrainedModel:
             raise ValueError(f"malformed model file: {e}") from None
 
 
-def _column(values, dtype: str) -> dict:
-    """A numeric column as a model-file field: its little-endian bytes in base64."""
-    data = np.asarray(values).astype(dtype, copy=False).tobytes()
-    return {"dtype": dtype, "data": base64.b64encode(data).decode("ascii")}
+# the model file's column fields, nested as in its header, with the dtypes each may have
+_COLUMN_DTYPES = {
+    "scenario": {k: (dtype,) for k, dtype in SCENARIO_COLUMNS.items()},
+    "boundaries": ("<f8",),
+    "forest": {"bitmap": ("<u1",), "splits": ("<u2", "<i4")},
+    "entropy_per_point": ("<f8",),
+}
 
 
-def _read_column(value, name: str, dtypes: tuple[str, ...]) -> np.ndarray:
-    """The read-only array in a column field as _column writes it, if its dtype is one of dtypes; errors name it `name`."""
-    if not isinstance(value, dict) or value.get("dtype") not in dtypes or not isinstance(value.get("data"), str):
-        shown = f"dtype {value.get('dtype')!r}" if isinstance(value, dict) else type(value).__name__
-        raise ValueError(f"{name} must be an object with dtype {' or '.join(dtypes)} and base64 data, got {shown}")
-    try:
-        data = base64.b64decode(value["data"], validate=True)
-    except ValueError:  # binascii.Error, or a non-ASCII character
-        raise ValueError(f"{name} data is not valid base64") from None
-    dtype = np.dtype(value["dtype"])
-    if len(data) % dtype.itemsize:
-        raise ValueError(f"{name} data is {len(data)} bytes, not a multiple of {value['dtype']}'s {dtype.itemsize}")
-    return np.frombuffer(data, dtype=dtype)
+def _column_fields(obj: dict, schema: dict, prefix: str = ""):
+    """(dotted name, allowed dtypes, value) of each column field in obj, in document order."""
+    for key, value in obj.items():
+        dtypes = schema.get(key)
+        if isinstance(dtypes, dict):
+            if isinstance(value, dict):  # otherwise the field's reader reports it
+                yield from _column_fields(value, dtypes, f"{prefix}{key}.")
+        elif dtypes is not None:
+            yield f"{prefix}{key}", dtypes, value
 
 
-def _read_scenario(obj) -> ScenarioSpec:
+def _read_columns(header: dict, payload: memoryview) -> dict[str, np.ndarray]:
+    """Every column field in the header by its dotted name, as a read-only view of its bytes in payload.
+
+    The columns take payload in the header's document order and must cover
+    it exactly.  A missing column is left out, for its reader to report.
+    """
+    columns, offset = {}, 0
+    for name, dtypes, value in _column_fields(header, _COLUMN_DTYPES):
+        if not isinstance(value, dict) or value.get("dtype") not in dtypes:
+            shown = f"dtype {value.get('dtype')!r}" if isinstance(value, dict) else type(value).__name__
+            raise ValueError(f"{name} must be an object with dtype {' or '.join(dtypes)} and a count, got {shown}")
+        count, dtype = value.get("count"), np.dtype(value["dtype"])
+        if type(count) is not int or count < 0:
+            raise ValueError(f"{name} count must be an integer >= 0, got {count!r}")
+        if count * dtype.itemsize > len(payload) - offset:
+            raise ValueError(f"model file ends inside column {name}: {count} x {value['dtype']} from byte {offset} of a {len(payload)}-byte payload")
+        columns[name] = np.frombuffer(payload, dtype=dtype, count=count, offset=offset)
+        offset += count * dtype.itemsize
+    if offset != len(payload):
+        raise ValueError(f"model file has {len(payload) - offset} bytes past its last column")
+    return columns
+
+
+def _read_scenario(obj, columns: dict[str, np.ndarray]) -> ScenarioSpec:
     """The scenario field: its name, its n, and one column per SCENARIO_COLUMNS entry, checked by ScenarioSpec."""
     if not isinstance(obj, dict):
         raise ValueError(f"scenario must be an object, got {type(obj).__name__}")
     try:
-        spec = ScenarioSpec(obj["name"], **{k: _read_column(obj[k], f"scenario.{k}", (dtype,)) for k, dtype in SCENARIO_COLUMNS.items()})
-        n = obj["n"]
+        name, n = obj["name"], obj["n"]
     except KeyError as e:
         raise ValueError(f"missing model field 'scenario.{e.args[0]}'") from None
+    spec = ScenarioSpec(name, **{k: columns[f"scenario.{k}"] for k in SCENARIO_COLUMNS})  # a missing column's KeyError names it
     if type(n) is not int or n != spec.n:
         raise ValueError(f"scenario.n must be the integer {spec.n}, the length of scenario.kind, got {n!r}")
     return spec
 
 
-def _read_forest(obj, num_slabs: int, n: int) -> SearchForest:
+def _read_forest(obj, columns: dict[str, np.ndarray], num_slabs: int, n: int) -> SearchForest:
     """The forest field: its bitmap and splits columns, decoded as n trees over num_slabs slabs."""
     if not isinstance(obj, dict):
         raise ValueError(f"forest must be an object, got {type(obj).__name__}")
-    try:
-        bitmap = _read_column(obj["bitmap"], "forest.bitmap", ("<u1",))
-        splits = _read_column(obj["splits"], "forest.splits", ("<u2", "<i4"))
-    except KeyError as e:
-        raise ValueError(f"missing model field 'forest.{e.args[0]}'") from None
-    return SearchForest.from_columns(num_slabs, n, bitmap, splits)
+    return SearchForest.from_columns(num_slabs, n, columns["forest.bitmap"], columns["forest.splits"])  # a missing column's KeyError names it
 
 
 def train_model(
@@ -633,19 +673,19 @@ def train_model(
 
 
 def save_model(model: TrainedModel, path) -> None:
-    text = json.dumps(model.to_dict(), separators=(",", ":")) + "\n"  # before opening, so a failure leaves the old file
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    """Write model's file to path through a sibling temporary file, so a failure leaves an existing file as it was."""
+    data = model.to_bytes()
+    tmp = f"{os.fsdecode(path)}.{os.getpid()}-{os.urandom(4).hex()}.tmp"
+    try:
+        with open(tmp, "xb") as fh:  # the mode a plain open gives, which a tempfile's 0600 would not
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def load_model(path) -> TrainedModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except UnicodeDecodeError as e:
-            raise ValueError(f"model file is not valid UTF-8: {e}") from None
-        except json.JSONDecodeError as e:
-            raise ValueError(f"model file is not valid JSON: {e}") from None
-        except RecursionError:
-            raise ValueError("model file is nested too deeply to be read") from None
-    return TrainedModel.from_dict(obj)
+    with open(path, "rb") as fh:
+        return TrainedModel.from_bytes(fh.read())

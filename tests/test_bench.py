@@ -1,4 +1,3 @@
-import base64
 import csv
 import hashlib
 import json
@@ -354,33 +353,45 @@ def test_cli_rejects_too_deeply_nested_files(tmp_path, capsys):
     assert capsys.readouterr().err.count("nested too deeply") == 2
 
 
-def test_model_file_is_versioned_json(tmp_path):
+def test_model_file_is_a_json_header_line_and_raw_columns(tmp_path):
     model_path = tmp_path / "model.json"
     main(["train", "--scenario", "uniform_square", "--n", "16", "--out", str(model_path)])
-    obj = json.loads(model_path.read_text(encoding="utf-8"))
+    data = model_path.read_bytes()
+    end = data.index(b"\n")
+    obj = json.loads(data[:end])
     assert obj["format"] == "simax-model"
-    assert obj["version"] == 9
+    assert obj["version"] == 10
     assert "rng_algorithm" not in obj
-    assert "per_point" not in obj["scenario"] and obj["scenario"]["kind"]["dtype"] == "<u1"  # the scenario is columns too
+    assert "per_point" not in obj["scenario"] and obj["scenario"]["kind"] == {"dtype": "<u1", "count": 16}  # the scenario is columns too
+    # each column is a dtype and a count; its little-endian bytes follow the header line in the header's order, and nothing else does
+    columns = [*obj["scenario"].values()][2:] + [obj["boundaries"], obj["forest"]["bitmap"], obj["forest"]["splits"], obj["entropy_per_point"]]
+    assert all(c.keys() == {"dtype", "count"} for c in columns)
+    offsets = np.cumsum([end + 1] + [np.dtype(c["dtype"]).itemsize * c["count"] for c in columns])
+    assert offsets[-1] == len(data)
+    at = dict(zip(("boundaries", "bitmap", "splits"), offsets[-5:-2]))
     assert obj["boundaries"]["dtype"] == "<f8"
-    boundaries = np.frombuffer(base64.b64decode(obj["boundaries"]["data"], validate=True), dtype="<f8")
+    boundaries = np.frombuffer(data, dtype="<f8", count=obj["boundaries"]["count"], offset=at["boundaries"])
     # which nodes split, one bit each in level order, and the splits of those nodes: "<u2" while every slab index fits
     assert obj["forest"]["bitmap"]["dtype"] == "<u1" and obj["forest"]["splits"]["dtype"] == "<u2"
-    bitmap = np.frombuffer(base64.b64decode(obj["forest"]["bitmap"]["data"], validate=True), dtype="<u1")
-    splits = np.frombuffer(base64.b64decode(obj["forest"]["splits"]["data"], validate=True), dtype="<u2")
+    bitmap = np.frombuffer(data, dtype="<u1", count=obj["forest"]["bitmap"]["count"], offset=at["bitmap"])
+    splits = np.frombuffer(data, dtype="<u2", count=obj["forest"]["splits"]["count"], offset=at["splits"])
     inner = np.unpackbits(bitmap).astype(bool)
     level_order = np.full(inner.size, -1)
     level_order[inner] = splits
     forest = SearchForest.from_columns(boundaries.size + 1, 16, bitmap, splits)  # decodes as exactly n trees, or raises
     assert forest.split.tolist() == level_order[: len(forest.split)].tolist() and len(forest.split) > inner.size - 8
+    assert boundaries.tolist() == load_model(model_path).slabs.boundary_list()
 
 
 def test_cli_verify_reports_a_missing_model_field(tmp_path, capsys):
     model_path = tmp_path / "model.json"
     assert main(["train", "--scenario", "uniform_square", "--n", "16", "--out", str(model_path)]) == 0
-    obj = json.loads(model_path.read_text(encoding="utf-8"))
-    del obj["scenario"]
-    model_path.write_text(json.dumps(obj), encoding="utf-8")
+    data = model_path.read_bytes()
+    end = data.index(b"\n")
+    obj = json.loads(data[:end])
+    # the scenario's columns lead the payload, so they go with it
+    skip = sum(np.dtype(c["dtype"]).itemsize * c["count"] for c in obj.pop("scenario").values() if isinstance(c, dict))
+    model_path.write_bytes(json.dumps(obj).encode() + b"\n" + data[end + 1 + skip :])
     assert main(["verify", "--model", str(model_path)]) == 1
     assert "missing model field 'scenario'" in capsys.readouterr().err
 

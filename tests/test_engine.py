@@ -219,7 +219,7 @@ def test_hand_built_model_round_trips_through_a_file(tmp_path):
     model = _fallback_model(6, [1.0, 2.0, 3.0, 4.0])
     save_model(model, tmp_path / "m.json")
     loaded = load_model(tmp_path / "m.json")
-    assert loaded.to_dict() == model.to_dict()
+    assert loaded.to_bytes() == model.to_bytes()
 
 
 def test_trained_engine_agrees_with_both_oracles(model_cache):
