@@ -7,6 +7,8 @@ with work that tracks the scenario's entropy rather than n log n.  Every run
 still emits a verifiable certificate, so speed never costs trust.
 """
 
+import time
+
 import numpy as np
 
 from simax import (
@@ -26,10 +28,11 @@ from simax import (
 
 n = 512
 trials = 30
+models = {}
 
 for kind in ("uniform_square", "staircase_line", "two_level"):
     spec = build_scenario(kind, n)
-    model = train_model(spec, seed=5)
+    model = models[kind] = train_model(spec, seed=5)
 
     engine_cost = np.zeros(trials)
     sweep_cost = np.zeros(trials)
@@ -55,6 +58,37 @@ for kind in ("uniform_square", "staircase_line", "two_level"):
 
 # the sweep re-pays its n log n sort on every input; the engine paid during
 # training and now spends least where the scenario is most predictable
+
+# ---------------------------------------------------------------------------
+# the wall-clock floor: counted comparisons are not seconds, and a user with
+# numpy would sort in C and skip the certificate altogether
+
+
+def numpy_sweep_maxima(inp):
+    """Sorted indices of the maximal points: lexsort by x then y, descending, and a running max of y (uncertified)."""
+    order = np.lexsort((inp.ys, inp.xs))[::-1]
+    x, y = inp.xs[order], inp.ys[order]
+    head = np.maximum.accumulate(np.where(np.r_[True, x[1:] != x[:-1]], np.arange(x.size), 0))  # start of each equal-x run
+    seen = np.r_[-np.inf, np.maximum.accumulate(y)[:-1]]  # largest y at larger x, or earlier in the run
+    return np.sort(order[(y == y[head]) & (y > seen[head])])
+
+
+def median_ms(f, inputs):
+    times = []
+    for inp in inputs:
+        start = time.thread_time_ns()
+        f(inp)
+        times.append(time.thread_time_ns() - start)
+    return np.median(times) / 1e6
+
+
+print("\nmedian thread CPU per run:")
+for kind, model in models.items():
+    inputs = [sample_input(model.scenario, SeededRng(1000 + t)) for t in range(trials)]
+    assert all(numpy_sweep_maxima(inp).tolist() == sorted(run_maxima(model, inp).maxima) for inp in inputs)
+    print(f"{kind:16s} engine {median_ms(lambda inp: run_maxima(model, inp), inputs):6.3f} ms, "
+          f"sort+sweep {median_ms(sort_scan_maxima, inputs):6.3f} ms, "
+          f"numpy lexsort sweep {median_ms(numpy_sweep_maxima, inputs):6.3f} ms (uncertified)")
 
 # ---------------------------------------------------------------------------
 # the counters break the work down

@@ -13,6 +13,11 @@ to be dominated usually die after O(1) steps instead of paying for a full
 location.  Discovered maxima accumulate left to right, giving the same
 certificate shape as the baselines.
 
+No maximum is known while the sweep drains the top bucket, so no dominance
+check applies there; that bucket, most of the search work, is drained in
+numpy passes that take the per-point loop's steps and moves in its order,
+so every counter means what it means in the rest of the sweep.
+
 Per-run and per-move overhead is kept off the counted work: a frontier move
 with an empty buffer skips update_step; slabs no point has moved into share
 one empty tuple until their first decrease-key; and a one- or two-point
@@ -89,7 +94,7 @@ class EngineState:
     buckets[m] holds the points whose slab interval ends at slab m, in
     arrival order; slab_lo holds each point's lo end.  A slab no point has
     moved into yet holds the shared empty tuple, and its first decrease-key
-    replaces it with a list.
+    replaces it with a list.  The top bucket's drain fills node and slab_lo.
     """
 
     buckets: list[list[int] | tuple[()]]
@@ -97,8 +102,8 @@ class EngineState:
     maxima_rev: list[int] = field(default_factory=list)  # rightmost maximum first
     dominators: dict[int, int] = field(default_factory=dict)
     phat: int = -1  # leftmost maximum found so far (largest y), -1 if none
-    node: list[int] = field(default_factory=list)  # current forest node; one whose split is -1 is bisected
-    slab_lo: list[int] = field(default_factory=list)
+    node: list[int] = field(default_factory=list)  # forest node after the top drain; one whose split is -1 is bisected
+    slab_lo: list[int] = field(default_factory=list)  # lo end after the top drain, then after each later move
     xs: list[float] = field(default_factory=list)
     ys: list[float] = field(default_factory=list)
 
@@ -112,9 +117,59 @@ def make_engine_state(model: "TrainedModel", inp: InputSet) -> EngineState:
     state = EngineState(buckets=[()] * top + [list(range(n))])
     state.xs = inp.xs.tolist()
     state.ys = inp.ys.tolist()
-    state.node = list(range(n))  # root i is node i and covers [0, top]
-    state.slab_lo = [0] * n
     return state
+
+
+def _drain_top(state: EngineState, model: "TrainedModel", xs: np.ndarray) -> tuple[int, int]:
+    """Drain the top bucket in numpy passes; return its (tree steps, decrease keys).
+
+    A pass steps every point still in the bucket (hi == top), which stays
+    while it goes right of the pivot (the node's split, or (lo + top) >> 1
+    if unexpanded) and lo < top.  On the padded boundaries bp[lo] <= x <
+    bp[hi + 1] holds, so the guards s > lo and s < hi hold on their own.
+    Each stopping step is then replayed; the points join their buckets, or
+    the buffer, in index order.  Fills state.node and state.slab_lo.
+    """
+    top = len(state.buckets) - 1
+    split = np.frombuffer(model.forest.split, dtype=np.intc)
+    right = np.frombuffer(model.forest.right, dtype=np.intc)
+    bp = model.slabs.padded
+    n = xs.size
+    lo = np.zeros(n, dtype=np.intp)
+    node = np.arange(n, dtype=np.intp)  # root i is node i and covers [0, top]
+    live = np.arange(n)
+    steps = 0
+    while live.size:
+        steps += live.size
+        j = node[live]
+        s = split[j]
+        bare = s < 0
+        pivot = np.where(bare, (lo[live] + top) >> 1, s)
+        go = xs[live] >= bp[pivot + 1]
+        live, j, pivot, bare = live[go], j[go], pivot[go], bare[go]
+        lo[live] = pivot + 1
+        node[live] = np.where(bare, j, right[j])
+        live = live[pivot < top - 1]  # lo == top locates the point
+    # the stopping step went left of a bisection midpoint or of a split, or onto the split's slab
+    stopped = np.flatnonzero(lo < top)
+    j = node[stopped]
+    s = split[j]
+    edge = np.where(s < 0, ((lo[stopped] + top) >> 1) + 1, s)  # first slab right of a left step
+    left = xs[stopped] < bp[edge]
+    hi = np.full(n, top, dtype=np.intp)
+    hi[stopped] = np.where(left, edge - 1, edge)
+    lo[stopped[~left]] = edge[~left]
+    node[stopped] = np.where(left & (s >= 0), right[j] - 1, j)  # the left child sits just before the right-child slot
+    order = np.argsort(hi, kind="stable")  # bucket by bucket, each in index order, the located points last
+    keys = hi[order]
+    moved = int(np.searchsorted(keys, top))
+    first = np.flatnonzero(np.diff(keys[:moved], prepend=-1)).tolist()  # where each bucket's run starts
+    points = order.tolist()
+    for m, a, b in zip(keys[first].tolist(), first, first[1:] + [moved]):
+        state.buckets[m] = points[a:b]
+    state.buffer.extend(points[moved:])
+    state.node, state.slab_lo = node.tolist(), lo.tolist()
+    return steps, moved
 
 
 def _merge_sort(a: list) -> tuple[list, int]:
@@ -195,29 +250,33 @@ def run_maxima(
 ) -> Certificate:
     """Compute the maxima certificate for one input using the trained model.
 
-    The sweep drains the buckets once, from the last slab m down to 0, and
-    the first point of bucket m moves the frontier there, folding the
-    buffer into the staircase (update_step) if it holds points.  Each
-    advance of that point, the rightmost unresolved one, is one dominance
-    check against the leftmost maximum so far plus one search step, until
-    the point is dominated, buffered in the frontier slab, or stepped left of
-    m into a lower bucket.  Deterministic given (model, input).
+    The sweep drains the buckets once, from the last slab m down to 0; the
+    top one, where no maximum is known, in numpy passes.  Below it, the first
+    point of bucket m moves the frontier there, folding the buffer into the
+    staircase (update_step) if it holds points.  Each advance of that point,
+    the rightmost unresolved one, is one dominance check against the
+    leftmost maximum so far plus one search step, until the point is
+    dominated, buffered in the frontier slab, or stepped left of m into a
+    lower bucket.  Deterministic given (model, input).
 
-    debug_invariants takes the same steps and adds one check after every
-    frontier move, empty or not, and after the final fold: the staircase
-    found so far must be exactly the true staircase of the points right of
-    the frontier.  Slabs do not decrease as x grows, so that staircase is
-    the suffix of the full one (one sort_scan_maxima answer per run) whose
-    slabs lie right of the frontier.  The certificate and counters are the
-    same as without it.
+    debug_invariants takes the same steps and adds a check of the top drain
+    (_check_drain), then one after every frontier move, empty or not, and
+    after the final fold: the staircase found so far must be exactly the
+    true staircase of the points right of the frontier.  Slabs do not
+    decrease as x grows, so that staircase is the suffix of the full one
+    (one sort_scan_maxima answer per run) whose slabs lie right of the
+    frontier.  The certificate and counters are the same as without it.
     """
     if stats is None:
         stats = RunStats()
     state = make_engine_state(model, inp)
+    steps, decreases = _drain_top(state, model, inp.xs)
     buckets = state.buckets
     if debug_invariants:
+        slab = model.slabs.locate_array(inp.xs)
+        _check_drain(state, slab)
         ref = sort_scan_maxima(inp).maxima
-        ref_slab = model.slabs.locate_array(inp.xs[list(ref)])
+        ref_slab = slab[list(ref)]
         ref_rev = list(reversed(ref))
     xs, ys, node, slab_lo = state.xs, state.ys, state.node, state.slab_lo
     buffer, dominators = state.buffer, state.dominators
@@ -225,8 +284,8 @@ def run_maxima(
     blist = model.slabs.boundary_list()
     lam_hat = len(buckets) - 1
     phat = hx = hy = -1
-    steps = checks = decreases = 0
-    for m in range(len(buckets) - 1, -1, -1):
+    checks = 0
+    for m in range(lam_hat - 1, -1, -1):
         # every entry of bucket m is live: a point is only ever appended to a
         # bucket left of m, so nothing touches it again until the sweep gets there
         for i in buckets[m]:
@@ -293,3 +352,17 @@ def _check_frontier_invariant(state: EngineState, ref_rev: list[int], ref_slab: 
     if state.maxima_rev != ref_rev[:k]:
         got, expect = tuple(reversed(state.maxima_rev)), tuple(reversed(ref_rev[:k]))
         raise AssertionError(f"frontier invariant broken at slab {lam_hat}: staircase {got}, oracle says {expect}")
+
+
+def _check_drain(state: EngineState, slab: np.ndarray) -> None:
+    """Raise unless each point off the top slab sits in one bucket whose interval holds its slab (slab[i]), and the buffer is the top slab's points."""
+    below = state.buckets[:-1]
+    moved = np.array([i for b in below for i in b], dtype=np.intp)
+    hi = np.repeat(np.arange(len(below)), [len(b) for b in below])
+    lo = np.asarray(state.slab_lo, dtype=np.intp)[moved]
+    bad = np.flatnonzero((lo > slab[moved]) | (slab[moved] > hi))
+    if bad.size:
+        i = bad[0]
+        raise AssertionError(f"top-bucket drain put point {moved[i]} of slab {slab[moved[i]]} in interval [{lo[i]}, {hi[i]}]")
+    if np.sort(moved).tolist() != np.flatnonzero(slab < len(below)).tolist() or state.buffer != np.flatnonzero(slab == len(below)).tolist():
+        raise AssertionError(f"top-bucket drain moved {moved.size} points and buffered {state.buffer}, but the slabs say otherwise")

@@ -37,7 +37,7 @@ class SlabStructure:
     value belongs to the slab on its right.
     """
 
-    __slots__ = ("boundaries", "_blist")
+    __slots__ = ("boundaries", "padded", "_blist")
 
     def __init__(self, boundaries):
         b = np.asarray(boundaries, dtype=np.float64)
@@ -48,6 +48,7 @@ class SlabStructure:
         if not (np.diff(b) > 0).all():
             raise ValueError("boundaries must be strictly increasing")
         self.boundaries = b
+        self.padded = np.concatenate(([-np.inf], b, [np.inf]))  # slab k is [padded[k], padded[k + 1])
         self._blist = b.tolist()  # plain floats for hot loops
 
     @property

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_distributions import _dist_strategy, _spec
 
@@ -29,13 +29,13 @@ from simax import (
 from simax.distributions import ScenarioSpec, SeededRng
 from simax import engine
 from simax.engine import EngineState, make_engine_state, update_step
-from simax.geometry import InputSet
+from simax.geometry import Certificate, InputSet
 
 
-def _fallback_model(n: int, boundaries) -> TrainedModel:
-    """A model whose every tree is a bare fallback root over all slabs: pure bisection engine."""
+def _fallback_model(n: int, boundaries, splits=None) -> TrainedModel:
+    """A model over the given level-order forest splits; by default every tree is a bare fallback root (pure bisection)."""
     slabs = SlabStructure(boundaries)
-    forest = SearchForest(slabs.num_slabs, n, [-1] * n)
+    forest = SearchForest(slabs.num_slabs, n, [-1] * n if splits is None else splits)
     spec = ScenarioSpec("fixed", kind=np.zeros(n, dtype=int), mass_x=np.arange(float(n)), mass_y=np.zeros(n))
     return TrainedModel(
         scenario=spec,
@@ -376,6 +376,155 @@ def test_single_occupied_slab_degenerates_gracefully():
     cert = run_maxima(model, inp, debug_invariants=True)
     assert cert.maxima_set() == brute_force_maxima(inp).maxima_set()
     assert verify_certificate(inp, cert)
+
+
+def _reference_run_maxima(model: TrainedModel, inp: InputSet, stats: RunStats) -> tuple:
+    """run_maxima as it was before the top-bucket drain: one per-point loop over every bucket; returns (certificate, state)."""
+    n, top = inp.n, model.slabs.num_slabs - 1
+    state = EngineState(buckets=[()] * top + [list(range(n))])
+    state.xs, state.ys = inp.xs.tolist(), inp.ys.tolist()
+    state.node, state.slab_lo = list(range(n)), [0] * n
+    buckets, xs, ys, node, slab_lo = state.buckets, state.xs, state.ys, state.node, state.slab_lo
+    split, right, blist = model.forest.split, model.forest.right, model.slabs.boundary_list()
+    lam_hat, phat, hx, hy = top, -1, -1, -1
+    for m in range(top, -1, -1):
+        for i in buckets[m]:
+            if m < lam_hat:
+                lam_hat = m
+                if state.buffer:
+                    update_step(state, stats)
+                    phat = state.phat
+                    hx, hy = xs[phat], ys[phat]
+            px, py = xs[i], ys[i]
+            lo, hi, nid = slab_lo[i], m, node[i]
+            while True:
+                if phat >= 0:
+                    stats.dominance_checks += 1
+                    if hx >= px and hy >= py and (hx > px or hy > py):
+                        state.dominators[i] = phat
+                        break
+                if lo != hi:
+                    stats.tree_steps += 1
+                    s = split[nid]
+                    if s < 0:
+                        mid = (lo + hi) // 2
+                        if px < blist[mid]:
+                            hi = mid
+                        else:
+                            lo = mid + 1
+                    elif s > lo and px < blist[s - 1]:
+                        hi = s - 1
+                        nid = right[nid] - 1
+                    elif s < hi and px >= blist[s]:
+                        lo = s + 1
+                        nid = right[nid]
+                    else:
+                        lo = hi = s
+                    if hi < m:
+                        if buckets[hi]:
+                            buckets[hi].append(i)
+                        else:
+                            buckets[hi] = [i]
+                        stats.decrease_keys += 1
+                        slab_lo[i], node[i] = lo, nid
+                        break
+                if lo == hi:
+                    state.buffer.append(i)
+                    break
+    if state.buffer:
+        update_step(state, stats)
+    stats.find_max_scans += len(buckets)
+    return Certificate(maxima=tuple(reversed(state.maxima_rev)), dominators=state.dominators), state
+
+
+def _assert_runs_as_reference(model: TrainedModel, inp: InputSet, debug_invariants: bool = False) -> None:
+    real, states, stats = engine.make_engine_state, [], RunStats()
+    with pytest.MonkeyPatch.context() as monkeypatch:  # capture the run's state, to read its buckets afterwards
+        monkeypatch.setattr(engine, "make_engine_state", lambda *args: states.append(real(*args)) or states[-1])
+        cert = run_maxima(model, inp, stats, debug_invariants=debug_invariants)
+    ref_stats = RunStats()
+    ref, ref_state = _reference_run_maxima(model, inp, ref_stats)
+    assert cert.maxima == ref.maxima
+    assert list(cert.dominators.items()) == list(ref.dominators.items())  # insertion order too
+    assert stats == ref_stats
+    assert [list(b) for b in states[0].buckets] == [list(b) for b in ref_state.buckets]
+
+
+@st.composite
+def _tree(draw, lo: int, hi: int, depth: int):
+    """One partial search tree over slabs [lo, hi]: None if unexpanded, else (split, children present, left first)."""
+    if depth == 0 or draw(st.integers(0, 3)) == 0:
+        return None
+    s = draw(st.one_of(st.sampled_from([lo, hi]), st.integers(lo, hi)))  # splits at either end are common
+    return s, [draw(_tree(a, b, depth - 1)) for a, b in ((lo, s - 1), (s + 1, hi)) if a <= b]
+
+
+def _level_order(trees) -> list[int]:
+    splits, level = [], list(trees)
+    while level:
+        splits += [-1 if t is None else t[0] for t in level]
+        level = [c for t in level if t is not None for c in t[1]]
+    return splits
+
+
+@st.composite
+def _forest_case(draw):
+    """A hand-built model (1-6 boundaries, one position up to 7) and an input full of boundary values, -0.0 and duplicates."""
+    bounds = sorted(draw(st.sets(st.sampled_from([-1.0, -0.5, 0.0, 0.25, 0.5, 1.0, 2.0]), min_size=1, max_size=6)))
+    n = draw(st.integers(1, 7))
+    trees = [draw(_tree(0, len(bounds), draw(st.integers(0, 4)))) for _ in range(n)]
+    xs = draw(st.lists(st.sampled_from(bounds + [-0.0, -2.0, 0.125, 0.75, 3.0]), min_size=n, max_size=n))
+    ys = draw(st.lists(st.sampled_from([-0.0, 0.0, 1.0, 2.0]), min_size=n, max_size=n))
+    return _fallback_model(n, bounds, _level_order(trees)), InputSet(xs, ys)
+
+
+@settings(deadline=None, max_examples=300)
+@given(case=_forest_case())
+@example(case=(_fallback_model(1, [0.0]), InputSet([-0.0], [0.0])))  # one position, a bare root, -0.0 on the 0.0 boundary
+@example(  # roots split at their interval's left end, right end, not at all, and inside; duplicate points
+    case=(_fallback_model(4, [0.0, 1.0, 2.0], [0, 3, -1, 1, -1, -1, -1, -1]), InputSet([1.0, 1.0, 2.0, -0.0], [1.0, 1.0, 0.0, 2.0]))
+)
+def test_run_maxima_matches_the_per_point_reference_on_hand_built_forests(case):
+    # SlabStructure needs a boundary, so the fewest slabs a model has is two (one boundary)
+    model, inp = case
+    _assert_runs_as_reference(model, inp)
+    _assert_runs_as_reference(model, inp, debug_invariants=True)
+
+
+@pytest.mark.parametrize("kind", ["uniform_square", "staircase_line", "two_level"])
+def test_run_maxima_matches_the_per_point_reference_on_trained_models(model_cache, kind):
+    model = model_cache(kind, 256)
+    for seed in range(3):
+        _assert_runs_as_reference(model, sample_input(model.scenario, SeededRng(seed)))
+
+
+def _misplace_first_moved_point(state, slab):
+    i = next(b[0] for b in state.buckets[:-1] if b)
+    state.slab_lo[i] = slab[i] + 1  # an interval that starts right of the point's slab
+
+
+def _drop_first_moved_point(state, slab):
+    next(b for b in state.buckets[:-1] if b).pop(0)
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [(_misplace_first_moved_point, r"top-bucket drain put point \d+ of slab \d+ in interval"), (_drop_first_moved_point, "moved")],
+    ids=["wrong-interval", "dropped-point"],
+)
+def test_debug_run_catches_a_drain_that_misplaces_a_point(model_cache, monkeypatch, corrupt, message):
+    model = model_cache("uniform_square", 256)
+    inp = sample_input(model.scenario, SeededRng(5))
+    real_drain = engine._drain_top
+
+    def broken_drain(state, model, xs):
+        out = real_drain(state, model, xs)
+        corrupt(state, model.slabs.locate_array(xs))
+        return out
+
+    monkeypatch.setattr(engine, "_drain_top", broken_drain)
+    with pytest.raises(AssertionError, match=message):
+        run_maxima(model, inp, debug_invariants=True)
 
 
 # frozen: the exact counters and maxima of one run per scenario at n=256
