@@ -2,21 +2,24 @@
 
 All points walk their per-position search trees toward their leaf slab, but
 the engine always advances a point in the rightmost unresolved slab.  Each
-point sits in the bucket of the hi end of its slab interval, and the sweep
-drains the buckets once from the last slab down to slab 0, each in arrival
-order; a point whose interval shrinks joins the back of a lower bucket.  The
-sweep thus serves as a max-priority queue with FIFO ties and decrease-key
-without any queue structure, since a key only ever falls below the bucket
-being drained.  The leftmost
-maximum found so far dominates-checks every advanced point, so points doomed
-to be dominated usually die after O(1) steps instead of paying for a full
-location.  Discovered maxima accumulate left to right, giving the same
-certificate shape as the baselines.
+point is keyed by the hi end of its slab interval, and the sweep reads the
+keys once from the last slab down to slab 0: a slab's points in arrival
+order, where a point whose interval shrinks arrives at the back of a lower
+slab.  The sweep thus serves as a max-priority queue with FIFO ties and
+decrease-key, since a key only ever falls below the slab being read.  The
+leftmost maximum found so far dominates-checks every advanced point, so
+points doomed to be dominated usually die after O(1) steps instead of paying
+for a full location.  Discovered maxima accumulate left to right, giving the
+same certificate shape as the baselines.
 
-No maximum is known while the sweep drains the top bucket, so no dominance
-check applies there; that bucket, most of the search work, is drained in
+No maximum is known while the sweep reads the top slab, so no dominance
+check applies there; that slab, most of the search work, is drained in
 numpy passes that take the per-point loop's steps and moves in its order,
-so every counter means what it means in the rest of the sweep.
+so every counter means what it means in the rest of the sweep.  The drain
+leaves the points it moved as one list ordered by slab descending, index
+ascending; the sweep walks that list and, before each slab's drained
+points, reads every slab above it that later moves reached, taken from a
+heap of occupied slabs.  Empty slabs cost nothing.
 
 Per-run and per-move overhead is kept off the counted work: a frontier move
 with an empty buffer skips update_step; slabs no point has moved into share
@@ -27,7 +30,8 @@ buffer is ordered directly, at the 0 or 1 comparisons merge sort would count.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from heapq import heappop, heappush
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
@@ -44,10 +48,11 @@ class RunStats:
     tree_steps: search-tree or bisection advances (at most 2 coordinate
     comparisons each).  dominance_checks: checks against the current leftmost
     maximum, in the sweep and in the update sweep (2 coordinate comparisons
-    each).  decrease_keys: moves of a point to a lower bucket, one each time
-    a search step leaves its interval's hi end left of the bucket being
-    drained.  find_max_scans: buckets the sweep passes, which is num_slabs
-    per run.  update_sorted_points: total buffered points sorted;
+    each).  decrease_keys: moves of a point to a lower slab, one each time a
+    search step leaves its interval's hi end left of the slab being read.
+    find_max_scans: num_slabs per run, by definition; the sweep skips empty
+    slabs, so it measures nothing and is kept only because perfbench reads
+    it.  update_sorted_points: total buffered points sorted;
     update_sort_comparisons: key comparisons spent sorting them, as a stable
     merge sort counts them (0 for one point, 1 for two), whether or not the
     fold actually runs the merge sort.  Frontier moves that find the buffer
@@ -89,15 +94,18 @@ def entropy_proxy(freq: "FrequencyTable") -> np.ndarray:
 
 @dataclass
 class EngineState:
-    """Mutable run state: the per-slab buckets plus per-point search positions.
+    """Mutable run state: the slab keys of the points below the top slab, plus per-point search positions.
 
-    buckets[m] holds the points whose slab interval ends at slab m, in
-    arrival order; slab_lo holds each point's lo end.  A slab no point has
-    moved into yet holds the shared empty tuple, and its first decrease-key
-    replaces it with a list.  The top bucket's drain fills node and slab_lo.
+    The top drain fills drained, the points it moved below the top slab in
+    (slab descending, index ascending) order, and drained_slab, the hi end
+    of each one's interval.  A later move appends its point to
+    arrivals[hi]; a slab no point has moved into holds the shared empty
+    tuple until its first entry.  slab_lo holds each point's lo end.
     """
 
-    buckets: list[list[int] | tuple[()]]
+    drained: list[int] = field(default_factory=list)
+    drained_slab: list[int] = field(default_factory=list)
+    arrivals: list[list[int] | tuple[()]] = field(default_factory=list)  # one per slab below the top
     buffer: list[int] = field(default_factory=list)
     maxima_rev: list[int] = field(default_factory=list)  # rightmost maximum first
     dominators: dict[int, int] = field(default_factory=dict)
@@ -107,17 +115,21 @@ class EngineState:
     xs: list[float] = field(default_factory=list)
     ys: list[float] = field(default_factory=list)
 
+    @property
+    def buckets(self) -> tuple[Sequence[int], ...]:
+        """Each slab's reads in arrival order, rebuilt: its drained points in index order, then its later arrivals; slot top is range(n)."""
+        out: list[list[int]] = [[] for _ in self.arrivals]
+        for i, m in zip(self.drained, self.drained_slab):
+            out[m].append(i)
+        return tuple(tuple(b + list(a)) for b, a in zip(out, self.arrivals)) + (range(len(self.xs)),)
+
 
 def make_engine_state(model: "TrainedModel", inp: InputSet) -> EngineState:
     if model.n != inp.n:
         raise ValueError(f"model is for n={model.n}, input has n={inp.n}")
-    n = inp.n
     top = model.slabs.num_slabs - 1
-    # every point starts with the whole slab range [0, top]
-    state = EngineState(buckets=[()] * top + [list(range(n))])
-    state.xs = inp.xs.tolist()
-    state.ys = inp.ys.tolist()
-    return state
+    # every point starts with the whole slab range [0, top]; the top drain moves them
+    return EngineState(arrivals=[()] * top, xs=inp.xs.tolist(), ys=inp.ys.tolist())
 
 
 def _drain_top(state: EngineState, model: "TrainedModel", xs: np.ndarray) -> tuple[int, int]:
@@ -127,10 +139,11 @@ def _drain_top(state: EngineState, model: "TrainedModel", xs: np.ndarray) -> tup
     while it goes right of the pivot (the node's split, or (lo + top) >> 1
     if unexpanded) and lo < top.  On the padded boundaries bp[lo] <= x <
     bp[hi + 1] holds, so the guards s > lo and s < hi hold on their own.
-    Each stopping step is then replayed; the points join their buckets, or
-    the buffer, in index order.  Fills state.node and state.slab_lo.
+    Each stopping step is then replayed; the located points join the buffer
+    in index order, and the others fill state.drained and state.drained_slab
+    by slab descending, index ascending.  Fills state.node and state.slab_lo.
     """
-    top = len(state.buckets) - 1
+    top = len(state.arrivals)
     split = np.frombuffer(model.forest.split, dtype=np.intc)
     right = np.frombuffer(model.forest.right, dtype=np.intc)
     bp = model.slabs.padded
@@ -160,16 +173,13 @@ def _drain_top(state: EngineState, model: "TrainedModel", xs: np.ndarray) -> tup
     hi[stopped] = np.where(left, edge - 1, edge)
     lo[stopped[~left]] = edge[~left]
     node[stopped] = np.where(left & (s >= 0), right[j] - 1, j)  # the left child sits just before the right-child slot
-    order = np.argsort(hi, kind="stable")  # bucket by bucket, each in index order, the located points last
-    keys = hi[order]
-    moved = int(np.searchsorted(keys, top))
-    first = np.flatnonzero(np.diff(keys[:moved], prepend=-1)).tolist()  # where each bucket's run starts
-    points = order.tolist()
-    for m, a, b in zip(keys[first].tolist(), first, first[1:] + [moved]):
-        state.buckets[m] = points[a:b]
-    state.buffer.extend(points[moved:])
+    order = np.argsort(-hi, kind="stable")  # slab by slab from the top, each in index order
+    located = int(np.count_nonzero(hi == top))
+    moved = order[located:]
+    state.buffer.extend(order[:located].tolist())
+    state.drained, state.drained_slab = moved.tolist(), hi[moved].tolist()
     state.node, state.slab_lo = node.tolist(), lo.tolist()
-    return steps, moved
+    return steps, moved.size
 
 
 def _merge_sort(a: list) -> tuple[list, int]:
@@ -242,6 +252,27 @@ def update_step(state: EngineState, stats: RunStats) -> None:
     buf.clear()
 
 
+def _reads(state: EngineState, occupied: list[int]) -> Iterator[tuple[int, int]]:
+    """Yield (slab, point) for every read below the top slab, slab descending, each slab in arrival order.
+
+    A slab's drained points come first, in index order, then its arrivals.
+    occupied is a heap of the negated slabs whose arrival list is nonempty;
+    the caller appends to arrivals and pushes onto it between reads, always
+    for a slab below the one just read, so each slab is read once.
+    """
+    arrivals = state.arrivals
+    for i, m in zip(state.drained, state.drained_slab):
+        while occupied and -occupied[0] > m:
+            h = -heappop(occupied)
+            for j in arrivals[h]:
+                yield h, j
+        yield m, i
+    while occupied:
+        h = -heappop(occupied)
+        for j in arrivals[h]:
+            yield h, j
+
+
 def run_maxima(
     model: "TrainedModel",
     inp: InputSet,
@@ -250,14 +281,14 @@ def run_maxima(
 ) -> Certificate:
     """Compute the maxima certificate for one input using the trained model.
 
-    The sweep drains the buckets once, from the last slab m down to 0; the
-    top one, where no maximum is known, in numpy passes.  Below it, the first
-    point of bucket m moves the frontier there, folding the buffer into the
-    staircase (update_step) if it holds points.  Each advance of that point,
-    the rightmost unresolved one, is one dominance check against the
-    leftmost maximum so far plus one search step, until the point is
-    dominated, buffered in the frontier slab, or stepped left of m into a
-    lower bucket.  Deterministic given (model, input).
+    The sweep reads the slabs once, from the last slab m down to 0; the top
+    one, where no maximum is known, is drained in numpy passes.  Below it,
+    the first read of slab m moves the frontier there, folding the buffer
+    into the staircase (update_step) if it holds points.  Each advance of
+    the point read, the rightmost unresolved one, is one dominance check
+    against the leftmost maximum so far plus one search step, until the
+    point is dominated, buffered in the frontier slab, or stepped left of m
+    into a lower slab's arrivals.  Deterministic given (model, input).
 
     debug_invariants takes the same steps and adds a check of the top drain
     (_check_drain), then one after every frontier move, empty or not, and
@@ -271,7 +302,6 @@ def run_maxima(
         stats = RunStats()
     state = make_engine_state(model, inp)
     steps, decreases = _drain_top(state, model, inp.xs)
-    buckets = state.buckets
     if debug_invariants:
         slab = model.slabs.locate_array(inp.xs)
         _check_drain(state, slab)
@@ -279,61 +309,62 @@ def run_maxima(
         ref_slab = slab[list(ref)]
         ref_rev = list(reversed(ref))
     xs, ys, node, slab_lo = state.xs, state.ys, state.node, state.slab_lo
-    buffer, dominators = state.buffer, state.dominators
+    arrivals, buffer, dominators = state.arrivals, state.buffer, state.dominators
     split, right = model.forest.split, model.forest.right
     blist = model.slabs.boundary_list()
-    lam_hat = len(buckets) - 1
+    lam_hat = len(arrivals)
     phat = hx = hy = -1
     checks = 0
-    for m in range(lam_hat - 1, -1, -1):
-        # every entry of bucket m is live: a point is only ever appended to a
-        # bucket left of m, so nothing touches it again until the sweep gets there
-        for i in buckets[m]:
-            if m < lam_hat:
-                lam_hat = m
-                if buffer:
-                    update_step(state, stats)
-                    phat = state.phat
-                    hx, hy = xs[phat], ys[phat]
-                if debug_invariants:
-                    _check_frontier_invariant(state, ref_rev, ref_slab, m)
-            px, py = xs[i], ys[i]
-            lo, hi, nid = slab_lo[i], m, node[i]
-            while True:  # i stays the rightmost point until it leaves bucket m
-                if phat >= 0:
-                    checks += 1
-                    if hx >= px and hy >= py and (hx > px or hy > py):
-                        dominators[i] = phat
-                        break
-                if lo != hi:
-                    steps += 1
-                    s = split[nid]
-                    if s < 0:  # an unexpanded node: bisect what is left of its interval
-                        mid = (lo + hi) // 2
-                        if px < blist[mid]:
-                            hi = mid
-                        else:
-                            lo = mid + 1
-                    elif s > lo and px < blist[s - 1]:
-                        hi = s - 1
-                        nid = right[nid] - 1  # the left child sits just before the right-child slot
-                    elif s < hi and px >= blist[s]:
-                        lo = s + 1
-                        nid = right[nid]
-                    else:
-                        lo = hi = s
-                    if hi < m:
-                        b = buckets[hi]
-                        if b:
-                            b.append(i)
-                        else:  # the shared empty tuple
-                            buckets[hi] = [i]
-                        decreases += 1
-                        slab_lo[i], node[i] = lo, nid
-                        break
-                if lo == hi:
-                    buffer.append(i)
+    occupied: list[int] = []
+    # every point read is live: a point is only ever moved to a slab left of
+    # m, so nothing touches it again until the sweep gets there
+    for m, i in _reads(state, occupied):
+        if m < lam_hat:
+            lam_hat = m
+            if buffer:
+                update_step(state, stats)
+                phat = state.phat
+                hx, hy = xs[phat], ys[phat]
+            if debug_invariants:
+                _check_frontier_invariant(state, ref_rev, ref_slab, m)
+        px, py = xs[i], ys[i]
+        lo, hi, nid = slab_lo[i], m, node[i]
+        while True:  # i stays the rightmost point until it leaves slab m
+            if phat >= 0:
+                checks += 1
+                if hx >= px and hy >= py and (hx > px or hy > py):
+                    dominators[i] = phat
                     break
+            if lo != hi:
+                steps += 1
+                s = split[nid]
+                if s < 0:  # an unexpanded node: bisect what is left of its interval
+                    mid = (lo + hi) // 2
+                    if px < blist[mid]:
+                        hi = mid
+                    else:
+                        lo = mid + 1
+                elif s > lo and px < blist[s - 1]:
+                    hi = s - 1
+                    nid = right[nid] - 1  # the left child sits just before the right-child slot
+                elif s < hi and px >= blist[s]:
+                    lo = s + 1
+                    nid = right[nid]
+                else:
+                    lo = hi = s
+                if hi < m:
+                    a = arrivals[hi]
+                    if a:
+                        a.append(i)
+                    else:  # the shared empty tuple
+                        arrivals[hi] = [i]
+                        heappush(occupied, -hi)
+                    decreases += 1
+                    slab_lo[i], node[i] = lo, nid
+                    break
+            if lo == hi:
+                buffer.append(i)
+                break
     stats.tree_steps += steps
     stats.dominance_checks += checks
     stats.decrease_keys += decreases
@@ -341,7 +372,7 @@ def run_maxima(
         update_step(state, stats)
     if debug_invariants:
         _check_frontier_invariant(state, ref_rev, ref_slab, -1)
-    stats.find_max_scans += len(buckets)  # one downward move past each bucket
+    stats.find_max_scans += len(arrivals) + 1  # num_slabs, by definition
     maxima = tuple(reversed(state.maxima_rev))
     return Certificate(maxima=maxima, dominators=state.dominators)
 
@@ -355,14 +386,21 @@ def _check_frontier_invariant(state: EngineState, ref_rev: list[int], ref_slab: 
 
 
 def _check_drain(state: EngineState, slab: np.ndarray) -> None:
-    """Raise unless each point off the top slab sits in one bucket whose interval holds its slab (slab[i]), and the buffer is the top slab's points."""
-    below = state.buckets[:-1]
-    moved = np.array([i for b in below for i in b], dtype=np.intp)
-    hi = np.repeat(np.arange(len(below)), [len(b) for b in below])
+    """Raise unless the drained points are exactly the points off the top slab, in (interval hi descending, index
+    ascending) order, each interval holds its point's slab (slab[i]) below the top, and the buffer is the top slab's points."""
+    top = len(state.arrivals)
+    moved = np.array(state.drained, dtype=np.intp)
+    hi = np.array(state.drained_slab, dtype=np.intp)
+    step, gap = np.diff(hi), np.diff(moved)
+    if (
+        hi.size != moved.size
+        or not np.array_equal(np.sort(moved), np.flatnonzero(slab < top))
+        or ((step > 0) | ((step == 0) & (gap <= 0))).any()
+        or state.buffer != np.flatnonzero(slab == top).tolist()
+    ):
+        raise AssertionError(f"top-bucket drain moved {moved.size} points and buffered {state.buffer}, but the slabs say otherwise")
     lo = np.asarray(state.slab_lo, dtype=np.intp)[moved]
-    bad = np.flatnonzero((lo > slab[moved]) | (slab[moved] > hi))
+    bad = np.flatnonzero((lo > slab[moved]) | (slab[moved] > hi) | (hi >= top))
     if bad.size:
         i = bad[0]
         raise AssertionError(f"top-bucket drain put point {moved[i]} of slab {slab[moved[i]]} in interval [{lo[i]}, {hi[i]}]")
-    if np.sort(moved).tolist() != np.flatnonzero(slab < len(below)).tolist() or state.buffer != np.flatnonzero(slab == len(below)).tolist():
-        raise AssertionError(f"top-bucket drain moved {moved.size} points and buffered {state.buffer}, but the slabs say otherwise")

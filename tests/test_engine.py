@@ -103,10 +103,7 @@ def test_entropy_is_maximal_for_uniform_rows():
 
 
 def _bare_state(points) -> EngineState:
-    state = EngineState(buckets=[[]])
-    state.xs = [float(p[0]) for p in points]
-    state.ys = [float(p[1]) for p in points]
-    return state
+    return EngineState(xs=[float(p[0]) for p in points], ys=[float(p[1]) for p in points])
 
 
 def test_update_step_folds_a_dominated_chain():
@@ -379,12 +376,11 @@ def test_single_occupied_slab_degenerates_gracefully():
 
 
 def _reference_run_maxima(model: TrainedModel, inp: InputSet, stats: RunStats) -> tuple:
-    """run_maxima as it was before the top-bucket drain: one per-point loop over every bucket; returns (certificate, state)."""
+    """run_maxima as it was before the top-bucket drain: one per-point loop over one list per slab; returns (certificate, buckets)."""
     n, top = inp.n, model.slabs.num_slabs - 1
-    state = EngineState(buckets=[()] * top + [list(range(n))])
-    state.xs, state.ys = inp.xs.tolist(), inp.ys.tolist()
-    state.node, state.slab_lo = list(range(n)), [0] * n
-    buckets, xs, ys, node, slab_lo = state.buckets, state.xs, state.ys, state.node, state.slab_lo
+    buckets = [()] * top + [list(range(n))]
+    state = EngineState(xs=inp.xs.tolist(), ys=inp.ys.tolist(), node=list(range(n)), slab_lo=[0] * n)
+    xs, ys, node, slab_lo = state.xs, state.ys, state.node, state.slab_lo
     split, right, blist = model.forest.split, model.forest.right, model.slabs.boundary_list()
     lam_hat, phat, hx, hy = top, -1, -1, -1
     for m in range(top, -1, -1):
@@ -434,20 +430,22 @@ def _reference_run_maxima(model: TrainedModel, inp: InputSet, stats: RunStats) -
     if state.buffer:
         update_step(state, stats)
     stats.find_max_scans += len(buckets)
-    return Certificate(maxima=tuple(reversed(state.maxima_rev)), dominators=state.dominators), state
+    return Certificate(maxima=tuple(reversed(state.maxima_rev)), dominators=state.dominators), buckets
 
 
-def _assert_runs_as_reference(model: TrainedModel, inp: InputSet, debug_invariants: bool = False) -> None:
+def _assert_runs_as_reference(model: TrainedModel, inp: InputSet, debug_invariants: bool = False) -> EngineState:
+    """Assert that run_maxima gives the reference's certificate, dominator order, counters and bucket reads; return its state."""
     real, states, stats = engine.make_engine_state, [], RunStats()
     with pytest.MonkeyPatch.context() as monkeypatch:  # capture the run's state, to read its buckets afterwards
         monkeypatch.setattr(engine, "make_engine_state", lambda *args: states.append(real(*args)) or states[-1])
         cert = run_maxima(model, inp, stats, debug_invariants=debug_invariants)
     ref_stats = RunStats()
-    ref, ref_state = _reference_run_maxima(model, inp, ref_stats)
+    ref, ref_buckets = _reference_run_maxima(model, inp, ref_stats)
     assert cert.maxima == ref.maxima
     assert list(cert.dominators.items()) == list(ref.dominators.items())  # insertion order too
     assert stats == ref_stats
-    assert [list(b) for b in states[0].buckets] == [list(b) for b in ref_state.buckets]
+    assert [list(b) for b in states[0].buckets] == [list(b) for b in ref_buckets]
+    return states[0]
 
 
 @st.composite
@@ -498,19 +496,41 @@ def test_run_maxima_matches_the_per_point_reference_on_trained_models(model_cach
         _assert_runs_as_reference(model, sample_input(model.scenario, SeededRng(seed)))
 
 
+def test_run_maxima_matches_the_per_point_reference_on_other_scenarios_inputs(model_cache):
+    # a model certifying another scenario's inputs locates them badly, so a
+    # slab holding drained points often gets later arrivals too, which the
+    # sweep reads after them from its heap of occupied slabs
+    kinds = ("uniform_square", "staircase_line", "two_level")
+    late = 0
+    for kind, other in itertools.permutations(kinds, 2):
+        model, spec = model_cache(kind, 256), model_cache(other, 256).scenario
+        for seed in range(3):
+            state = _assert_runs_as_reference(model, sample_input(spec, SeededRng(seed)))
+            late += len(set(state.drained_slab) & {m for m, a in enumerate(state.arrivals) if a})
+    assert late > 0
+
+
 def _misplace_first_moved_point(state, slab):
-    i = next(b[0] for b in state.buckets[:-1] if b)
+    i = state.drained[0]
     state.slab_lo[i] = slab[i] + 1  # an interval that starts right of the point's slab
 
 
+def _swap_first_moved_points(state, slab):
+    state.drained[:2], state.drained_slab[:2] = state.drained[1::-1], state.drained_slab[1::-1]  # out of sweep order
+
+
 def _drop_first_moved_point(state, slab):
-    next(b for b in state.buckets[:-1] if b).pop(0)
+    del state.drained[0], state.drained_slab[0]
 
 
 @pytest.mark.parametrize(
     "corrupt, message",
-    [(_misplace_first_moved_point, r"top-bucket drain put point \d+ of slab \d+ in interval"), (_drop_first_moved_point, "moved")],
-    ids=["wrong-interval", "dropped-point"],
+    [
+        (_misplace_first_moved_point, r"top-bucket drain put point \d+ of slab \d+ in interval"),
+        (_drop_first_moved_point, "moved"),
+        (_swap_first_moved_points, "moved"),
+    ],
+    ids=["wrong-interval", "dropped-point", "swapped-points"],
 )
 def test_debug_run_catches_a_drain_that_misplaces_a_point(model_cache, monkeypatch, corrupt, message):
     model = model_cache("uniform_square", 256)
