@@ -17,6 +17,7 @@ from simax import (
     TrainingConfig,
     audit_forest,
     build_scenario,
+    build_search_tree,
     build_slab_structure,
     collect_frequencies,
     entropy_proxy,
@@ -45,7 +46,9 @@ print(f"slabs: {slabs.num_slabs} leaf slabs from {len(samples)} pooled inputs")
 # ---------------------------------------------------------------------------
 # step 2: frequency table, one row per input position
 
-freq = collect_frequencies(spec, slabs, rounds=200, rng=rng)
+# the same stream goes on to the tree rounds, so this is the table
+# train_model(spec, config, seed=11) builds its trees from
+freq = collect_frequencies(spec, slabs, rounds=config.tree_rounds(n), rng=rng)
 row = freq.counts[0]
 print(f"position 0 hits {np.count_nonzero(row)} distinct slabs over {freq.rounds} rounds")
 
@@ -57,10 +60,12 @@ print(f"entropy: min={ent.min():.2f} bits, max={ent.max():.2f} bits, "
 # ---------------------------------------------------------------------------
 # step 3: the full model, and what the trees buy
 
-model = train_model(spec, config, seed=11, keep_frequencies=True)
+model = train_model(spec, config, seed=11)
 forest = model.forest  # all n trees in flat columns, in level order; tree i's root is node i
+rebuilt = build_search_tree(freq, config.leaf_threshold(n))
+print("trees rebuilt from the step 2 table match the model's forest:", rebuilt == forest.split)
 # one pass per depth audits all n trees against their training counts
-audit = audit_forest(forest, model.frequencies, 2.0 / 3.0)
+audit = audit_forest(forest, freq, 2.0 / 3.0)
 print(f"trees: {model.total_nodes()} nodes in one forest, per position min={audit.nodes.min()} max={audit.nodes.max()}, "
       f"worst-case search steps max={audit.steps.max()}")
 
@@ -70,11 +75,11 @@ print("all trees 2/3-mass-reducing:", bool(audit.reducing.all()))
 # a restricted search stops as soon as its interval is pinned down; compare
 # the mean step count against a search that must find the exact slab
 i = int(np.argmin(ent))
-weights = model.frequencies.counts[i].astype(float)
+weights = freq.counts[i].astype(float)
 full = simulate_restricted_search(forest, i, None, weights, trials=64, rng=SeededRng(1))
 print(f"most predictable position {i}: {full:.2f} mean steps to its exact slab")
 
 j = int(np.argmax(ent))
-weights = model.frequencies.counts[j].astype(float)
+weights = freq.counts[j].astype(float)
 full = simulate_restricted_search(forest, j, None, weights, trials=64, rng=SeededRng(2))
 print(f"least predictable position {j}: {full:.2f} mean steps to its exact slab")

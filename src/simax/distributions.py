@@ -162,8 +162,6 @@ class ScenarioSpec:
 class SeededRng:
     """Deterministic random stream: PCG64 keyed by a 64-bit seed."""
 
-    algorithm = "pcg64"
-
     def __init__(self, seed: int):
         seed = int(seed)
         if not 0 <= seed < 2**64:

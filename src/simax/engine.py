@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
@@ -100,7 +100,8 @@ class EngineState:
     (slab descending, index ascending) order, and drained_slab, the hi end
     of each one's interval.  A later move appends its point to
     arrivals[hi]; a slab no point has moved into holds the shared empty
-    tuple until its first entry.  slab_lo holds each point's lo end.
+    tuple until its first entry.  slab_lo holds each point's lo end.  The
+    sweep reads these through _reads, so no per-slab list of reads is kept.
     """
 
     drained: list[int] = field(default_factory=list)
@@ -114,14 +115,6 @@ class EngineState:
     slab_lo: list[int] = field(default_factory=list)  # lo end after the top drain, then after each later move
     xs: list[float] = field(default_factory=list)
     ys: list[float] = field(default_factory=list)
-
-    @property
-    def buckets(self) -> tuple[Sequence[int], ...]:
-        """Each slab's reads in arrival order, rebuilt: its drained points in index order, then its later arrivals; slot top is range(n)."""
-        out: list[list[int]] = [[] for _ in self.arrivals]
-        for i, m in zip(self.drained, self.drained_slab):
-            out[m].append(i)
-        return tuple(tuple(b + list(a)) for b, a in zip(out, self.arrivals)) + (range(len(self.xs)),)
 
 
 def make_engine_state(model: "TrainedModel", inp: InputSet) -> EngineState:

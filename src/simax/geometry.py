@@ -130,12 +130,12 @@ def brute_force_maxima(inp: InputSet) -> Certificate:
     return Certificate(maxima=maxima, dominators=dominators)
 
 
-def _heapsort_indices(xs, ys, out_cost: list) -> list[int]:
+def _heapsort_indices(xs, ys) -> tuple[list[int], int]:
     """Sort point indices by (x, y, index) with an explicitly counted heapsort.
 
     Non-adaptive on purpose: the comparison count is Theta(n log n) whether or
     not the input arrives presorted, so it is a meaningful scaling baseline.
-    Returns the sorted index list and adds the comparison count to out_cost[0].
+    Returns the sorted index list and the comparisons it made.
     """
     a = [(float(xs[i]), float(ys[i]), i) for i in range(len(xs))]
     n = len(a)
@@ -163,8 +163,7 @@ def _heapsort_indices(xs, ys, out_cost: list) -> list[int]:
     for end in range(n - 1, 0, -1):
         a[0], a[end] = a[end], a[0]
         siftdown(0, end - 1)
-    out_cost[0] += cost
-    return [t[2] for t in a]
+    return [t[2] for t in a], cost
 
 
 def sort_scan_maxima(inp: InputSet, stats: BaselineStats | None = None) -> Certificate:
@@ -176,8 +175,7 @@ def sort_scan_maxima(inp: InputSet, stats: BaselineStats | None = None) -> Certi
     witness.  Comparison accounting is described on :class:`BaselineStats`.
     """
     xs, ys = inp.xs, inp.ys
-    cost_box = [0]
-    order = _heapsort_indices(xs, ys, cost_box)
+    order, sort_cost = _heapsort_indices(xs, ys)
     comparisons = 0
     maxima_rev: list[int] = []
     dominators: dict[int, int] = {}
@@ -200,7 +198,7 @@ def sort_scan_maxima(inp: InputSet, stats: BaselineStats | None = None) -> Certi
             r, rx, ry = i, px, py
     if stats is not None:
         stats.comparisons += comparisons
-        stats.sort_cost += cost_box[0]
+        stats.sort_cost += sort_cost
     return Certificate(maxima=tuple(reversed(maxima_rev)), dominators=dominators)
 
 

@@ -133,14 +133,6 @@ class FrequencyTable:
     counts: np.ndarray  # shape (n, num_slabs), unsigned ints
     rounds: int
 
-    @property
-    def n(self) -> int:
-        return int(self.counts.shape[0])
-
-    @property
-    def num_slabs(self) -> int:
-        return int(self.counts.shape[1])
-
 
 def collect_frequencies(spec: ScenarioSpec, slabs: SlabStructure, rounds: int, rng: SeededRng) -> FrequencyTable:
     """Sample `rounds` fresh inputs and count leaf-slab hits per position.
@@ -465,9 +457,9 @@ class TrainedModel:
     Training is a pure function of (scenario, config, seed), so those three
     are the model's whole provenance; round counts and the leaf threshold
     follow from them.  Construction checks that the forest holds n trees
-    over the model's slabs (decoding already made each tree sound).
-    frequencies is kept only when training is asked to retain it (for audits
-    of the trees against their training counts); it is never serialized.
+    over the model's slabs (decoding already made each tree sound).  The
+    frequency table the trees came from is not kept; an audit collects it
+    again from the same stream.
     """
 
     scenario: ScenarioSpec
@@ -476,7 +468,6 @@ class TrainedModel:
     config: TrainingConfig
     seed: int
     entropy_per_point: np.ndarray
-    frequencies: FrequencyTable | None = None
 
     def __post_init__(self):
         SeededRng(self.seed)  # the stream's own 64-bit seed check
@@ -645,13 +636,13 @@ def train_model(
     spec: ScenarioSpec,
     config: TrainingConfig | None = None,
     seed: int = 0,
-    keep_frequencies: bool = False,
 ) -> TrainedModel:
     """Run the whole training phase for one scenario.
 
     Consumes a single seeded stream in a fixed order: first slab_rounds(n)
     inputs for the slab structure, then tree_rounds(n) inputs for the
-    frequency table.  The result is a pure function of (spec, config, seed).
+    frequency table, which builds the trees and entropies and is then
+    dropped.  The result is a pure function of (spec, config, seed).
     """
     config = config or TrainingConfig()
     n = spec.n
@@ -660,8 +651,7 @@ def train_model(
     freq = collect_frequencies(spec, slabs, config.tree_rounds(n), rng)
     splits = build_search_tree(freq, config.leaf_threshold(n))
     entropy = engine.entropy_proxy(freq)
-    if not keep_frequencies:
-        freq = None  # free the n x num_slabs table before the forest is decoded, so the two never coexist
+    del freq  # free the n x num_slabs table before the forest is decoded, so the two never coexist
     return TrainedModel(
         scenario=spec,
         slabs=slabs,
@@ -669,7 +659,6 @@ def train_model(
         config=config,
         seed=int(seed),
         entropy_per_point=entropy,
-        frequencies=freq,
     )
 
 

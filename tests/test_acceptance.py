@@ -18,6 +18,7 @@ import math
 import time
 
 import numpy as np
+from test_engine import _record_reads
 
 from simax import (
     RunStats,
@@ -32,7 +33,6 @@ from simax import (
     sort_scan_maxima,
     verify_certificate,
 )
-from simax import engine
 from simax.cli import main
 from simax.geometry import BaselineStats
 
@@ -86,20 +86,20 @@ def test_02_leaf_slab_occupancy_second_moment_is_bounded(capsys):
     _report(capsys, 2, ok, f"mean squared slab occupancy {mean_sq:.3f} over 200 fresh inputs (cap 10)")
 
 
-def test_03_every_tree_edge_is_two_thirds_reducing(model_cache, capsys):
+def test_03_every_tree_edge_is_two_thirds_reducing(model_cache, training_table, capsys):
     checked = bad = 0
     jobs = [(kind, n) for kind in KINDS for n in (16, 64, 256, 1024)]
     jobs += [("uniform_square", 8192), ("staircase_line", 8192)]
     for kind, n in jobs:
         model = model_cache(kind, n)
-        reducing = audit_forest(model.forest, model.frequencies, mu=2 / 3).reducing
+        reducing = audit_forest(model.forest, training_table(kind, n), mu=2 / 3).reducing
         checked += reducing.size
         bad += int(np.count_nonzero(~reducing))
     ok = bad == 0
     _report(capsys, 3, ok, f"{checked - bad}/{checked} trees 2/3-reducing across {len(jobs)} models (exact)")
 
 
-def test_04_restricted_searches_run_near_entropy_bound(model_cache, capsys):
+def test_04_restricted_searches_run_near_entropy_bound(model_cache, training_table, capsys):
     # one shared instance stream across all scenario/size groups, so the
     # drawn instances match the ones the frozen constant was calibrated on
     picker = np.random.RandomState(77)
@@ -108,7 +108,7 @@ def test_04_restricted_searches_run_near_entropy_bound(model_cache, capsys):
     for kind in KINDS:
         for n in (64, 256, 1024):
             model = model_cache(kind, n)
-            freq = model.frequencies
+            freq = training_table(kind, n)
             num_slabs = model.slabs.num_slabs
             ratios = []
             made = 0
@@ -207,27 +207,22 @@ def test_07_engine_cost_tracks_input_plus_entropy(model_cache, capsys):
 
 
 def test_08_sweep_replays_a_fifo_max_heap_and_scans_each_slab_once(model_cache, monkeypatch, capsys):
-    # replay every bucket read of the engine's sweep against an independent
-    # heap of (-key, arrival, point): the sweep must always take the point
-    # with the largest key, earliest arrival first, and a point that shows up
-    # again in a lower bucket is a decrease-key made at the read that moved it
-    real, states = engine.make_engine_state, []
-
-    def captured(*args):
-        states.append(real(*args))
-        return states[-1]
-
-    monkeypatch.setattr(engine, "make_engine_state", captured)
+    # replay every read the engine's sweep makes (the top slab's points in
+    # index order, then each read engine._reads yields) against an
+    # independent heap of (-key, arrival, point): the sweep must always take
+    # the point with the largest key, earliest arrival first, and a point
+    # that is read again in a lower slab is a decrease-key made at the read
+    # that moved it
+    recorded = _record_reads(monkeypatch)
     ops = mismatches = leftover = bad_scans = bad_moves = runs = 0
     for kind in KINDS:
         model = model_cache(kind, 1024)
         for seed in range(17):
             stats = RunStats()
             run_maxima(model, sample_input(model.scenario, SeededRng(seed)), stats)
-            buckets = states[-1].buckets
-            top = len(buckets) - 1
-            reads = [(m, i) for m in range(top, -1, -1) for i in buckets[m]]
-            moved_to = [None] * len(reads)  # the bucket each read sends its point to next
+            reads = recorded[-1]
+            top = model.slabs.num_slabs - 1
+            moved_to = [None] * len(reads)  # the slab each read sends its point to next
             last_read: dict[int, int] = {}
             for r, (m, i) in enumerate(reads):
                 if i in last_read:

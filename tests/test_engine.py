@@ -89,7 +89,7 @@ def _multinomial_table(rows: int, slabs: int, rounds: int, dtype) -> FrequencyTa
 def test_entropy_proxy_is_bit_exact(freq):
     got = entropy_proxy(freq)
     assert got.tobytes() == _entropy_reference(freq).tobytes()
-    if freq.num_slabs == 1:
+    if freq.counts.shape[1] == 1:
         assert np.signbit(got).all()  # a row's terms are all 0.0, so its negated sum is -0.0
 
 
@@ -269,26 +269,40 @@ def test_run_is_deterministic_and_instrumented(model_cache):
     assert s1.tree_steps <= model.n * (depth_cap + 1)
 
 
+def _record_reads(monkeypatch) -> list[list[tuple[int, int]]]:
+    """Record the reads of every later run_maxima call, one list per run.
+
+    A run's list is (top, i) for every point i in index order, the order
+    the top drain steps them in, then each (slab, point) that engine._reads
+    yields as the sweep takes it.
+    """
+    real, runs = engine._reads, []
+
+    def recording(state, occupied):
+        reads = [(len(state.arrivals), i) for i in range(len(state.xs))]
+        runs.append(reads)
+        for read in real(state, occupied):
+            reads.append(read)
+            yield read
+
+    monkeypatch.setattr(engine, "_reads", recording)
+    return runs
+
+
 @pytest.mark.parametrize("kind", ["two_level", "uniform_square"])
 def test_sweep_reads_each_point_once_per_bucket_in_decreasing_order(model_cache, monkeypatch, kind):
     # a point enters the sweep once at the top and once per move to a lower
     # bucket, and each move lands strictly left of the bucket it came from
     model = model_cache(kind, 256)
-    real, states = engine.make_engine_state, []
-
-    def captured(*args):
-        states.append(real(*args))
-        return states[-1]
-
-    monkeypatch.setattr(engine, "make_engine_state", captured)
+    recorded = _record_reads(monkeypatch)
     stats = RunStats()
     run_maxima(model, sample_input(model.scenario, SeededRng(5)), stats)
-    buckets = states[0].buckets
-    assert sum(len(b) for b in buckets) == model.n + stats.decrease_keys
+    (reads,) = recorded
+    assert len(reads) == model.n + stats.decrease_keys
+    assert all(a >= b for (a, _), (b, _) in zip(reads, reads[1:]))  # one pass, from the top slab down
     seen: dict[int, list[int]] = {}
-    for m in range(len(buckets) - 1, -1, -1):
-        for i in buckets[m]:
-            seen.setdefault(i, []).append(m)
+    for m, i in reads:
+        seen.setdefault(i, []).append(m)
     assert sorted(seen) == list(range(model.n))
     assert all(a > b for ms in seen.values() for a, b in zip(ms, ms[1:]))
 
@@ -306,22 +320,18 @@ def test_stats_accumulate_across_runs(model_cache):
 def test_debug_run_checks_the_frontier_at_every_move(model_cache, monkeypatch):
     model = model_cache("two_level", 256)
     inp = sample_input(model.scenario, SeededRng(5))
-    real_state, real_check, states, checked = engine.make_engine_state, engine._check_frontier_invariant, [], []
-
-    def captured(*args):
-        states.append(real_state(*args))
-        return states[-1]
+    real_check, checked = engine._check_frontier_invariant, []
 
     def counted(state, ref_rev, ref_slab, lam_hat):
         checked.append(lam_hat)
         real_check(state, ref_rev, ref_slab, lam_hat)
 
-    monkeypatch.setattr(engine, "make_engine_state", captured)
+    recorded = _record_reads(monkeypatch)
     monkeypatch.setattr(engine, "_check_frontier_invariant", counted)
     run_maxima(model, inp, debug_invariants=True)
-    # after the move to every nonempty bucket below the top, empty buffer or not, and after the final fold
-    buckets = states[0].buckets
-    moves = [m for m in range(len(buckets) - 2, -1, -1) if buckets[m]]
+    # after the move to every slab below the top that the sweep reads, empty buffer or not, and after the final fold
+    top = model.slabs.num_slabs - 1
+    moves = sorted({m for m, _ in recorded[0] if m < top}, reverse=True)
     assert len(moves) > 2 and checked == moves + [-1]
 
 
@@ -376,15 +386,20 @@ def test_single_occupied_slab_degenerates_gracefully():
 
 
 def _reference_run_maxima(model: TrainedModel, inp: InputSet, stats: RunStats) -> tuple:
-    """run_maxima as it was before the top-bucket drain: one per-point loop over one list per slab; returns (certificate, buckets)."""
+    """run_maxima as it was before the top-bucket drain: one per-point loop over one list per slab; returns (certificate, reads).
+
+    reads lists the loop's (slab, point) reads in the order it makes them.
+    """
     n, top = inp.n, model.slabs.num_slabs - 1
     buckets = [()] * top + [list(range(n))]
     state = EngineState(xs=inp.xs.tolist(), ys=inp.ys.tolist(), node=list(range(n)), slab_lo=[0] * n)
     xs, ys, node, slab_lo = state.xs, state.ys, state.node, state.slab_lo
     split, right, blist = model.forest.split, model.forest.right, model.slabs.boundary_list()
     lam_hat, phat, hx, hy = top, -1, -1, -1
+    reads = []
     for m in range(top, -1, -1):
         for i in buckets[m]:
+            reads.append((m, i))
             if m < lam_hat:
                 lam_hat = m
                 if state.buffer:
@@ -430,21 +445,22 @@ def _reference_run_maxima(model: TrainedModel, inp: InputSet, stats: RunStats) -
     if state.buffer:
         update_step(state, stats)
     stats.find_max_scans += len(buckets)
-    return Certificate(maxima=tuple(reversed(state.maxima_rev)), dominators=state.dominators), buckets
+    return Certificate(maxima=tuple(reversed(state.maxima_rev)), dominators=state.dominators), reads
 
 
 def _assert_runs_as_reference(model: TrainedModel, inp: InputSet, debug_invariants: bool = False) -> EngineState:
-    """Assert that run_maxima gives the reference's certificate, dominator order, counters and bucket reads; return its state."""
+    """Assert that run_maxima gives the reference's certificate, dominator order, counters and reads; return its state."""
     real, states, stats = engine.make_engine_state, [], RunStats()
-    with pytest.MonkeyPatch.context() as monkeypatch:  # capture the run's state, to read its buckets afterwards
+    with pytest.MonkeyPatch.context() as monkeypatch:  # capture the run's state and reads
         monkeypatch.setattr(engine, "make_engine_state", lambda *args: states.append(real(*args)) or states[-1])
+        recorded = _record_reads(monkeypatch)
         cert = run_maxima(model, inp, stats, debug_invariants=debug_invariants)
     ref_stats = RunStats()
-    ref, ref_buckets = _reference_run_maxima(model, inp, ref_stats)
+    ref, ref_reads = _reference_run_maxima(model, inp, ref_stats)
     assert cert.maxima == ref.maxima
     assert list(cert.dominators.items()) == list(ref.dominators.items())  # insertion order too
     assert stats == ref_stats
-    assert [list(b) for b in states[0].buckets] == [list(b) for b in ref_buckets]
+    assert recorded == [ref_reads]
     return states[0]
 
 

@@ -26,6 +26,7 @@ from simax import (
     build_search_tree,
     build_slab_structure,
     collect_frequencies,
+    entropy_proxy,
     learning,
     load_model,
     run_maxima,
@@ -232,11 +233,11 @@ def test_point_mass_concentrates_on_one_slab():
     assert freq.counts[1].tolist() == [0, 0, 11]
 
 
-def test_row_zero_frequencies_are_loosely_balanced(model_cache):
+def test_row_zero_frequencies_are_loosely_balanced(training_table):
     # frozen-seed measurement: the first position's interior counts stay
     # within 3x of the interior mean (min counts can be 0 at this budget,
     # so max/min is not a usable yardstick)
-    freq = model_cache("uniform_square", 64).frequencies
+    freq = training_table("uniform_square", 64)
     interior = freq.counts[0][1:-1].astype(float)
     assert interior.max() <= 3.0 * interior.mean()
 
@@ -246,7 +247,8 @@ def test_row_zero_frequencies_are_loosely_balanced(model_cache):
 
 
 def _build_forest(freq: FrequencyTable, leaf_threshold: int) -> SearchForest:
-    return SearchForest(freq.num_slabs, freq.n, build_search_tree(freq, leaf_threshold))
+    n, num_slabs = freq.counts.shape
+    return SearchForest(num_slabs, n, build_search_tree(freq, leaf_threshold))
 
 
 def _preorder_reference(row, leaf_threshold: int) -> list[int]:
@@ -394,10 +396,10 @@ def test_built_forest_decodes_from_its_splits_alone(rows, threshold):
     freq = FrequencyTable(counts=np.array(rows, dtype=np.uint16), rounds=30)
     forest = _build_forest(freq, threshold)
     # level order: node ids run through depth 0, then depth 1, ..., and tree by tree within a depth
-    order = sorted((nid, depth, i) for i in range(freq.n) for nid, _, _, depth in _walk(forest, i))
+    order = sorted((nid, depth, i) for i in range(len(rows)) for nid, _, _, depth in _walk(forest, i))
     assert [nid for nid, _, _ in order] == list(range(len(forest.split)))
     assert [(depth, i) for _, depth, i in order] == sorted((depth, i) for _, depth, i in order)
-    assert all(next(_walk(forest, i))[0] == i for i in range(freq.n))  # root i is node i
+    assert all(next(_walk(forest, i))[0] == i for i in range(len(rows)))  # root i is node i
 
 
 def _tables(max_rows: int = 5, max_slabs: int = 12):
@@ -419,7 +421,7 @@ def test_trees_spanning_several_row_blocks_match_the_reference():
     counts = np.random.default_rng(5).integers(0, 40, size=(600, 300), dtype=np.uint16)  # 218 rows to a 2**16-cell block
     freq = FrequencyTable(counts=counts, rounds=40)
     forest = _build_forest(freq, leaf_threshold=50)
-    assert all(_preorder(forest, i) == _preorder_reference(counts[i], 50) for i in range(freq.n))
+    assert all(_preorder(forest, i) == _preorder_reference(counts[i], 50) for i in range(counts.shape[0]))
 
 
 # sha256 of each conftest model's (n=256, seed 101, eps 0.5) splits, tree by tree in preorder: version 3's forest list
@@ -547,10 +549,10 @@ def test_split_moved_off_its_weighted_median_is_flagged():
 
 
 @pytest.mark.parametrize("kind", ["uniform_square", "staircase_line", "two_level"])
-def test_audit_matches_the_preorder_walk_on_trained_forests(model_cache, kind):
-    model = model_cache(kind, 256)
+def test_audit_matches_the_preorder_walk_on_trained_forests(model_cache, training_table, kind):
+    model, freq = model_cache(kind, 256), training_table(kind, 256)
     for mu in (2 / 3, 0.45):
-        assert _audit(model.forest, model.frequencies, mu) == _walk_audit(model.forest, model.frequencies, mu)
+        assert _audit(model.forest, freq, mu) == _walk_audit(model.forest, freq, mu)
 
 
 # ---------------------------------------------------------------------------
@@ -621,11 +623,10 @@ def test_trivial_tree_over_one_slab_needs_no_steps():
     assert simulate_restricted_search(forest, 0, None, np.array([1.0]), trials=5, rng=SeededRng(1)) == 0.0
 
 
-def test_full_searches_run_in_entropy_plus_one(model_cache):
+def test_full_searches_run_in_entropy_plus_one(model_cache, training_table):
     # interval=None descends to the exact leaf; the mean step count is then
     # within a constant of the position's empirical entropy
-    model = model_cache("uniform_square", 256)
-    freq = model.frequencies
+    model, freq = model_cache("uniform_square", 256), training_table("uniform_square", 256)
     picker = np.random.RandomState(3)
     for trial in range(40):
         i = int(picker.randint(256))
@@ -639,21 +640,21 @@ def test_full_searches_run_in_entropy_plus_one(model_cache):
 
 
 @pytest.mark.parametrize("kind", ["uniform_square", "staircase_line", "two_level"])
-def test_model_structural_bounds(model_cache, kind):
+def test_model_structural_bounds(model_cache, training_table, kind):
     for n in (256, 1024):
         model = model_cache(kind, n)
         eps = model.config.epsilon
         per_point_cap = STORAGE_C * n**eps
         depth_cap = (1 + 3 * eps) * math.log2(model.slabs.num_slabs) + DEPTH_SLACK
-        audit = audit_forest(model.forest, model.frequencies, mu=2 / 3)
+        audit = audit_forest(model.forest, training_table(kind, n), mu=2 / 3)
         assert audit.nodes.max() <= per_point_cap
         assert audit.steps.max() <= depth_cap
 
 
-def test_all_trained_trees_are_mu_reducing(model_cache):
+def test_all_trained_trees_are_mu_reducing(model_cache, training_table):
     for kind in ("uniform_square", "staircase_line", "two_level"):
         model = model_cache(kind, 256)
-        assert audit_forest(model.forest, model.frequencies, mu=2 / 3).reducing.all()
+        assert audit_forest(model.forest, training_table(kind, 256), mu=2 / 3).reducing.all()
 
 
 # ---------------------------------------------------------------------------
@@ -1335,9 +1336,10 @@ def test_model_file_round_trip_is_byte_exact(tmp_path, model_cache, kind):
     assert loaded.entropy_per_point.tobytes() == model.entropy_per_point.tobytes()
 
 
-def test_loaded_model_drops_frequencies(tmp_path, model_cache):
-    model = model_cache("uniform_square", 16)
-    assert model.frequencies is not None
-    path = tmp_path / "m.json"
-    save_model(model, path)
-    assert load_model(path).frequencies is None
+@pytest.mark.parametrize("kind", ["uniform_square", "staircase_line", "two_level"])
+def test_recorded_training_table_is_the_one_the_model_was_built_from(model_cache, training_table, kind):
+    # the audits read conftest's recorded table, so it must be the table the trees and entropies came from
+    model, freq = model_cache(kind, 256), training_table(kind, 256)
+    assert freq.rounds == model.config.tree_rounds(256)
+    assert build_search_tree(freq, model.config.leaf_threshold(256)).tobytes() == model.forest.split.tobytes()
+    assert entropy_proxy(freq).tobytes() == model.entropy_per_point.tobytes()

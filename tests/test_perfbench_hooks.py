@@ -77,3 +77,12 @@ def test_training_draws_every_round_through_the_hooked_name(monkeypatch):
     config = learning.TrainingConfig()
     learning.train_model(build_scenario("uniform_square", 16), config, seed=3)
     assert len(calls) == config.slab_rounds(16) + config.tree_rounds(16)
+
+
+def test_training_collects_one_frequency_table(monkeypatch):
+    # perfbench's freq_table_mib and conftest's recorded training table both read the one table a train_model call collects
+    calls = []
+    real = learning.collect_frequencies
+    monkeypatch.setattr(learning, "collect_frequencies", lambda *args: calls.append(1) or real(*args))
+    learning.train_model(build_scenario("two_level", 16), seed=3)
+    assert len(calls) == 1
