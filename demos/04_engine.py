@@ -42,8 +42,9 @@ for kind in ("uniform_square", "staircase_line", "two_level"):
         rs = RunStats()
         cert = run_maxima(model, inp, stats=rs)
         assert verify_certificate(inp, cert)
-        # comparisons: tree and dominance steps cost 2 each, buffer sorting
-        # is counted by its own key comparisons
+        # comparisons, an upper bound: tree steps and dominance checks cost at
+        # most 2 each (a sweep check compares y alone), buffer sorting is
+        # counted by its own key comparisons
         engine_cost[t] = (2 * rs.tree_steps + 2 * rs.dominance_checks
                           + rs.update_sort_comparisons)
 

@@ -9,8 +9,11 @@ slab.  The sweep thus serves as a max-priority queue with FIFO ties and
 decrease-key, since a key only ever falls below the slab being read.  The
 leftmost maximum found so far dominates-checks every advanced point, so
 points doomed to be dominated usually die after O(1) steps instead of paying
-for a full location.  Discovered maxima accumulate left to right, giving the
-same certificate shape as the baselines.
+for a full location.  That maximum was located in a slab right of the one
+being read, so it lies strictly right of the point and the check is one y
+comparison, made before the point's x or search position is read.
+Discovered maxima accumulate left to right, giving the same certificate
+shape as the baselines.
 
 No maximum is known while the sweep reads the top slab, so no dominance
 check applies there; that slab, most of the search work, is drained in
@@ -29,6 +32,7 @@ buffer is ordered directly, at the 0 or 1 comparisons merge sort would count.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from typing import TYPE_CHECKING, Iterator
@@ -47,9 +51,11 @@ class RunStats:
 
     tree_steps: search-tree or bisection advances (at most 2 coordinate
     comparisons each).  dominance_checks: checks against the current leftmost
-    maximum, in the sweep and in the update sweep (2 coordinate comparisons
-    each).  decrease_keys: moves of a point to a lower slab, one each time a
-    search step leaves its interval's hi end left of the slab being read.
+    maximum, in the sweep (one y comparison each, since that maximum lies in
+    a slab right of the point's) and in the update sweep (up to 2 coordinate
+    comparisons each, since buffered points share a slab).  decrease_keys:
+    moves of a point to a lower slab, one each time a search step leaves its
+    interval's hi end left of the slab being read.
     find_max_scans: num_slabs per run, by definition; the sweep skips empty
     slabs, so it measures nothing and is kept only because perfbench reads
     it.  update_sorted_points: total buffered points sorted;
@@ -166,7 +172,9 @@ def _drain_top(state: EngineState, model: "TrainedModel", xs: np.ndarray) -> tup
     hi[stopped] = np.where(left, edge - 1, edge)
     lo[stopped[~left]] = edge[~left]
     node[stopped] = np.where(left & (s >= 0), right[j] - 1, j)  # the left child sits just before the right-child slot
-    order = np.argsort(-hi, kind="stable")  # slab by slab from the top, each in index order
+    # slab by slab from the top, each in index order; a key as narrow as top
+    # (uint16 up to 65536 slabs) is radix-sorted, where int64 is not
+    order = np.argsort((top - hi).astype(np.min_scalar_type(top)), kind="stable")
     located = int(np.count_nonzero(hi == top))
     moved = order[located:]
     state.buffer.extend(order[:located].tolist())
@@ -232,7 +240,7 @@ def update_step(state: EngineState, stats: RunStats) -> None:
     for px, py, i in reversed(keyed):
         if r >= 0:
             checks += 1
-            if rx >= px and ry >= py and (rx > px or ry > py):
+            if rx >= px and ry >= py and (rx > px or ry > py):  # buffered points share a slab, so x can tie
                 dominators[i] = r
                 continue
             if py > ry:
@@ -286,7 +294,9 @@ def run_maxima(
     debug_invariants takes the same steps and adds a check of the top drain
     (_check_drain), then one after every frontier move, empty or not, and
     after the final fold: the staircase found so far must be exactly the
-    true staircase of the points right of the frontier.  Slabs do not
+    true staircase of the points right of the frontier.  At each move it
+    also checks that the leftmost maximum lies in a slab right of the
+    frontier, which the y-only dominance test needs.  Slabs do not
     decrease as x grows, so that staircase is the suffix of the full one
     (one sort_scan_maxima answer per run) whose slabs lie right of the
     frontier.  The certificate and counters are the same as without it.
@@ -306,7 +316,10 @@ def run_maxima(
     split, right = model.forest.split, model.forest.right
     blist = model.slabs.boundary_list()
     lam_hat = len(arrivals)
-    phat = hx = hy = -1
+    # phat, the leftmost maximum so far, was located in a slab right of m,
+    # so xs[phat] > px for every point read at m and dominance is hy >= py;
+    # with no maximum yet, hy = -inf fails that test and chk counts nothing
+    phat, hy, chk = -1, -math.inf, 0
     checks = 0
     occupied: list[int] = []
     # every point read is live: a point is only ever moved to a slab left of
@@ -317,17 +330,22 @@ def run_maxima(
             if buffer:
                 update_step(state, stats)
                 phat = state.phat
-                hx, hy = xs[phat], ys[phat]
+                hy, chk = ys[phat], 1
             if debug_invariants:
+                if phat >= 0 and slab[phat] <= m:
+                    raise AssertionError(
+                        f"leftmost maximum {phat} lies in slab {slab[phat]}, not right of frontier slab {m}, "
+                        "so the sweep's y-only dominance test does not hold"
+                    )
                 _check_frontier_invariant(state, ref_rev, ref_slab, m)
-        px, py = xs[i], ys[i]
+        py = ys[i]
+        checks += chk
+        if hy >= py:
+            dominators[i] = phat
+            continue
+        px = xs[i]
         lo, hi, nid = slab_lo[i], m, node[i]
         while True:  # i stays the rightmost point until it leaves slab m
-            if phat >= 0:
-                checks += 1
-                if hx >= px and hy >= py and (hx > px or hy > py):
-                    dominators[i] = phat
-                    break
             if lo != hi:
                 steps += 1
                 s = split[nid]
@@ -357,6 +375,10 @@ def run_maxima(
                     break
             if lo == hi:
                 buffer.append(i)
+                break
+            checks += chk
+            if hy >= py:
+                dominators[i] = phat
                 break
     stats.tree_steps += steps
     stats.dominance_checks += checks

@@ -409,3 +409,17 @@ def test_cli_verify_reports_a_broken_frontier_invariant(tmp_path, capsys, monkey
     monkeypatch.setattr(engine, "update_step", lossy_update)
     assert main(["verify", "--model", str(model_path), "--seed", "5"]) == 1
     assert capsys.readouterr().out.startswith("FAIL: frontier invariant broken at slab ")
+
+
+def test_cli_verify_reports_a_leftmost_maximum_left_of_the_frontier(tmp_path, capsys, monkeypatch, model_cache):
+    model_path = tmp_path / "model.json"
+    save_model(model_cache("uniform_square", 256), model_path)
+    real_update = engine.update_step
+
+    def misplacing_update(state, stats):
+        real_update(state, stats)
+        state.phat = state.drained[-1]
+
+    monkeypatch.setattr(engine, "update_step", misplacing_update)
+    assert main(["verify", "--model", str(model_path), "--seed", "5"]) == 1
+    assert capsys.readouterr().out.startswith("FAIL: leftmost maximum ")

@@ -376,6 +376,21 @@ def test_debug_run_catches_an_update_that_reorders_the_staircase(model_cache, mo
         run_maxima(model, inp, debug_invariants=True)
 
 
+def test_debug_run_catches_a_leftmost_maximum_left_of_the_frontier(model_cache, monkeypatch):
+    # the sweep tests dominance by y alone, which needs the leftmost maximum right of the slab being read
+    model = model_cache("uniform_square", 256)
+    inp = sample_input(model.scenario, SeededRng(5))
+    real_update = engine.update_step
+
+    def misplacing_update(state, stats):
+        real_update(state, stats)
+        state.phat = state.drained[-1]  # a point of the lowest slab the drain reached
+
+    monkeypatch.setattr(engine, "update_step", misplacing_update)
+    with pytest.raises(AssertionError, match=r"leftmost maximum \d+ lies in slab \d+, not right of frontier slab \d+"):
+        run_maxima(model, inp, debug_invariants=True)
+
+
 def test_single_occupied_slab_degenerates_gracefully():
     # all points share one leaf slab: the whole run is one buffered update
     model = _fallback_model(3, [10.0])
@@ -389,6 +404,8 @@ def _reference_run_maxima(model: TrainedModel, inp: InputSet, stats: RunStats) -
     """run_maxima as it was before the top-bucket drain: one per-point loop over one list per slab; returns (certificate, reads).
 
     reads lists the loop's (slab, point) reads in the order it makes them.
+    Its dominance check keeps all four coordinate comparisons, so it is the
+    differential witness for the engine's test on y alone.
     """
     n, top = inp.n, model.slabs.num_slabs - 1
     buckets = [()] * top + [list(range(n))]
@@ -488,13 +505,14 @@ def _forest_case(draw):
     n = draw(st.integers(1, 7))
     trees = [draw(_tree(0, len(bounds), draw(st.integers(0, 4)))) for _ in range(n)]
     xs = draw(st.lists(st.sampled_from(bounds + [-0.0, -2.0, 0.125, 0.75, 3.0]), min_size=n, max_size=n))
-    ys = draw(st.lists(st.sampled_from([-0.0, 0.0, 1.0, 2.0]), min_size=n, max_size=n))
+    ys = draw(st.lists(st.sampled_from([-2.0, -0.0, 0.0, 1.0, 2.0]), min_size=n, max_size=n))
     return _fallback_model(n, bounds, _level_order(trees)), InputSet(xs, ys)
 
 
 @settings(deadline=None, max_examples=300)
 @given(case=_forest_case())
 @example(case=(_fallback_model(1, [0.0]), InputSet([-0.0], [0.0])))  # one position, a bare root, -0.0 on the 0.0 boundary
+@example(case=(_fallback_model(2, [0.0]), InputSet([-1.0, -0.5], [-2.0, -3.0])))  # no maximum yet below the top, y < -1
 @example(  # roots split at their interval's left end, right end, not at all, and inside; duplicate points
     case=(_fallback_model(4, [0.0, 1.0, 2.0], [0, 3, -1, 1, -1, -1, -1, -1]), InputSet([1.0, 1.0, 2.0, -0.0], [1.0, 1.0, 0.0, 2.0]))
 )
@@ -503,6 +521,14 @@ def test_run_maxima_matches_the_per_point_reference_on_hand_built_forests(case):
     model, inp = case
     _assert_runs_as_reference(model, inp)
     _assert_runs_as_reference(model, inp, debug_invariants=True)
+
+
+@pytest.mark.parametrize("num_slabs", [65536, 65537])
+def test_run_maxima_matches_the_per_point_reference_past_a_uint16_slab_key(num_slabs):
+    # the drain sorts by top - hi, which needs 17 bits once num_slabs passes
+    # 65536; root 0 splits at slab 1, so its point's first step leaves it at hi = 0
+    model = _fallback_model(3, np.arange(num_slabs - 1, dtype=float), [1, -1, -1, -1, -1])
+    _assert_runs_as_reference(model, InputSet([-1.0, 100.5, 1e9], [0.0, 2.0, 1.0]), debug_invariants=True)
 
 
 @pytest.mark.parametrize("kind", ["uniform_square", "staircase_line", "two_level"])
