@@ -16,13 +16,20 @@ Discovered maxima accumulate left to right, giving the same certificate
 shape as the baselines.
 
 No maximum is known while the sweep reads the top slab, so no dominance
-check applies there; that slab, most of the search work, is drained in
-numpy passes that take the per-point loop's steps and moves in its order,
-so every counter means what it means in the rest of the sweep.  The drain
-leaves the points it moved as one list ordered by slab descending, index
-ascending; the sweep walks that list and, before each slab's drained
-points, reads every slab above it that later moves reached, taken from a
-heap of occupied slabs.  Empty slabs cost nothing.
+check applies there.  That slab holds most of the search work, and a point
+stays in it only while it goes right, so its path there is its tree's
+right spine, which depends on the model alone.  Each model keeps a table
+of every position's spine, built on its first run: per depth, the boundary
+a point must reach to go right and the node and lo end it has before that
+step, 16 bytes per position and depth (0.4 MB at n=2048 and 1.8-1.9 MB at
+n=8192 on the built-in scenarios).  The drain takes one numpy pass per
+depth against it and replays each point's stopping step, with the
+per-point loop's steps and moves in its order, so every counter means
+what it means in the rest of the sweep.  The drain leaves the points it
+moved as one list ordered by slab descending, index ascending; the sweep
+walks that list and, before each slab's drained points, reads every slab
+above it that later moves reached, taken from a heap of occupied slabs.
+Empty slabs cost nothing.
 
 Per-run and per-move overhead is kept off the counted work: a frontier move
 with an empty buffer skips update_step; slabs no point has moved into share
@@ -104,9 +111,10 @@ class EngineState:
 
     The top drain fills drained, the points it moved below the top slab in
     (slab descending, index ascending) order, and drained_slab, the hi end
-    of each one's interval.  A later move appends its point to
-    arrivals[hi]; a slab no point has moved into holds the shared empty
-    tuple until its first entry.  slab_lo holds each point's lo end.  The
+    of each one's interval, and takes node and slab_lo from the model's
+    spine table, with each stopping step applied.  A later move appends its
+    point to arrivals[hi]; a slab no point has moved into holds the shared
+    empty tuple until its first entry.  slab_lo holds each point's lo end.  The
     sweep reads these through _reads, so no per-slab list of reads is kept.
     """
 
@@ -131,39 +139,91 @@ def make_engine_state(model: "TrainedModel", inp: InputSet) -> EngineState:
     return EngineState(arrivals=[()] * top, xs=inp.xs.tolist(), ys=inp.ys.tolist())
 
 
-def _drain_top(state: EngineState, model: "TrainedModel", xs: np.ndarray) -> tuple[int, int]:
-    """Drain the top bucket in numpy passes; return its (tree steps, decrease keys).
+def _spine_table(model: "TrainedModel") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each position's right spine, depth-major: (thr, node, lo), one column per position.
 
-    A pass steps every point still in the bucket (hi == top), which stays
-    while it goes right of the pivot (the node's split, or (lo + top) >> 1
-    if unexpanded) and lo < top.  On the padded boundaries bp[lo] <= x <
-    bp[hi + 1] holds, so the guards s > lo and s < hi hold on their own.
-    Each stopping step is then replayed; the located points join the buffer
-    in index order, and the others fill state.drained and state.drained_slab
-    by slab descending, index ascending.  Fills state.node and state.slab_lo.
+    A point in the top slab goes right at every step it takes there, so its
+    search path while it stays is its tree's right spine, which depends on
+    the model alone.  thr[d] holds the padded boundary bp[pivot + 1] a point
+    must reach to go right at step d (the pivot is the node's split, or
+    (lo + top) >> 1 if unexpanded), or +inf where the spine has ended: at
+    lo == top, or at a split on the top slab, which no point passes.
+    node[d] and lo[d] hold the node and interval lo end before step d, so
+    they have one row more than thr, the last for points that never stop.
+    float64 thr and int32 node and lo take 8 + 8 bytes per position and
+    depth, plus 8 per position for the final row.
     """
-    top = len(state.arrivals)
+    top = model.slabs.num_slabs - 1
     split = np.frombuffer(model.forest.split, dtype=np.intc)
     right = np.frombuffer(model.forest.right, dtype=np.intc)
     bp = model.slabs.padded
-    n = xs.size
-    lo = np.zeros(n, dtype=np.intp)
-    node = np.arange(n, dtype=np.intp)  # root i is node i and covers [0, top]
+    n = model.n
+    lo = np.zeros(n, dtype=np.intc)
+    node = np.arange(n, dtype=np.intc)  # root i is node i and covers [0, top]
+    thr, nodes, los = [], [node.copy()], [lo.copy()]
     live = np.arange(n)
-    steps = 0
     while live.size:
-        steps += live.size
         j = node[live]
         s = split[j]
         bare = s < 0
         pivot = np.where(bare, (lo[live] + top) >> 1, s)
-        go = xs[live] >= bp[pivot + 1]
+        row = np.full(n, np.inf)
+        row[live] = bp[pivot + 1]  # bp[top + 1] is +inf: a split on the top slab ends the spine
+        thr.append(row)
+        go = pivot < top
         live, j, pivot, bare = live[go], j[go], pivot[go], bare[go]
         lo[live] = pivot + 1
         node[live] = np.where(bare, j, right[j])
+        nodes.append(node.copy())
+        los.append(lo.copy())
         live = live[pivot < top - 1]  # lo == top locates the point
-    # the stopping step went left of a bisection midpoint or of a split, or onto the split's slab
-    stopped = np.flatnonzero(lo < top)
+    return np.array(thr, dtype=np.float64).reshape(len(thr), n), np.array(nodes), np.array(los)
+
+
+def _spine(model: "TrainedModel") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """model's spine table, built on its first run and kept on the model with the forest and slabs it came from.
+
+    A model whose forest or slabs object has changed since, or one made by
+    dataclasses.replace, which starts with no table, builds its own.
+    """
+    cached = getattr(model, "_spine", None)
+    if cached is None or cached[0] is not model.forest or cached[1] is not model.slabs:
+        cached = model._spine = (model.forest, model.slabs, _spine_table(model))
+    return cached[2]
+
+
+def _drain_top(state: EngineState, model: "TrainedModel", xs: np.ndarray) -> tuple[int, int]:
+    """Drain the top bucket along the model's spine table; return its (tree steps, decrease keys).
+
+    A point stays in the bucket (hi == top) while it goes right, so one
+    pass per depth d keeps the points with x >= thr[d] and the number t of
+    right steps each took gives its node and lo from the table.  A point
+    with lo < top then takes one more, stopping step, which is replayed: it
+    went left of a bisection midpoint or of a split, or onto the split's
+    slab.  On the padded boundaries bp[lo] <= x < bp[hi + 1] holds, so the
+    guards s > lo and s < hi hold on their own.  The located points join
+    the buffer in index order, and the others fill state.drained and
+    state.drained_slab by slab descending, index ascending.  Fills
+    state.node and state.slab_lo.
+    """
+    top = len(state.arrivals)
+    thr, node_at, lo_at = _spine(model)
+    split = np.frombuffer(model.forest.split, dtype=np.intc)
+    right = np.frombuffer(model.forest.right, dtype=np.intc)
+    bp = model.slabs.padded
+    n = xs.size
+    t = np.zeros(n, dtype=np.intp)  # right steps taken
+    live = np.flatnonzero(xs >= thr[0])  # every point takes step 0, so that pass compares whole rows
+    for d in range(1, len(thr)):
+        if not live.size:
+            break
+        t[live] = d
+        live = live[xs[live] >= thr[d][live]]
+    t[live] = len(thr)
+    at = t * n + np.arange(n)
+    node, lo = node_at.ravel()[at], lo_at.ravel()[at]
+    stopped = np.flatnonzero(lo < top)  # a point that reached lo == top was located by its last right step
+    steps = int(t.sum()) + stopped.size
     j = node[stopped]
     s = split[j]
     edge = np.where(s < 0, ((lo[stopped] + top) >> 1) + 1, s)  # first slab right of a left step
@@ -291,19 +351,22 @@ def run_maxima(
     point is dominated, buffered in the frontier slab, or stepped left of m
     into a lower slab's arrivals.  Deterministic given (model, input).
 
-    debug_invariants takes the same steps and adds a check of the top drain
-    (_check_drain), then one after every frontier move, empty or not, and
-    after the final fold: the staircase found so far must be exactly the
-    true staircase of the points right of the frontier.  At each move it
-    also checks that the leftmost maximum lies in a slab right of the
-    frontier, which the y-only dominance test needs.  Slabs do not
-    decrease as x grows, so that staircase is the suffix of the full one
-    (one sort_scan_maxima answer per run) whose slabs lie right of the
-    frontier.  The certificate and counters are the same as without it.
+    debug_invariants takes the same steps and adds a check that the model's
+    cached spine table is the one its forest and slabs give now
+    (_check_spine), one of the top drain (_check_drain), then one after
+    every frontier move, empty or not, and after the final fold: the
+    staircase found so far must be exactly the true staircase of the points
+    right of the frontier.  At each move it also checks that the leftmost
+    maximum lies in a slab right of the frontier, which the y-only dominance
+    test needs.  Slabs do not decrease as x grows, so that staircase is the
+    suffix of the full one (one sort_scan_maxima answer per run) whose slabs
+    lie right of the frontier.  The certificate and counters are the same as without it.
     """
     if stats is None:
         stats = RunStats()
     state = make_engine_state(model, inp)
+    if debug_invariants:
+        _check_spine(model)
     steps, decreases = _drain_top(state, model, inp.xs)
     if debug_invariants:
         slab = model.slabs.locate_array(inp.xs)
@@ -419,3 +482,17 @@ def _check_drain(state: EngineState, slab: np.ndarray) -> None:
     if bad.size:
         i = bad[0]
         raise AssertionError(f"top-bucket drain put point {moved[i]} of slab {slab[moved[i]]} in interval [{lo[i]}, {hi[i]}]")
+
+
+def _check_spine(model: "TrainedModel") -> None:
+    """Raise unless model's cached spine table is the one its forest and slabs give now."""
+    for name, cached, fresh in zip(("threshold", "node", "lo"), _spine(model), _spine_table(model)):
+        depth = min(len(cached), len(fresh))
+        bad = np.argwhere(cached[:depth] != fresh[:depth])  # depth first, then position
+        if bad.size:
+            d, i = bad[0]
+            raise AssertionError(
+                f"spine table {name} of position {i} at depth {d} is {cached[d, i]}, a rebuild from the forest gives {fresh[d, i]}"
+            )
+        if cached.shape != fresh.shape:
+            raise AssertionError(f"spine table {name} has shape {cached.shape}, a rebuild from the forest has {fresh.shape}")

@@ -17,6 +17,7 @@ from simax import (
     TrainedModel,
     TrainingConfig,
     brute_force_maxima,
+    build_scenario,
     entropy_proxy,
     load_model,
     run_maxima,
@@ -516,11 +517,64 @@ def _forest_case(draw):
 @example(  # roots split at their interval's left end, right end, not at all, and inside; duplicate points
     case=(_fallback_model(4, [0.0, 1.0, 2.0], [0, 3, -1, 1, -1, -1, -1, -1]), InputSet([1.0, 1.0, 2.0, -0.0], [1.0, 1.0, 0.0, 2.0]))
 )
+@example(  # two slabs: roots 0 and 3 split on the top slab, a +inf threshold at depth 0 of their spines
+    case=(
+        _fallback_model(4, [0.0], _level_order([(1, [None]), None, (0, [None]), (1, [None])])),
+        InputSet([0.5, 0.0, -0.0, -1.0], [1.0, 2.0, 3.0, 4.0]),
+    )
+)
+@example(  # spines of 2, 1 (+inf), 5 and 2 steps over split and bare roots; points 0 and 3 are located by a right step
+    case=(
+        _fallback_model(
+            4,
+            [0.0, 1.0, 2.0, 3.0, 4.0, 5.0],
+            _level_order([None, (6, [None]), (0, [(1, [(2, [None])])]), (3, [None, (5, [None, None])])]),
+        ),
+        InputSet([5.5, 5.0, 3.5, 6.0], [1.0, 2.0, 0.5, 0.0]),
+    )
+)
 def test_run_maxima_matches_the_per_point_reference_on_hand_built_forests(case):
     # SlabStructure needs a boundary, so the fewest slabs a model has is two (one boundary)
     model, inp = case
     _assert_runs_as_reference(model, inp)
     _assert_runs_as_reference(model, inp, debug_invariants=True)
+
+
+def test_a_model_whose_forest_changes_builds_its_own_spine_table(model_cache):
+    model = dataclasses.replace(model_cache("uniform_square", 256))  # a model of its own, so the shared one keeps its table
+    other = model_cache("staircase_line", 256).forest
+    inp = sample_input(model.scenario, SeededRng(3))
+    _assert_runs_as_reference(model, inp)  # builds the table of the uniform_square forest
+    _assert_runs_as_reference(dataclasses.replace(model, forest=other), inp)
+    model.forest = other
+    _assert_runs_as_reference(model, inp)
+
+
+def test_spine_table_is_built_on_a_models_first_run_only(monkeypatch, tmp_path):
+    real, built = engine._spine_table, []
+    monkeypatch.setattr(engine, "_spine_table", lambda model: built.append(model) or real(model))
+    spec = build_scenario("uniform_square", 64)
+    model = train_model(spec, seed=3)
+    assert built == []
+    save_model(model, tmp_path / "m.simax")
+    loaded = load_model(tmp_path / "m.simax")
+    assert built == []
+    for seed in range(5):
+        run_maxima(loaded, sample_input(spec, SeededRng(seed)))
+    assert len(built) == 1 and built[0] is loaded
+
+
+@pytest.mark.parametrize("name, value", [("threshold", -np.inf), ("node", 0), ("lo", 7)])
+def test_debug_run_catches_a_stale_spine_table(model_cache, monkeypatch, name, value):
+    model = dataclasses.replace(model_cache("uniform_square", 256))
+    inp = sample_input(model.scenario, SeededRng(5))
+    run_maxima(model, inp)  # builds the table
+    forest, slabs, table = model._spine
+    table = [a.copy() for a in table]
+    table[("threshold", "node", "lo").index(name)][1, 17] = value
+    monkeypatch.setattr(model, "_spine", (forest, slabs, tuple(table)))
+    with pytest.raises(AssertionError, match=rf"spine table {name} of position 17 at depth 1 is"):
+        run_maxima(model, inp, debug_invariants=True)
 
 
 @pytest.mark.parametrize("num_slabs", [65536, 65537])
