@@ -113,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--timing",
         action="store_true",
-        help="record wall_time_ns (makes output non-reproducible byte for byte)",
+        help="record wall_time_ns (makes output non-reproducible byte for byte; the first engine row also builds the model's spine table)",
     )
     p.set_defaults(func=cmd_run)
 

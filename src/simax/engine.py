@@ -19,17 +19,20 @@ No maximum is known while the sweep reads the top slab, so no dominance
 check applies there.  That slab holds most of the search work, and a point
 stays in it only while it goes right, so its path there is its tree's
 right spine, which depends on the model alone.  Each model keeps a table
-of every position's spine, built on its first run: per depth, the boundary
-a point must reach to go right and the node and lo end it has before that
-step, 16 bytes per position and depth (0.4 MB at n=2048 and 1.8-1.9 MB at
-n=8192 on the built-in scenarios).  The drain takes one numpy pass per
-depth against it and replays each point's stopping step, with the
-per-point loop's steps and moves in its order, so every counter means
-what it means in the rest of the sweep.  The drain leaves the points it
-moved as one list ordered by slab descending, index ascending; the sweep
-walks that list and, before each slab's drained points, reads every slab
-above it that later moves reached, taken from a heap of occupied slabs.
-Empty slabs cost nothing.
+of every position's spine, built on its first run: one entry per step
+along it, holding the boundary a point must reach to go right and the
+node and lo end it has before that step, then a +inf entry where the
+spine ends.  The entries of all positions sit back to back in flat
+columns at 16 bytes each, so the table grows with the forest's nodes and
+n * log2(num_slabs), not with its deepest spine (0.36-0.39 MB at n=2048
+and 1.7-1.85 MB at n=8192 on the built-in scenarios).  The drain takes
+one numpy pass per depth against it and replays each point's stopping
+step, with the per-point loop's steps and moves in its order, so every
+counter means what it means in the rest of the sweep.  The drain leaves
+the points it moved as one list ordered by slab descending, index
+ascending; the sweep walks that list and, before each slab's drained
+points, reads every slab above it that later moves reached, taken from a
+heap of occupied slabs.  Empty slabs cost nothing.
 
 Per-run and per-move overhead is kept off the counted work: a frontier move
 with an empty buffer skips update_step; slabs no point has moved into share
@@ -111,11 +114,12 @@ class EngineState:
 
     The top drain fills drained, the points it moved below the top slab in
     (slab descending, index ascending) order, and drained_slab, the hi end
-    of each one's interval, and takes node and slab_lo from the model's
-    spine table, with each stopping step applied.  A later move appends its
-    point to arrivals[hi]; a slab no point has moved into holds the shared
-    empty tuple until its first entry.  slab_lo holds each point's lo end.  The
-    sweep reads these through _reads, so no per-slab list of reads is kept.
+    of each one's interval, and takes node and slab_lo from the entry of
+    the model's spine table each point stopped at, with each stopping step
+    applied.  A later move appends its point to arrivals[hi]; a slab no
+    point has moved into holds the shared empty tuple until its first
+    entry.  slab_lo holds each point's lo end.  The sweep reads these
+    through _reads, so no per-slab list of reads is kept.
     """
 
     drained: list[int] = field(default_factory=list)
@@ -139,19 +143,22 @@ def make_engine_state(model: "TrainedModel", inp: InputSet) -> EngineState:
     return EngineState(arrivals=[()] * top, xs=inp.xs.tolist(), ys=inp.ys.tolist())
 
 
-def _spine_table(model: "TrainedModel") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each position's right spine, depth-major: (thr, node, lo), one column per position.
+def _spine_table(model: "TrainedModel") -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Each position's right spine, stored ragged: (thr, node, lo, start).
 
     A point in the top slab goes right at every step it takes there, so its
     search path while it stays is its tree's right spine, which depends on
-    the model alone.  thr[d] holds the padded boundary bp[pivot + 1] a point
-    must reach to go right at step d (the pivot is the node's split, or
-    (lo + top) >> 1 if unexpanded), or +inf where the spine has ended: at
-    lo == top, or at a split on the top slab, which no point passes.
-    node[d] and lo[d] hold the node and interval lo end before step d, so
-    they have one row more than thr, the last for points that never stop.
-    float64 thr and int32 node and lo take 8 + 8 bytes per position and
-    depth, plus 8 per position for the final row.
+    the model alone.  Position i's spine takes entries start[i],
+    start[i] + 1, ... of the flat columns.  Its entry d holds the node and
+    interval lo end before step d and the padded boundary bp[pivot + 1] a
+    point must reach to go right at that step (the pivot is the node's
+    split, or (lo + top) >> 1 if unexpanded).  The last entry has thr =
+    +inf: at lo == top the point is located, and a split on the top slab
+    is passed by no point.  An entry takes 16 bytes (float64 thr, int32
+    node and lo) and start 8 per position.  A spine has one entry per right
+    step plus one, and a right step either moves to a right child of the
+    tree or halves a bare interval, so the table holds at most n plus the
+    forest's nodes plus n * ceil(log2(num_slabs)) entries.
     """
     top = model.slabs.num_slabs - 1
     split = np.frombuffer(model.forest.split, dtype=np.intc)
@@ -160,27 +167,31 @@ def _spine_table(model: "TrainedModel") -> tuple[np.ndarray, np.ndarray, np.ndar
     n = model.n
     lo = np.zeros(n, dtype=np.intc)
     node = np.arange(n, dtype=np.intc)  # root i is node i and covers [0, top]
-    thr, nodes, los = [], [node.copy()], [lo.copy()]
+    length = np.zeros(n, dtype=np.intp)
+    depths = []  # per depth: the positions whose spine reaches it, and their entries
     live = np.arange(n)
     while live.size:
-        j = node[live]
+        j, lo_j = node[live], lo[live]
         s = split[j]
         bare = s < 0
-        pivot = np.where(bare, (lo[live] + top) >> 1, s)
-        row = np.full(n, np.inf)
-        row[live] = bp[pivot + 1]  # bp[top + 1] is +inf: a split on the top slab ends the spine
-        thr.append(row)
+        pivot = np.where(bare, (lo_j + top) >> 1, s)  # top where lo == top: a bare midpoint, or a split on [top, top]
+        depths.append((live, bp[pivot + 1], j, lo_j))  # bp[top + 1] is +inf, which ends the spine
+        length[live] = len(depths)
         go = pivot < top
         live, j, pivot, bare = live[go], j[go], pivot[go], bare[go]
         lo[live] = pivot + 1
         node[live] = np.where(bare, j, right[j])
-        nodes.append(node.copy())
-        los.append(lo.copy())
-        live = live[pivot < top - 1]  # lo == top locates the point
-    return np.array(thr, dtype=np.float64).reshape(len(thr), n), np.array(nodes), np.array(los)
+    start = np.zeros(n, dtype=np.intp)
+    np.cumsum(length[:-1], out=start[1:])
+    size = int(length.sum())
+    thr, nodes, los = np.empty(size), np.empty(size, dtype=np.intc), np.empty(size, dtype=np.intc)
+    for d, (live, t, j, lo_j) in enumerate(depths):
+        entry = start[live] + d
+        thr[entry], nodes[entry], los[entry] = t, j, lo_j
+    return thr, nodes, los, start
 
 
-def _spine(model: "TrainedModel") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _spine(model: "TrainedModel") -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """model's spine table, built on its first run and kept on the model with the forest and slabs it came from.
 
     A model whose forest or slabs object has changed since, or one made by
@@ -196,34 +207,33 @@ def _drain_top(state: EngineState, model: "TrainedModel", xs: np.ndarray) -> tup
     """Drain the top bucket along the model's spine table; return its (tree steps, decrease keys).
 
     A point stays in the bucket (hi == top) while it goes right, so one
-    pass per depth d keeps the points with x >= thr[d] and the number t of
-    right steps each took gives its node and lo from the table.  A point
-    with lo < top then takes one more, stopping step, which is replayed: it
-    went left of a bisection midpoint or of a split, or onto the split's
-    slab.  On the padded boundaries bp[lo] <= x < bp[hi + 1] holds, so the
-    guards s > lo and s < hi hold on their own.  The located points join
-    the buffer in index order, and the others fill state.drained and
-    state.drained_slab by slab descending, index ascending.  Fills
-    state.node and state.slab_lo.
+    pass per depth keeps the points whose x reaches their spine's next
+    threshold, and the entry each point stops at gives its node and lo.
+    The +inf that ends every spine stops each point within its own entries.
+    A point with lo < top then takes one more, stopping step, which is
+    replayed: it went left of a bisection midpoint or of a split, or onto
+    the split's slab.  On the padded boundaries bp[lo] <= x < bp[hi + 1]
+    holds, so the guards s > lo and s < hi hold on their own.  The located
+    points join the buffer in index order, and the others fill
+    state.drained and state.drained_slab by slab descending, index
+    ascending.  Fills state.node and state.slab_lo.
     """
     top = len(state.arrivals)
-    thr, node_at, lo_at = _spine(model)
+    thr, node_at, lo_at, start = _spine(model)
     split = np.frombuffer(model.forest.split, dtype=np.intc)
     right = np.frombuffer(model.forest.right, dtype=np.intc)
     bp = model.slabs.padded
     n = xs.size
-    t = np.zeros(n, dtype=np.intp)  # right steps taken
-    live = np.flatnonzero(xs >= thr[0])  # every point takes step 0, so that pass compares whole rows
-    for d in range(1, len(thr)):
-        if not live.size:
-            break
-        t[live] = d
-        live = live[xs[live] >= thr[d][live]]
-    t[live] = len(thr)
-    at = t * n + np.arange(n)
-    node, lo = node_at.ravel()[at], lo_at.ravel()[at]
+    at = start.copy()  # each point's entry: its spine's start plus the right steps it took
+    live = np.flatnonzero(xs >= thr[start])
+    entry = start[live] + 1
+    while live.size:
+        at[live] = entry
+        go = xs[live] >= thr[entry]
+        live, entry = live[go], entry[go] + 1
+    node, lo = node_at[at], lo_at[at]
     stopped = np.flatnonzero(lo < top)  # a point that reached lo == top was located by its last right step
-    steps = int(t.sum()) + stopped.size
+    steps = int(at.sum() - start.sum()) + stopped.size
     j = node[stopped]
     s = split[j]
     edge = np.where(s < 0, ((lo[stopped] + top) >> 1) + 1, s)  # first slab right of a left step
@@ -486,13 +496,19 @@ def _check_drain(state: EngineState, slab: np.ndarray) -> None:
 
 def _check_spine(model: "TrainedModel") -> None:
     """Raise unless model's cached spine table is the one its forest and slabs give now."""
-    for name, cached, fresh in zip(("threshold", "node", "lo"), _spine(model), _spine_table(model)):
-        depth = min(len(cached), len(fresh))
-        bad = np.argwhere(cached[:depth] != fresh[:depth])  # depth first, then position
+    cached, fresh = _spine(model), _spine_table(model)
+    lengths = [np.diff(table[3], append=table[0].size) for table in (cached, fresh)]
+    if lengths[0].shape != lengths[1].shape:
+        raise AssertionError(f"spine table has {lengths[0].size} positions, a rebuild from the forest has {lengths[1].size}")
+    bad = np.flatnonzero(lengths[0] != lengths[1])
+    if bad.size:
+        i = bad[0]
+        raise AssertionError(f"spine table of position {i} has {lengths[0][i]} depths, a rebuild from the forest gives {lengths[1][i]}")
+    for name, have, want in zip(("threshold", "node", "lo"), cached, fresh):
+        bad = np.flatnonzero(have != want)
         if bad.size:
-            d, i = bad[0]
+            k = bad[0]
+            i = np.searchsorted(fresh[3], k, side="right") - 1
             raise AssertionError(
-                f"spine table {name} of position {i} at depth {d} is {cached[d, i]}, a rebuild from the forest gives {fresh[d, i]}"
+                f"spine table {name} of position {i} at depth {k - fresh[3][i]} is {have[k]}, a rebuild from the forest gives {want[k]}"
             )
-        if cached.shape != fresh.shape:
-            raise AssertionError(f"spine table {name} has shape {cached.shape}, a rebuild from the forest has {fresh.shape}")

@@ -564,16 +564,40 @@ def test_spine_table_is_built_on_a_models_first_run_only(monkeypatch, tmp_path):
     assert len(built) == 1 and built[0] is loaded
 
 
-@pytest.mark.parametrize("name, value", [("threshold", -np.inf), ("node", 0), ("lo", 7)])
+def test_spine_table_grows_with_the_forest_not_with_its_deepest_spine():
+    # tree 0 splits at its interval's left end at every level, so its right
+    # spine is num_slabs - 1 steps long; the other 63 trees are bare roots
+    n, num_slabs = 64, 1024
+    tree = None
+    for s in range(num_slabs - 2, -1, -1):
+        tree = (s, [tree])
+    model = _fallback_model(n, np.arange(num_slabs - 1.0), _level_order([tree] + [None] * (n - 1)))
+    xs = np.concatenate([[num_slabs], np.linspace(-1.0, num_slabs, n - 1)])
+    _assert_runs_as_reference(model, InputSet(xs, np.linspace(1.0, 0.0, n)), debug_invariants=True)
+    thr, node, lo, start = engine._spine(model)
+    assert np.diff(start, append=thr.size)[0] == num_slabs  # one entry per right step, plus the +inf one
+    nodes = len(model.forest.split)
+    entries = n + nodes + n * math.ceil(math.log2(num_slabs))
+    assert thr.nbytes + node.nbytes + lo.nbytes + start.nbytes <= 16 * entries + 8 * n  # a dense table would take 1 MiB
+
+
+@pytest.mark.parametrize("name, value", [("threshold", -np.inf), ("node", 0), ("lo", 7), ("start", 1)])
 def test_debug_run_catches_a_stale_spine_table(model_cache, monkeypatch, name, value):
     model = dataclasses.replace(model_cache("uniform_square", 256))
     inp = sample_input(model.scenario, SeededRng(5))
     run_maxima(model, inp)  # builds the table
     forest, slabs, table = model._spine
     table = [a.copy() for a in table]
-    table[("threshold", "node", "lo").index(name)][1, 17] = value
+    start = table[3]
+    assert start[18] - start[17] >= 2  # position 17's spine has a depth 1
+    if name == "start":
+        start[18] += value  # position 17's spine one entry longer, 18's one shorter
+        message = "spine table of position 17 has"
+    else:
+        table[("threshold", "node", "lo").index(name)][start[17] + 1] = value
+        message = rf"spine table {name} of position 17 at depth 1 is {value}"
     monkeypatch.setattr(model, "_spine", (forest, slabs, tuple(table)))
-    with pytest.raises(AssertionError, match=rf"spine table {name} of position 17 at depth 1 is"):
+    with pytest.raises(AssertionError, match=message):
         run_maxima(model, inp, debug_invariants=True)
 
 
