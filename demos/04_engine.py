@@ -47,8 +47,8 @@ for kind in ("uniform_square", "staircase_line", "two_level"):
             first_run_ms[kind] = (time.thread_time_ns() - start) / 1e6
         assert verify_certificate(inp, cert)
         # comparisons, an upper bound: tree steps and dominance checks cost at
-        # most 2 each (a sweep check compares y alone), buffer sorting is
-        # counted by its own key comparisons
+        # most 2 each (the sweep checks each point it reads once, on y alone),
+        # buffer sorting is counted by its own key comparisons
         engine_cost[t] = (2 * rs.tree_steps + 2 * rs.dominance_checks
                           + rs.update_sort_comparisons)
 
@@ -105,7 +105,7 @@ rs = RunStats()
 run_maxima(model, sample_input(spec, SeededRng(99)), stats=rs)
 print("\none staircase_line run:")
 for field in ("tree_steps", "dominance_checks", "decrease_keys",
-              "find_max_scans", "update_sorted_points", "update_sort_comparisons"):
+              "update_sorted_points", "update_sort_comparisons"):
     print(f"  {field:24s} {getattr(rs, field)}")
 
 # a model is tied to its scenario: a run on inputs of the wrong size fails fast

@@ -7,11 +7,12 @@ keys once from the last slab down to slab 0: a slab's points in arrival
 order, where a point whose interval shrinks arrives at the back of a lower
 slab.  The sweep thus serves as a max-priority queue with FIFO ties and
 decrease-key, since a key only ever falls below the slab being read.  The
-leftmost maximum found so far dominates-checks every advanced point, so
-points doomed to be dominated usually die after O(1) steps instead of paying
-for a full location.  That maximum was located in a slab right of the one
-being read, so it lies strictly right of the point and the check is one y
-comparison, made before the point's x or search position is read.
+sweep checks each point it reads once against the leftmost maximum found
+so far, which changes only at a frontier move, so points doomed to be
+dominated usually die after O(1) steps instead of paying for a full
+location.  That maximum lies in a slab right of the one being read, so the
+check is one y comparison, made before the point's x or search position is
+read, and a point that survives it searches on unchecked in that slab.
 Discovered maxima accumulate left to right, giving the same certificate
 shape as the baselines.
 
@@ -61,11 +62,12 @@ class RunStats:
 
     tree_steps: search-tree or bisection advances (at most 2 coordinate
     comparisons each).  dominance_checks: checks against the current leftmost
-    maximum, in the sweep (one y comparison each, since that maximum lies in
-    a slab right of the point's) and in the update sweep (up to 2 coordinate
-    comparisons each, since buffered points share a slab).  decrease_keys:
-    moves of a point to a lower slab, one each time a search step leaves its
-    interval's hi end left of the slab being read.
+    maximum, one per read below the top slab once a maximum is known (one y
+    comparison, since that maximum lies in a slab right of the point's),
+    plus one per point the update sweep folds once one is known (up to 2
+    coordinate comparisons, since buffered points share a slab).
+    decrease_keys: moves of a point to a lower slab, one each time a search
+    step leaves its interval's hi end left of the slab being read.
     find_max_scans: num_slabs per run, by definition; the sweep skips empty
     slabs, so it measures nothing and is kept only because perfbench reads
     it.  update_sorted_points: total buffered points sorted;
@@ -355,11 +357,11 @@ def run_maxima(
     The sweep reads the slabs once, from the last slab m down to 0; the top
     one, where no maximum is known, is drained in numpy passes.  Below it,
     the first read of slab m moves the frontier there, folding the buffer
-    into the staircase (update_step) if it holds points.  Each advance of
-    the point read, the rightmost unresolved one, is one dominance check
-    against the leftmost maximum so far plus one search step, until the
-    point is dominated, buffered in the frontier slab, or stepped left of m
-    into a lower slab's arrivals.  Deterministic given (model, input).
+    into the staircase (update_step) if it holds points.  The point read,
+    the rightmost unresolved one, gets one dominance check against the
+    leftmost maximum so far; if it survives, it takes search steps until it
+    is buffered in the frontier slab or stepped left of m into a lower
+    slab's arrivals.  Deterministic given (model, input).
 
     debug_invariants takes the same steps and adds a check that the model's
     cached spine table is the one its forest and slabs give now
@@ -389,9 +391,10 @@ def run_maxima(
     split, right = model.forest.split, model.forest.right
     blist = model.slabs.boundary_list()
     lam_hat = len(arrivals)
-    # phat, the leftmost maximum so far, was located in a slab right of m,
-    # so xs[phat] > px for every point read at m and dominance is hy >= py;
-    # with no maximum yet, hy = -inf fails that test and chk counts nothing
+    # phat, the leftmost maximum so far, was located in a slab right of m, so
+    # xs[phat] > px for every point read at m and dominance is hy >= py, fixed
+    # for the point's whole walk in m; with no maximum yet, hy = -inf fails
+    # that test and chk counts nothing
     phat, hy, chk = -1, -math.inf, 0
     checks = 0
     occupied: list[int] = []
@@ -418,41 +421,35 @@ def run_maxima(
             continue
         px = xs[i]
         lo, hi, nid = slab_lo[i], m, node[i]
-        while True:  # i stays the rightmost point until it leaves slab m
-            if lo != hi:
-                steps += 1
-                s = split[nid]
-                if s < 0:  # an unexpanded node: bisect what is left of its interval
-                    mid = (lo + hi) // 2
-                    if px < blist[mid]:
-                        hi = mid
-                    else:
-                        lo = mid + 1
-                elif s > lo and px < blist[s - 1]:
-                    hi = s - 1
-                    nid = right[nid] - 1  # the left child sits just before the right-child slot
-                elif s < hi and px >= blist[s]:
-                    lo = s + 1
-                    nid = right[nid]
+        while lo != hi:  # i stays the rightmost point until it leaves slab m
+            steps += 1
+            s = split[nid]
+            if s < 0:  # an unexpanded node: bisect what is left of its interval
+                mid = (lo + hi) // 2
+                if px < blist[mid]:
+                    hi = mid
                 else:
-                    lo = hi = s
-                if hi < m:
-                    a = arrivals[hi]
-                    if a:
-                        a.append(i)
-                    else:  # the shared empty tuple
-                        arrivals[hi] = [i]
-                        heappush(occupied, -hi)
-                    decreases += 1
-                    slab_lo[i], node[i] = lo, nid
-                    break
-            if lo == hi:
-                buffer.append(i)
+                    lo = mid + 1
+            elif s > lo and px < blist[s - 1]:
+                hi = s - 1
+                nid = right[nid] - 1  # the left child sits just before the right-child slot
+            elif s < hi and px >= blist[s]:
+                lo = s + 1
+                nid = right[nid]
+            else:
+                lo = hi = s
+            if hi < m:
+                a = arrivals[hi]
+                if a:
+                    a.append(i)
+                else:  # the shared empty tuple
+                    arrivals[hi] = [i]
+                    heappush(occupied, -hi)
+                decreases += 1
+                slab_lo[i], node[i] = lo, nid
                 break
-            checks += chk
-            if hy >= py:
-                dominators[i] = phat
-                break
+        else:
+            buffer.append(i)
     stats.tree_steps += steps
     stats.dominance_checks += checks
     stats.decrease_keys += decreases

@@ -241,10 +241,10 @@ def test_report_without_engine_rows_skips_the_scatter_chart(tmp_path):
 # sha256 of `simax run` (uniform_square n=16, training seed 101, base seed 50,
 # 3 trials, BRUTE_FORCE_LIMIT 8) and of `simax report` on its rows
 PINNED_PIPELINE_SHA256 = {
-    "rows.csv": "5f9f41b84c5f00f4a115ad79636cf136f346e13f1d6082c28ace89ff661e1471",
-    "summary.csv": "f1e3fac7500fb312e678e7bfe98785e07f798b3b2a63f0450924e30e721b372c",
-    "work_per_point.svg": "495e35280f8ee5ee394888d156315700171868a0054034bd432c894e5376e24c",
-    "cost_vs_entropy.svg": "35ea62d5b88536ca3250de40c04ebf65f6961b21a1cdb6b1fc01c45055b6858f",
+    "rows.csv": "143ada6cff93f0bf26894f091ba92d8307728d9c496ae484d4deecc952e40246",
+    "summary.csv": "aa7acdecc486c8acc0aeb2ea510811638082c24eec61fed83debdea88edb3ffe",
+    "work_per_point.svg": "bf7ed9c24c86bde105a9c864506f1b51c9bc478d560e8216b16d3c1551ae5d80",
+    "cost_vs_entropy.svg": "e8db4a3d778b9697e1c3048f9b9f37e5be0dca93f20fdf453eb84f04e6039c60",
 }
 
 
