@@ -19,8 +19,9 @@ shape as the baselines.
 No maximum is known while the sweep reads the top slab, so no dominance
 check applies there.  That slab holds most of the search work, and a point
 stays in it only while it goes right, so its path there is its tree's
-right spine, which depends on the model alone.  Each model keeps a table
-of every position's spine, built on its first run: one entry per step
+right spine, which depends on the model alone.  A model is frozen, so
+it keeps a table of every position's spine, built by _spine_table on its
+first run (TrainedModel._spine) and valid for its life: one entry per step
 along it, holding the boundary a point must reach to go right and the
 node and lo end it has before that step, then a +inf entry where the
 spine ends.  The entries of all positions sit back to back in flat
@@ -193,18 +194,6 @@ def _spine_table(model: "TrainedModel") -> tuple[np.ndarray, np.ndarray, np.ndar
     return thr, nodes, los, start
 
 
-def _spine(model: "TrainedModel") -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """model's spine table, built on its first run and kept on the model with the forest and slabs it came from.
-
-    A model whose forest or slabs object has changed since, or one made by
-    dataclasses.replace, which starts with no table, builds its own.
-    """
-    cached = getattr(model, "_spine", None)
-    if cached is None or cached[0] is not model.forest or cached[1] is not model.slabs:
-        cached = model._spine = (model.forest, model.slabs, _spine_table(model))
-    return cached[2]
-
-
 def _drain_top(state: EngineState, model: "TrainedModel", xs: np.ndarray) -> tuple[int, int]:
     """Drain the top bucket along the model's spine table; return its (tree steps, decrease keys).
 
@@ -221,7 +210,7 @@ def _drain_top(state: EngineState, model: "TrainedModel", xs: np.ndarray) -> tup
     ascending.  Fills state.node and state.slab_lo.
     """
     top = len(state.arrivals)
-    thr, node_at, lo_at, start = _spine(model)
+    thr, node_at, lo_at, start = model._spine
     split = np.frombuffer(model.forest.split, dtype=np.intc)
     right = np.frombuffer(model.forest.right, dtype=np.intc)
     bp = model.slabs.padded
@@ -361,24 +350,21 @@ def run_maxima(
     the rightmost unresolved one, gets one dominance check against the
     leftmost maximum so far; if it survives, it takes search steps until it
     is buffered in the frontier slab or stepped left of m into a lower
-    slab's arrivals.  Deterministic given (model, input).
+    slab's arrivals.  Deterministic given (model, input).  The drain reads
+    the model's spine table, which the model's first run builds.
 
-    debug_invariants takes the same steps and adds a check that the model's
-    cached spine table is the one its forest and slabs give now
-    (_check_spine), one of the top drain (_check_drain), then one after
-    every frontier move, empty or not, and after the final fold: the
-    staircase found so far must be exactly the true staircase of the points
-    right of the frontier.  At each move it also checks that the leftmost
-    maximum lies in a slab right of the frontier, which the y-only dominance
-    test needs.  Slabs do not decrease as x grows, so that staircase is the
+    debug_invariants takes the same steps and adds a check of the top drain
+    (_check_drain), then one after every frontier move, empty or not, and
+    after the final fold: the staircase found so far must be exactly the
+    true staircase of the points right of the frontier.  At each move it
+    also checks that the leftmost maximum lies in a slab right of the
+    frontier, which the y-only dominance test needs.  Slabs do not decrease as x grows, so that staircase is the
     suffix of the full one (one sort_scan_maxima answer per run) whose slabs
     lie right of the frontier.  The certificate and counters are the same as without it.
     """
     if stats is None:
         stats = RunStats()
     state = make_engine_state(model, inp)
-    if debug_invariants:
-        _check_spine(model)
     steps, decreases = _drain_top(state, model, inp.xs)
     if debug_invariants:
         slab = model.slabs.locate_array(inp.xs)
@@ -489,23 +475,3 @@ def _check_drain(state: EngineState, slab: np.ndarray) -> None:
     if bad.size:
         i = bad[0]
         raise AssertionError(f"top-bucket drain put point {moved[i]} of slab {slab[moved[i]]} in interval [{lo[i]}, {hi[i]}]")
-
-
-def _check_spine(model: "TrainedModel") -> None:
-    """Raise unless model's cached spine table is the one its forest and slabs give now."""
-    cached, fresh = _spine(model), _spine_table(model)
-    lengths = [np.diff(table[3], append=table[0].size) for table in (cached, fresh)]
-    if lengths[0].shape != lengths[1].shape:
-        raise AssertionError(f"spine table has {lengths[0].size} positions, a rebuild from the forest has {lengths[1].size}")
-    bad = np.flatnonzero(lengths[0] != lengths[1])
-    if bad.size:
-        i = bad[0]
-        raise AssertionError(f"spine table of position {i} has {lengths[0][i]} depths, a rebuild from the forest gives {lengths[1][i]}")
-    for name, have, want in zip(("threshold", "node", "lo"), cached, fresh):
-        bad = np.flatnonzero(have != want)
-        if bad.size:
-            k = bad[0]
-            i = np.searchsorted(fresh[3], k, side="right") - 1
-            raise AssertionError(
-                f"spine table {name} of position {i} at depth {k - fresh[3][i]} is {have[k]}, a rebuild from the forest gives {want[k]}"
-            )

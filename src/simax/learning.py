@@ -15,6 +15,7 @@ import math
 import os
 from array import array
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -450,16 +451,19 @@ def simulate_restricted_search(
 # trained model
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainedModel:
     """Everything the limiting phase needs, plus the (config, seed) that replays it.
 
     Training is a pure function of (scenario, config, seed), so those three
     are the model's whole provenance; round counts and the leaf threshold
-    follow from them.  Construction checks that the forest holds n trees
-    over the model's slabs (decoding already made each tree sound).  The
-    frequency table the trees came from is not kept; an audit collects it
-    again from the same stream.
+    follow from them.  Construction checks that the seed is an int in the
+    stream's range and that the forest holds n trees over the model's slabs
+    (decoding already made each tree sound).  The frequency table the trees
+    came from is not kept; an audit collects it again from the same stream.
+    A model is frozen, so the engine's spine table, built on its first run,
+    stays valid for its life; a variant made by dataclasses.replace starts
+    without one.
     """
 
     scenario: ScenarioSpec
@@ -470,6 +474,8 @@ class TrainedModel:
     entropy_per_point: np.ndarray
 
     def __post_init__(self):
+        if type(self.seed) is not int:  # SeededRng would take 1.5, "7" or True, and the file would not load
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         SeededRng(self.seed)  # the stream's own 64-bit seed check
         if np.shape(self.entropy_per_point) != (self.n,):
             raise ValueError(f"entropy_per_point has shape {np.shape(self.entropy_per_point)}, expected ({self.n},)")
@@ -491,6 +497,11 @@ class TrainedModel:
 
     def total_nodes(self) -> int:
         return len(self.forest.split)
+
+    @cached_property
+    def _spine(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Each position's right spine (engine._spine_table), built on the model's first run."""
+        return engine._spine_table(self)
 
     def to_bytes(self) -> bytes:
         """The model file: a JSON header line with the replay key and each column's dtype and count, then the columns' bytes.
@@ -549,9 +560,6 @@ class TrainedModel:
             raise ValueError("model file has no newline after its header line")
         columns = _read_columns(header, memoryview(data)[end + 1 :])
         try:
-            seed = header["seed"]
-            if type(seed) is not int:  # SeededRng would take "7" or True
-                raise ValueError(f"seed must be an integer, got {seed!r}")
             slabs = SlabStructure(columns["boundaries"].copy())  # a copy, so the model keeps no view of the file
             scenario = _read_scenario(header["scenario"], columns)
             return cls(
@@ -559,7 +567,7 @@ class TrainedModel:
                 slabs=slabs,
                 forest=_read_forest(header["forest"], columns, slabs.num_slabs, scenario.n),
                 config=TrainingConfig(epsilon=header["epsilon"], delta=header["delta"], rounds_cap=header["rounds_cap"]),  # checks their types
-                seed=seed,
+                seed=header["seed"],
                 entropy_per_point=columns["entropy_per_point"].astype(np.float64),
             )
         except KeyError as e:

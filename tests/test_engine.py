@@ -546,14 +546,20 @@ def test_run_maxima_matches_the_per_point_reference_on_hand_built_forests(case):
     _assert_runs_as_reference(model, inp, debug_invariants=True)
 
 
-def test_a_model_whose_forest_changes_builds_its_own_spine_table(model_cache):
-    model = dataclasses.replace(model_cache("uniform_square", 256))  # a model of its own, so the shared one keeps its table
+def test_a_model_whose_forest_changes_builds_its_own_spine_table(model_cache, monkeypatch):
+    shared = model_cache("uniform_square", 256)
     other = model_cache("staircase_line", 256).forest
-    inp = sample_input(model.scenario, SeededRng(3))
-    _assert_runs_as_reference(model, inp)  # builds the table of the uniform_square forest
-    _assert_runs_as_reference(dataclasses.replace(model, forest=other), inp)
-    model.forest = other
-    _assert_runs_as_reference(model, inp)
+    inp = sample_input(shared.scenario, SeededRng(3))
+    run_maxima(shared, inp)  # the shared model has its table from here on
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        shared.forest = other
+    real, built = engine._spine_table, []
+    monkeypatch.setattr(engine, "_spine_table", lambda model: built.append(model) or real(model))
+    variant = dataclasses.replace(shared, forest=other)
+    _assert_runs_as_reference(variant, inp)  # builds the table of the staircase_line forest
+    _assert_runs_as_reference(variant, inp, debug_invariants=True)
+    _assert_runs_as_reference(shared, inp)
+    assert len(built) == 1 and built[0] is variant
 
 
 def test_spine_table_is_built_on_a_models_first_run_only(monkeypatch, tmp_path):
@@ -580,31 +586,11 @@ def test_spine_table_grows_with_the_forest_not_with_its_deepest_spine():
     model = _fallback_model(n, np.arange(num_slabs - 1.0), _level_order([tree] + [None] * (n - 1)))
     xs = np.concatenate([[num_slabs], np.linspace(-1.0, num_slabs, n - 1)])
     _assert_runs_as_reference(model, InputSet(xs, np.linspace(1.0, 0.0, n)), debug_invariants=True)
-    thr, node, lo, start = engine._spine(model)
+    thr, node, lo, start = model._spine
     assert np.diff(start, append=thr.size)[0] == num_slabs  # one entry per right step, plus the +inf one
     nodes = len(model.forest.split)
     entries = n + nodes + n * math.ceil(math.log2(num_slabs))
     assert thr.nbytes + node.nbytes + lo.nbytes + start.nbytes <= 16 * entries + 8 * n  # a dense table would take 1 MiB
-
-
-@pytest.mark.parametrize("name, value", [("threshold", -np.inf), ("node", 0), ("lo", 7), ("start", 1)])
-def test_debug_run_catches_a_stale_spine_table(model_cache, monkeypatch, name, value):
-    model = dataclasses.replace(model_cache("uniform_square", 256))
-    inp = sample_input(model.scenario, SeededRng(5))
-    run_maxima(model, inp)  # builds the table
-    forest, slabs, table = model._spine
-    table = [a.copy() for a in table]
-    start = table[3]
-    assert start[18] - start[17] >= 2  # position 17's spine has a depth 1
-    if name == "start":
-        start[18] += value  # position 17's spine one entry longer, 18's one shorter
-        message = "spine table of position 17 has"
-    else:
-        table[("threshold", "node", "lo").index(name)][start[17] + 1] = value
-        message = rf"spine table {name} of position 17 at depth 1 is {value}"
-    monkeypatch.setattr(model, "_spine", (forest, slabs, tuple(table)))
-    with pytest.raises(AssertionError, match=message):
-        run_maxima(model, inp, debug_invariants=True)
 
 
 @pytest.mark.parametrize("num_slabs", [65536, 65537])

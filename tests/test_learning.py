@@ -715,7 +715,7 @@ def test_failed_save_leaves_the_old_file(tmp_path, model_cache, monkeypatch):
     path = tmp_path / "model.json"
     save_model(model, path)
     before = path.read_bytes()
-    monkeypatch.setattr(model, "seed", object())  # the header cannot be encoded
+    monkeypatch.setattr(learning, "MODEL_FORMAT", object())  # the header cannot be encoded
     with pytest.raises(TypeError):
         save_model(model, path)
     assert path.read_bytes() == before
@@ -1281,6 +1281,12 @@ def test_load_model_rejects_corrupt_provenance(tmp_path, model_cache, field, val
         obj[field] = value
     with pytest.raises(ValueError, match=field):
         load_model(_write_model(tmp_path, obj))
+
+
+@pytest.mark.parametrize("seed", [1.5, True, "7"])
+def test_model_rejects_a_seed_its_file_could_not_load(model_cache, seed):
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        dataclasses.replace(model_cache("uniform_square", 16), seed=seed)
 
 
 def _hand_built_model(num_slabs: int, splits: list) -> TrainedModel:
