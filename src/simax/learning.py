@@ -30,15 +30,29 @@ MODEL_VERSION = 10
 _SPLIT_U2_MAX_SLABS = 65536
 
 
+# the bucket grid of SlabStructure.locate_array: cells per boundary, and the
+# most boundaries one cell may hold before its points take the sorted search
+_GRID_CELLS_PER_BOUNDARY = 2
+_GRID_MAX_PASSES = 4
+# with more than this share of the boundaries in cells over the pass cap, most
+# points would take the fallback, and the sorted search alone is cheaper
+_GRID_MAX_HEAVY_SHARE = 0.125
+
+
 class SlabStructure:
     """Partition of the x-axis into half-open slabs between sorted boundaries.
 
     With boundaries b_0 < ... < b_{m-1} the leaf slabs are
     (-inf, b_0), [b_0, b_1), ..., [b_{m-1}, +inf), indexed 0..m.  A boundary
     value belongs to the slab on its right.
+
+    locate_array finds slabs through a bucket grid over [b_0, b_{m-1}],
+    built on its first call, so constructing or loading a structure never
+    pays for it.  Its results equal np.searchsorted(boundaries, xs,
+    side="right") exactly.
     """
 
-    __slots__ = ("boundaries", "padded", "_blist")
+    __slots__ = ("boundaries", "padded", "_blist", "_grid")
 
     def __init__(self, boundaries):
         b = np.asarray(boundaries, dtype=np.float64)
@@ -51,19 +65,112 @@ class SlabStructure:
         self.boundaries = b
         self.padded = np.concatenate(([-np.inf], b, [np.inf]))  # slab k is [padded[k], padded[k + 1])
         self._blist = b.tolist()  # plain floats for hot loops
+        self._grid = None  # the _BucketGrid, or False where the boundaries admit none; built by locate_array
 
     @property
     def num_slabs(self) -> int:
         return self.boundaries.size + 1
 
     def locate_array(self, xs) -> np.ndarray:
-        return np.searchsorted(self.boundaries, xs, side="right")
+        """The slab of each x, as np.searchsorted(boundaries, xs, side="right") gives it, for any shape."""
+        grid = self._grid
+        if grid is None:
+            grid = self._grid = _BucketGrid.build(self.boundaries) or False
+        x = np.asarray(xs)
+        # a float wider than float64 compares in its own precision; +inf would
+        # step past the grid's +inf pad, and NaN, which sorts last, has no cell
+        if grid and np.result_type(x, np.float64) == np.float64:
+            flat = x.astype(np.float64, copy=False).reshape(-1)
+            if flat.max(initial=-math.inf) < math.inf:
+                return grid.locate(self.boundaries, flat).reshape(x.shape)[()]
+        return _sorted_search(self.boundaries, x.reshape(-1)).reshape(x.shape)[()]
 
     def boundary_list(self) -> list[float]:
         return self._blist
 
     def __repr__(self) -> str:
         return f"SlabStructure(num_slabs={self.num_slabs})"
+
+
+def _sorted_search(b: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """np.searchsorted(b, xs, side="right") on 1-d xs, searched in sorted order, which keeps numpy's bisection short."""
+    order = np.argsort(xs)
+    out = np.empty(xs.size, dtype=np.intp)
+    out[order] = np.searchsorted(b, xs[order], side="right")
+    return out
+
+
+class _BucketGrid(NamedTuple):
+    """Equal-width cells over [b_0, b_{m-1}] that locate a point with a few vectorised passes.
+
+    A point's cell is trunc(clip((x - b_0) * scale, 0, cells - 1)).  The
+    boundaries' cells come from the same float64 operations, which are
+    monotone, so every boundary in a cell below x's is <= x and every one
+    in a cell above is > x.  A point starts at first[cell], the count of
+    boundaries in lower cells, and each pass steps it past one boundary of
+    its own cell that is <= x; bpad ends in +inf, which no x below +inf
+    passes, so no step leaves the array.  passes is the most boundaries a
+    light cell holds; points in a heavy cell, one with more than
+    _GRID_MAX_PASSES boundaries, take the sorted search instead.
+    """
+
+    b0: float
+    scale: float
+    top: int  # the last cell
+    first: np.ndarray
+    bpad: np.ndarray
+    passes: int
+    heavy: np.ndarray | None  # flags the heavy cells, None when there are none
+
+    @classmethod
+    def build(cls, b: np.ndarray) -> _BucketGrid | None:
+        """The grid over sorted finite boundaries b, or None where a grid cannot beat the sorted search.
+
+        That is so with one boundary or a span whose scale overflows, and
+        where heavy cells hold over _GRID_MAX_HEAVY_SHARE of the boundaries.
+        """
+        cells = _GRID_CELLS_PER_BOUNDARY * b.size
+        b0 = float(b[0])
+        scale = cells / (float(b[-1]) - b0) if b.size > 1 else math.inf
+        if not (0 < scale < math.inf):
+            return None
+        per_cell = np.bincount(_cells(b, b0, scale, cells - 1), minlength=cells)
+        heavy = per_cell > _GRID_MAX_PASSES
+        if per_cell[heavy].sum() > _GRID_MAX_HEAVY_SHARE * b.size:
+            return None
+        first = np.zeros(cells, dtype=np.intp)
+        np.cumsum(per_cell[:-1], out=first[1:])
+        return cls(
+            b0,
+            scale,
+            cells - 1,
+            first,
+            np.append(b, np.inf),
+            int(per_cell[~heavy].max()),
+            heavy if heavy.any() else None,
+        )
+
+    def locate(self, b: np.ndarray, xs: np.ndarray) -> np.ndarray:
+        """np.searchsorted(b, xs, side="right") on 1-d float64 xs below +inf."""
+        cell = _cells(xs, self.b0, self.scale, self.top)
+        k = self.first[cell]
+        bpad = self.bpad
+        for _ in range(self.passes):
+            k += bpad[k] <= xs
+        if self.heavy is not None:
+            crowded = self.heavy[cell]
+            if crowded.any():
+                k[crowded] = _sorted_search(b, xs[crowded])
+        return k
+
+
+def _cells(xs: np.ndarray, b0: float, scale: float, top: int) -> np.ndarray:
+    """trunc(clip((x - b0) * scale, 0, top)) in float64; the same operations place boundaries and queries."""
+    with np.errstate(over="ignore"):  # an overflow gives +-inf, which the clip sends to an end cell
+        t = xs - b0
+        t *= scale
+    np.clip(t, 0, top, out=t)
+    return t.astype(np.intp)
 
 
 def build_slab_structure(inputs: Sequence[InputSet]) -> SlabStructure:
@@ -138,9 +245,9 @@ class FrequencyTable:
 def collect_frequencies(spec: ScenarioSpec, slabs: SlabStructure, rounds: int, rng: SeededRng) -> FrequencyTable:
     """Sample `rounds` fresh inputs and count leaf-slab hits per position.
 
-    Each round's x values are located in sorted order, which keeps the
-    binary searches' branches predictable, and each hit lands through the
-    table's flat view at row * num_slabs + slab.
+    Each round's x values are located in position order by the slabs'
+    bucket grid, and each hit lands through the table's flat view at
+    row * num_slabs + slab.
     """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
@@ -151,9 +258,8 @@ def collect_frequencies(spec: ScenarioSpec, slabs: SlabStructure, rounds: int, r
     row_start = np.arange(n) * num_slabs
     for _ in range(rounds):
         xs = sample_input(spec, rng).xs
-        order = np.argsort(xs)
         # one hit per row per round, so the keys are unique and a plain fancy-index increment is safe
-        flat[row_start[order] + slabs.locate_array(xs[order])] += 1
+        flat[row_start + slabs.locate_array(xs)] += 1
     return FrequencyTable(counts=counts, rounds=rounds)
 
 

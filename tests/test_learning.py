@@ -123,6 +123,96 @@ def test_locate_array_matches_scalar_locate():
     assert [int(v) for v in got] == [bisect_right(slabs.boundary_list(), float(x)) for x in xs]
 
 
+def _near(v):
+    """v and its neighbours one float step either side."""
+    return st.sampled_from([v, math.nextafter(v, -math.inf), math.nextafter(v, math.inf)])
+
+
+@st.composite
+def _boundaries_and_queries(draw):
+    """Boundaries anywhere in float64, evenly spaced, and crowded into one cell; queries on, beside and between them."""
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    spread = draw(st.lists(finite, max_size=4))
+    centre = draw(st.floats(-1e6, 1e6))
+    even = centre + draw(st.floats(1e-3, 1e3)) * np.arange(-40, draw(st.integers(-39, 40)))
+    step = draw(st.sampled_from([1e-300, 1e-12, 1e-6]))
+    # 5 to 10 crowded among up to 80 even ones keep a grid with one heavy cell; more crowded ones leave no grid
+    crowd = centre + step * np.arange(draw(st.integers(0, 40) | st.integers(5, 10)))
+    b = np.unique(np.concatenate((spread, even, crowd)))
+    queries = st.one_of(st.floats(), st.sampled_from(b.tolist()).flatmap(_near))
+    return b, np.array(draw(st.lists(queries, max_size=60)), dtype=np.float64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_boundaries_and_queries())
+def test_locate_array_equals_searchsorted(case):
+    b, xs = case
+    got = SlabStructure(b).locate_array(xs)
+    want = np.searchsorted(b, xs, side="right")
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "boundaries, grid",
+    [
+        ([0.5], False),  # one boundary: no span to divide
+        ([-1e308, 0.0, 1e308], False),  # the span overflows to inf
+        ([0.0, 5e-324, 1e-323], False),  # a subnormal span: the scale overflows
+        ([-1e-300, -5e-324, 0.0, 5e-324, 1e-310, 1e-300], True),  # subnormal boundaries in a normal span
+        (np.concatenate((np.linspace(0.0, 1.0, 60), 0.5 + 1e-12 * np.arange(1, 6))), True),  # a cell over the pass cap
+        (np.concatenate((np.linspace(0.0, 1.0, 20), 0.5 + 1e-12 * np.arange(1, 40))), False),  # most boundaries crowded
+        (np.linspace(-1e307, 1e307, 1000), True),
+    ],
+    ids=["one", "huge-span", "subnormal-span", "subnormal-values", "heavy-cell", "crowded", "wide"],
+)
+def test_locate_array_equals_searchsorted_at_the_edges(boundaries, grid):
+    slabs = SlabStructure(np.unique(boundaries))
+    b = slabs.boundaries
+    xs = np.concatenate(
+        (b, np.nextafter(b, -np.inf), np.nextafter(b, np.inf), [-np.inf, np.inf, -0.0, 0.0, -1e308, 1e308, 5e-324])
+    )
+    got = slabs.locate_array(xs)
+    assert np.array_equal(got, np.searchsorted(b, xs, side="right"))
+    assert bool(slabs._grid) == grid
+    if grid:
+        assert slabs._grid.passes <= learning._GRID_MAX_PASSES
+    # NaN sorts after every boundary, as in searchsorted
+    assert slabs.locate_array(np.append(xs, np.nan)).tolist() == got.tolist() + [b.size]
+
+
+@pytest.mark.parametrize(
+    "xs",
+    [1.0, 1.5, 7, np.float64(-3.0), np.nan, [0.5, 1.0, 5.0], [3, 0, 1], np.array([[0.0, 2.0], [1.0, 9.0]]),
+     np.array([[1, 2], [3, 0]]), np.array(2.0), np.array([], dtype=np.float64), np.float32([1.0, 2.5]),
+     np.longdouble([1.0, 2.0])],
+    ids=["float", "float-between", "int", "float64", "nan", "list", "int-list", "2d", "2d-int", "0d", "empty",
+         "float32", "longdouble"],
+)
+def test_locate_array_keeps_searchsorted_types_and_shapes(xs):
+    slabs = SlabStructure(np.linspace(-1.0, 3.0, 9))
+    got = slabs.locate_array(xs)
+    want = np.searchsorted(slabs.boundaries, xs, side="right")
+    assert type(got) is type(want)
+    assert np.shape(got) == np.shape(want) and np.asarray(got).dtype == np.asarray(want).dtype
+    assert np.array_equal(got, want)
+
+
+def test_slab_grid_is_built_by_the_first_locate_only(tmp_path, model_cache, monkeypatch):
+    builds = []
+    build = learning._BucketGrid.build
+    monkeypatch.setattr(learning._BucketGrid, "build", staticmethod(lambda b: builds.append(1) or build(b)))
+    save_model(model_cache("uniform_square", 64), tmp_path / "model.json")  # training may build grids
+    builds.clear()
+    slabs = SlabStructure([0.0, 1.0, 2.0])
+    loaded = load_model(tmp_path / "model.json")
+    assert builds == [] and slabs._grid is None and loaded.slabs._grid is None
+    slabs.locate_array([0.5, 1.5])
+    loaded.slabs.locate_array(np.zeros(3))
+    loaded.slabs.locate_array(np.ones(3))
+    assert len(builds) == 2 and slabs._grid and loaded.slabs._grid
+
+
 # ---------------------------------------------------------------------------
 # training config and frequencies
 
@@ -171,11 +261,11 @@ def test_training_config_accepts_int_and_float_epsilon_and_delta():
 
 
 def _collect_frequencies_reference(spec, slabs, rounds, rng):
-    """The plain per-round 2-D scatter: each round locates its xs in position order."""
+    """The plain per-round 2-D scatter: each round locates its xs in position order with np.searchsorted."""
     counts = np.zeros((spec.n, slabs.num_slabs), dtype=np.uint16 if rounds <= 65535 else np.uint32)
     rows = np.arange(spec.n)
     for _ in range(rounds):
-        counts[rows, slabs.locate_array(sample_input(spec, rng).xs)] += 1
+        counts[rows, np.searchsorted(slabs.boundaries, sample_input(spec, rng).xs, side="right")] += 1
     return counts
 
 
