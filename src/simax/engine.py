@@ -22,15 +22,20 @@ stays in it only while it goes right, so its path there is its tree's
 right spine, which depends on the model alone.  A model is frozen, so
 it keeps a table of every position's spine, built by _spine_table on its
 first run (TrainedModel._spine) and valid for its life: one entry per step
-along it, holding the boundary a point must reach to go right and the
-node and lo end it has before that step, then a +inf entry where the
-spine ends.  The entries of all positions sit back to back in flat
-columns at 16 bytes each, so the table grows with the forest's nodes and
+along it, holding the boundary a point must reach to go right and the lo
+end it has before that step, then a +inf entry where the spine ends.  An
+entry also holds the step a point takes if it stops there: the slab
+edge a left step ends below and the node it leads to.  The entries of
+all positions sit back to back in flat columns at 16 bytes or less each up to
+65,536 slabs, so the table grows with the forest's nodes and
 n * log2(num_slabs), not with its deepest spine (0.36-0.39 MB at n=2048
 and 1.7-1.85 MB at n=8192 on the built-in scenarios).  The drain takes
-one numpy pass per depth against it and replays each point's stopping
-step, with the per-point loop's steps and moves in its order, so every
-counter means what it means in the rest of the sweep.  The drain leaves
+one numpy pass per depth against it and then the stopping step from the
+entry each point stopped at, with the per-point loop's steps and moves
+in its order, so every counter means what it means in the rest of the
+sweep.  Per-point state the sweep reads only for the points that survive
+their dominance check (x, node, lo end) is held in typed arrays made
+from numpy's bytes, not in lists of boxed values.  The drain leaves
 the points it moved as one list ordered by slab descending, index
 ascending; the sweep walks that list and, before each slab's drained
 points, reads every slab above it that later moves reached, taken from a
@@ -45,6 +50,7 @@ buffer is ordered directly, at the 0 or 1 comparisons merge sort would count.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from typing import TYPE_CHECKING, Iterator
@@ -123,18 +129,24 @@ class EngineState:
     point has moved into holds the shared empty tuple until its first
     entry.  slab_lo holds each point's lo end.  The sweep reads these
     through _reads, so no per-slab list of reads is kept.
+
+    The per-point columns the sweep reads only for some points (xs, node,
+    slab_lo) and the drained lists are typed arrays made from numpy's
+    bytes in one copy each, where a list would box every entry.  ys, read
+    at every dominance check, stays a list: a list read hands back the
+    float it holds, where an array read boxes a new one.
     """
 
-    drained: list[int] = field(default_factory=list)
-    drained_slab: list[int] = field(default_factory=list)
+    drained: array = field(default_factory=lambda: array("i"))
+    drained_slab: array = field(default_factory=lambda: array("i"))
     arrivals: list[list[int] | tuple[()]] = field(default_factory=list)  # one per slab below the top
     buffer: list[int] = field(default_factory=list)
     maxima_rev: list[int] = field(default_factory=list)  # rightmost maximum first
     dominators: dict[int, int] = field(default_factory=dict)
     phat: int = -1  # leftmost maximum found so far (largest y), -1 if none
-    node: list[int] = field(default_factory=list)  # forest node after the top drain; one whose split is -1 is bisected
-    slab_lo: list[int] = field(default_factory=list)  # lo end after the top drain, then after each later move
-    xs: list[float] = field(default_factory=list)
+    node: array = field(default_factory=lambda: array("i"))  # forest node, read only while lo < hi; one whose split is -1 is bisected
+    slab_lo: array = field(default_factory=lambda: array("i"))  # lo end after the top drain, then after each later move
+    xs: array = field(default_factory=lambda: array("d"))
     ys: list[float] = field(default_factory=list)
 
 
@@ -142,26 +154,33 @@ def make_engine_state(model: "TrainedModel", inp: InputSet) -> EngineState:
     if model.n != inp.n:
         raise ValueError(f"model is for n={model.n}, input has n={inp.n}")
     top = model.slabs.num_slabs - 1
-    # every point starts with the whole slab range [0, top]; the top drain moves them
-    return EngineState(arrivals=[()] * top, xs=inp.xs.tolist(), ys=inp.ys.tolist())
+    # every point starts with the whole slab range [0, top]; the top drain moves them.
+    # InputSet holds native float64, so its bytes are the array("d") items
+    return EngineState(arrivals=[()] * top, xs=array("d", inp.xs.tobytes()), ys=inp.ys.tolist())
 
 
-def _spine_table(model: "TrainedModel") -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Each position's right spine, stored ragged: (thr, node, lo, start).
+def _spine_table(model: "TrainedModel") -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Each position's right spine, stored ragged: (thr, lo, edge, left, start).
 
     A point in the top slab goes right at every step it takes there, so its
     search path while it stays is its tree's right spine, which depends on
     the model alone.  Position i's spine takes entries start[i],
-    start[i] + 1, ... of the flat columns.  Its entry d holds the node and
-    interval lo end before step d and the padded boundary bp[pivot + 1] a
-    point must reach to go right at that step (the pivot is the node's
-    split, or (lo + top) >> 1 if unexpanded).  The last entry has thr =
-    +inf: at lo == top the point is located, and a split on the top slab
-    is passed by no point.  An entry takes 16 bytes (float64 thr, int32
-    node and lo) and start 8 per position.  A spine has one entry per right
-    step plus one, and a right step either moves to a right child of the
-    tree or halves a bare interval, so the table holds at most n plus the
-    forest's nodes plus n * ceil(log2(num_slabs)) entries.
+    start[i] + 1, ... of the flat columns.  Its entry d holds the interval
+    lo end before step d and the padded boundary bp[pivot + 1] a point must
+    reach to go right at that step (the pivot is the node's split, or
+    (lo + top) >> 1 if unexpanded).  The last entry has thr = +inf: at
+    lo == top the point is located, and a split on the top slab is passed
+    by no point.  The entry also holds the step a point takes if it stops
+    there: edge is the first slab right of a left step (the split, or the
+    bisection midpoint + 1; top where lo == top, so nothing goes left), and
+    left is the node a left step leads to (the split's left child,
+    right[j] - 1, or the unexpanded node itself).  lo and edge take the
+    narrowest unsigned dtype that holds top, so an entry takes at most 16
+    bytes (float64 thr, int32 left, uint16 lo and edge) up to 65,536 slabs,
+    and start 8 per position.  A spine has one entry per right step plus one,
+    and a right step either moves to a right child of the tree or halves a
+    bare interval, so the table holds at most n plus the forest's nodes
+    plus n * ceil(log2(num_slabs)) entries.
     """
     top = model.slabs.num_slabs - 1
     split = np.frombuffer(model.forest.split, dtype=np.intc)
@@ -178,20 +197,28 @@ def _spine_table(model: "TrainedModel") -> tuple[np.ndarray, np.ndarray, np.ndar
         s = split[j]
         bare = s < 0
         pivot = np.where(bare, (lo_j + top) >> 1, s)  # top where lo == top: a bare midpoint, or a split on [top, top]
-        depths.append((live, bp[pivot + 1], j, lo_j))  # bp[top + 1] is +inf, which ends the spine
+        left = np.where(bare, j, right[j] - 1)  # the left child sits just before the right-child slot
+        edge = np.minimum(pivot + bare, top)  # a bisection midpoint + 1 or a split; top where lo == top
+        depths.append((live, bp[pivot + 1], lo_j, edge, left))  # bp[top + 1] is +inf, which ends the spine
         length[live] = len(depths)
         go = pivot < top
-        live, j, pivot, bare = live[go], j[go], pivot[go], bare[go]
+        live, pivot, left, bare = live[go], pivot[go], left[go], bare[go]
         lo[live] = pivot + 1
-        node[live] = np.where(bare, j, right[j])
+        node[live] = left + ~bare  # a bare node stays, a split moves to its right child
     start = np.zeros(n, dtype=np.intp)
     np.cumsum(length[:-1], out=start[1:])
     size = int(length.sum())
-    thr, nodes, los = np.empty(size), np.empty(size, dtype=np.intc), np.empty(size, dtype=np.intc)
-    for d, (live, t, j, lo_j) in enumerate(depths):
+    key = np.min_scalar_type(top)
+    thr, los, edges, lefts = np.empty(size), np.empty(size, dtype=key), np.empty(size, dtype=key), np.empty(size, dtype=np.intc)
+    for d, (live, t, lo_j, edge, left) in enumerate(depths):
         entry = start[live] + d
-        thr[entry], nodes[entry], los[entry] = t, j, lo_j
-    return thr, nodes, los, start
+        thr[entry], los[entry], edges[entry], lefts[entry] = t, lo_j, edge, left
+    return thr, los, edges, lefts, start
+
+
+def _int_array(values: np.ndarray) -> array:
+    """values as an array("i"), built from their bytes rather than element by element."""
+    return array("i", values.astype(np.intc, copy=False).tobytes())
 
 
 def _drain_top(state: EngineState, model: "TrainedModel", xs: np.ndarray) -> tuple[int, int]:
@@ -199,22 +226,22 @@ def _drain_top(state: EngineState, model: "TrainedModel", xs: np.ndarray) -> tup
 
     A point stays in the bucket (hi == top) while it goes right, so one
     pass per depth keeps the points whose x reaches their spine's next
-    threshold, and the entry each point stops at gives its node and lo.
-    The +inf that ends every spine stops each point within its own entries.
-    A point with lo < top then takes one more, stopping step, which is
-    replayed: it went left of a bisection midpoint or of a split, or onto
-    the split's slab.  On the padded boundaries bp[lo] <= x < bp[hi + 1]
-    holds, so the guards s > lo and s < hi hold on their own.  The located
-    points join the buffer in index order, and the others fill
+    threshold.  The +inf that ends every spine stops each point within its
+    own entries, and the entry it stops at gives its lo end and the step
+    it takes there: left of bp[edge] it goes left, to [lo, edge - 1] and
+    node left; otherwise it lands on [edge, edge].  That step is a tree
+    step unless lo == top, where edge == top locates the point by its last
+    right step.  A bare node's stop always goes left, since its threshold
+    is bp[edge], and a split's never does when it lies on lo, since
+    bp[lo] <= x on the padded boundaries.  After the stop a point's node is read only if its
+    interval spans more than one slab, which only a left step leaves.  The
+    located points join the buffer in index order, and the others fill
     state.drained and state.drained_slab by slab descending, index
     ascending.  Fills state.node and state.slab_lo.
     """
     top = len(state.arrivals)
-    thr, node_at, lo_at, start = model._spine
-    split = np.frombuffer(model.forest.split, dtype=np.intc)
-    right = np.frombuffer(model.forest.right, dtype=np.intc)
+    thr, lo_at, edge_at, left_at, start = model._spine
     bp = model.slabs.padded
-    n = xs.size
     at = start.copy()  # each point's entry: its spine's start plus the right steps it took
     live = np.flatnonzero(xs >= thr[start])
     entry = start[live] + 1
@@ -222,25 +249,19 @@ def _drain_top(state: EngineState, model: "TrainedModel", xs: np.ndarray) -> tup
         at[live] = entry
         go = xs[live] >= thr[entry]
         live, entry = live[go], entry[go] + 1
-    node, lo = node_at[at], lo_at[at]
-    stopped = np.flatnonzero(lo < top)  # a point that reached lo == top was located by its last right step
-    steps = int(at.sum() - start.sum()) + stopped.size
-    j = node[stopped]
-    s = split[j]
-    edge = np.where(s < 0, ((lo[stopped] + top) >> 1) + 1, s)  # first slab right of a left step
-    left = xs[stopped] < bp[edge]
-    hi = np.full(n, top, dtype=np.intp)
-    hi[stopped] = np.where(left, edge - 1, edge)
-    lo[stopped[~left]] = edge[~left]
-    node[stopped] = np.where(left & (s >= 0), right[j] - 1, j)  # the left child sits just before the right-child slot
-    # slab by slab from the top, each in index order; a key as narrow as top
-    # (uint16 up to 65536 slabs) is radix-sorted, where int64 is not
-    order = np.argsort((top - hi).astype(np.min_scalar_type(top)), kind="stable")
+    lo, edge = lo_at[at], edge_at[at]
+    steps = int(at.sum() - start.sum()) + int(np.count_nonzero(lo < top))
+    left = xs < bp[edge]
+    hi = edge - left
+    lo = np.where(left, lo, edge)
+    # slab by slab from the top, each in index order; hi is as narrow as top
+    # (uint16 up to 65536 slabs), which numpy radix-sorts, where int64 is not
+    order = np.argsort(top - hi, kind="stable")
     located = int(np.count_nonzero(hi == top))
     moved = order[located:]
     state.buffer.extend(order[:located].tolist())
-    state.drained, state.drained_slab = moved.tolist(), hi[moved].tolist()
-    state.node, state.slab_lo = node.tolist(), lo.tolist()
+    state.drained, state.drained_slab = _int_array(moved), _int_array(hi[moved])
+    state.node, state.slab_lo = _int_array(left_at[at]), _int_array(lo)
     return steps, moved.size
 
 

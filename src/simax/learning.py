@@ -605,7 +605,7 @@ class TrainedModel:
         return len(self.forest.split)
 
     @cached_property
-    def _spine(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def _spine(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Each position's right spine (engine._spine_table), built on the model's first run."""
         return engine._spine_table(self)
 

@@ -586,11 +586,147 @@ def test_spine_table_grows_with_the_forest_not_with_its_deepest_spine():
     model = _fallback_model(n, np.arange(num_slabs - 1.0), _level_order([tree] + [None] * (n - 1)))
     xs = np.concatenate([[num_slabs], np.linspace(-1.0, num_slabs, n - 1)])
     _assert_runs_as_reference(model, InputSet(xs, np.linspace(1.0, 0.0, n)), debug_invariants=True)
-    thr, node, lo, start = model._spine
+    thr, lo, edge, left, start = model._spine
     assert np.diff(start, append=thr.size)[0] == num_slabs  # one entry per right step, plus the +inf one
     nodes = len(model.forest.split)
     entries = n + nodes + n * math.ceil(math.log2(num_slabs))
-    assert thr.nbytes + node.nbytes + lo.nbytes + start.nbytes <= 16 * entries + 8 * n  # a dense table would take 1 MiB
+    assert thr.nbytes + lo.nbytes + edge.nbytes + left.nbytes + start.nbytes <= 16 * entries + 8 * n  # a dense table would take 1 MiB
+
+
+def _reference_spine(model: TrainedModel, i: int) -> list[tuple[float, int, int, int]]:
+    """Position i's spine walked one step at a time with Python scalars: (thr, lo, edge, left) per entry.
+
+    A point that stops at an entry takes the per-point loop's step there:
+    at a bare node it bisects [lo, top] and goes left below blist[mid] =
+    padded[mid + 1], keeping its node; at a split s it goes left below
+    blist[s - 1] = padded[s] to the left child right[j] - 1 (never, if s ==
+    lo), else lands on s.  So edge, the first slab right of a left step, is
+    mid + 1 or s, and top once lo == top, where the point is located.
+    """
+    top = model.slabs.num_slabs - 1
+    split, right, padded = model.forest.split, model.forest.right, model.slabs.padded
+    entries, j, lo = [], i, 0
+    while True:
+        s = split[j]
+        pivot = (lo + top) // 2 if s < 0 else s
+        edge = top if lo == top else pivot + 1 if s < 0 else s
+        entries.append((float(padded[pivot + 1]), lo, edge, j if s < 0 else right[j] - 1))
+        if pivot == top:  # padded[top + 1] is +inf: no point goes right of the top slab
+            return entries
+        lo, j = pivot + 1, j if s < 0 else right[j]
+
+
+def _assert_spine_table_as_reference(model: TrainedModel) -> None:
+    thr, lo, edge, left, start = model._spine
+    ends = np.append(start[1:], thr.size)
+    for i in range(model.n):
+        got = list(zip(thr[start[i] : ends[i]].tolist(), *(c[start[i] : ends[i]].tolist() for c in (lo, edge, left))))
+        assert got == _reference_spine(model, i), f"position {i}"
+    assert left.dtype == np.intc and lo.dtype == edge.dtype == np.min_scalar_type(model.slabs.num_slabs - 1)
+
+
+@settings(deadline=None, max_examples=200)
+@given(case=_forest_case())
+@example(case=(_fallback_model(1, [0.0]), None))  # two slabs, a bare root
+@example(case=(_fallback_model(4, [0.0, 1.0, 2.0], [0, 3, -1, 1, -1, -1, -1, -1]), None))  # splits at lo, at top, inside
+@example(  # two slabs: roots 0 and 3 split on the top slab, root 2 on slab 0 = lo
+    case=(_fallback_model(4, [0.0], _level_order([(1, [None]), None, (0, [None]), (1, [None])])), None)
+)
+@example(  # split and bare roots whose spines run through a split at lo and end in a bare node or at top
+    case=(
+        _fallback_model(
+            4,
+            [0.0, 1.0, 2.0, 3.0, 4.0, 5.0],
+            _level_order([None, (6, [None]), (0, [(1, [(2, [None])])]), (3, [None, (5, [None, None])])]),
+        ),
+        None,
+    )
+)
+def test_spine_table_stop_columns_match_a_step_by_step_walk(case):
+    _assert_spine_table_as_reference(case[0])
+
+
+@pytest.mark.parametrize(
+    "num_slabs, dtype",
+    [(2, np.uint8), (256, np.uint8), (257, np.uint16), (65536, np.uint16), (65537, np.uint32)],
+)
+def test_spine_table_lo_and_edge_are_as_narrow_as_the_top_slab(num_slabs, dtype):
+    # root 0 splits at its lo end, slab 0, and root 1 at the top slab; root 2 bisects all the way up
+    top = num_slabs - 1
+    model = _fallback_model(3, np.arange(top, dtype=float), [0, top, -1, -1, -1])
+    thr, lo, edge, left, start = model._spine
+    assert lo.dtype == edge.dtype == dtype
+    assert thr.itemsize + lo.itemsize + edge.itemsize + left.itemsize <= (16 if num_slabs <= 65536 else 20)
+    _assert_spine_table_as_reference(model)
+
+
+def _poison_unread_nodes(monkeypatch) -> list[int]:
+    """Wrap the top drain so every point it leaves on a one-slab interval gets node 2**31 - 1, which no forest holds.
+
+    Returns the list the wrapper appends each run's count of such points to.
+    """
+    real_drain, poisoned = engine._drain_top, []
+
+    def poisoning_drain(state, model, xs):
+        out = real_drain(state, model, xs)
+        one_slab = list(state.buffer)  # located in the top slab
+        one_slab += [i for i, hi in zip(state.drained, state.drained_slab) if state.slab_lo[i] == hi]
+        for i in one_slab:
+            state.node[i] = 2**31 - 1
+        poisoned.append(len(one_slab))
+        return out
+
+    monkeypatch.setattr(engine, "_drain_top", poisoning_drain)
+    return poisoned
+
+
+@pytest.mark.parametrize("kind", ["uniform_square", "staircase_line", "two_level"])
+def test_the_sweep_never_reads_the_node_of_a_point_the_drain_left_on_one_slab(model_cache, monkeypatch, kind):
+    # the drain gives such a point whatever its stop entry's left column holds
+    model = model_cache(kind, 256)
+    poisoned = _poison_unread_nodes(monkeypatch)
+    for seed in range(3):
+        _assert_runs_as_reference(model, sample_input(model.scenario, SeededRng(seed)), debug_invariants=seed == 0)
+    assert min(poisoned) > 0
+
+
+@settings(deadline=None, max_examples=150)
+@given(case=_forest_case())
+def test_the_sweep_never_reads_the_node_of_a_point_the_drain_left_on_one_slab_on_hand_built_forests(case):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _poison_unread_nodes(monkeypatch)
+        _assert_runs_as_reference(*case)
+
+
+def _strided(a: np.ndarray) -> np.ndarray:
+    wide = np.zeros((a.size, 3))
+    wide[:, 1] = a
+    return wide[:, 1]
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a = a.copy()
+    a.flags.writeable = False
+    return a
+
+
+@pytest.mark.parametrize(
+    "layout",
+    [_strided, _read_only, lambda a: a.astype(">f8"), lambda a: a[::-1].copy()[::-1]],
+    ids=["strided", "read-only", "big-endian", "negative-stride"],
+)
+@pytest.mark.parametrize("kind", ["uniform_square", "two_level"])
+def test_run_maxima_reads_any_float64_layout_as_a_contiguous_copy(model_cache, kind, layout):
+    # the engine state copies xs through its bytes, so they must reach it as native, C-ordered float64
+    model = model_cache(kind, 256)
+    for seed in range(3):
+        inp = sample_input(model.scenario, SeededRng(seed))
+        plain, other = RunStats(), RunStats()
+        expect = run_maxima(model, InputSet(inp.xs.copy(), inp.ys.copy()), plain)
+        got = run_maxima(model, InputSet(layout(inp.xs), layout(inp.ys)), other, debug_invariants=True)
+        assert got.maxima == expect.maxima
+        assert list(got.dominators.items()) == list(expect.dominators.items())
+        assert other == plain
 
 
 @pytest.mark.parametrize("num_slabs", [65536, 65537])
