@@ -7,8 +7,9 @@ timing is requested, so repeat invocations produce byte-identical files.
 
 ALGORITHMS maps each name to a runner that run_trials times, zero-fills and
 verifies alike; both CSV files share one cell codec.  A row no run could make
-(n < 1, a negative or non-finite counter, wall time or entropy_total, or the
-wrong cell count) is rejected with its file:line.
+(n < 1, a seed outside [0, 2**64), a negative or non-finite counter, wall
+time or entropy_total, or the wrong cell count) is rejected with its
+file:line.
 """
 
 from __future__ import annotations
@@ -53,6 +54,8 @@ class ReportRow:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
+        if not 0 <= self.seed < 2**64:  # SeededRng could not replay it
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
         for f in fields(self)[5:-1]:  # the counters, entropy_total and wall_time_ns
             if not 0 <= getattr(self, f.name) < math.inf:
                 raise ValueError(f"{f.name} must be finite and >= 0, got {getattr(self, f.name)}")

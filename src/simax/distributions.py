@@ -160,9 +160,11 @@ class ScenarioSpec:
 
 
 class SeededRng:
-    """Deterministic random stream: PCG64 keyed by a 64-bit seed."""
+    """Deterministic random stream: PCG64 keyed by a 64-bit seed, an int or a numpy integer (not a bool)."""
 
     def __init__(self, seed: int):
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):  # int() would take 1.5, "7" or True
+            raise ValueError(f"seed must be an integer, got {seed!r}")
         seed = int(seed)
         if not 0 <= seed < 2**64:
             raise ValueError(f"seed must fit in 64 bits, got {seed}")

@@ -43,8 +43,8 @@ heap of occupied slabs.  Empty slabs cost nothing.
 
 Per-run and per-move overhead is kept off the counted work: a frontier move
 with an empty buffer skips update_step; slabs no point has moved into share
-one empty tuple until their first decrease-key; and a one- or two-point
-buffer is ordered directly, at the 0 or 1 comparisons merge sort would count.
+one empty tuple until their first decrease-key; and a buffered point carries
+its sort key (x, y, index), built from coordinates the sweep already holds.
 """
 
 from __future__ import annotations
@@ -79,9 +79,8 @@ class RunStats:
     slabs, so it measures nothing and is kept only because perfbench reads
     it.  update_sorted_points: total buffered points sorted;
     update_sort_comparisons: key comparisons spent sorting them, as a stable
-    merge sort counts them (0 for one point, 1 for two), whether or not the
-    fold actually runs the merge sort.  Frontier moves that find the buffer
-    empty fold nothing and count nothing.
+    merge sort counts them (0 for one point, 1 for two).  Frontier moves
+    that find the buffer empty fold nothing and count nothing.
     """
 
     tree_steps: int = 0
@@ -128,7 +127,8 @@ class EngineState:
     applied.  A later move appends its point to arrivals[hi]; a slab no
     point has moved into holds the shared empty tuple until its first
     entry.  slab_lo holds each point's lo end.  The sweep reads these
-    through _reads, so no per-slab list of reads is kept.
+    through _reads, so no per-slab list of reads is kept.  buffer holds the
+    (x, y, index) sort key of each point located in the frontier slab.
 
     The per-point columns the sweep reads only for some points (xs, node,
     slab_lo) and the drained lists are typed arrays made from numpy's
@@ -140,7 +140,7 @@ class EngineState:
     drained: array = field(default_factory=lambda: array("i"))
     drained_slab: array = field(default_factory=lambda: array("i"))
     arrivals: list[list[int] | tuple[()]] = field(default_factory=list)  # one per slab below the top
-    buffer: list[int] = field(default_factory=list)
+    buffer: list[tuple[float, float, int]] = field(default_factory=list)
     maxima_rev: list[int] = field(default_factory=list)  # rightmost maximum first
     dominators: dict[int, int] = field(default_factory=dict)
     phat: int = -1  # leftmost maximum found so far (largest y), -1 if none
@@ -235,7 +235,7 @@ def _drain_top(state: EngineState, model: "TrainedModel", xs: np.ndarray) -> tup
     is bp[edge], and a split's never does when it lies on lo, since
     bp[lo] <= x on the padded boundaries.  After the stop a point's node is read only if its
     interval spans more than one slab, which only a left step leaves.  The
-    located points join the buffer in index order, and the others fill
+    located points' keys join the buffer in index order, and the others fill
     state.drained and state.drained_slab by slab descending, index
     ascending.  Fills state.node and state.slab_lo.
     """
@@ -258,17 +258,24 @@ def _drain_top(state: EngineState, model: "TrainedModel", xs: np.ndarray) -> tup
     # (uint16 up to 65536 slabs), which numpy radix-sorts, where int64 is not
     order = np.argsort(top - hi, kind="stable")
     located = int(np.count_nonzero(hi == top))
-    moved = order[located:]
-    state.buffer.extend(order[:located].tolist())
+    moved, loc = order[located:], order[:located].tolist()
+    state.buffer.extend(zip(xs[loc].tolist(), [state.ys[i] for i in loc], loc))
     state.drained, state.drained_slab = _int_array(moved), _int_array(hi[moved])
     state.node, state.slab_lo = _int_array(left_at[at]), _int_array(lo)
     return steps, moved.size
 
 
 def _merge_sort(a: list) -> tuple[list, int]:
-    """Stable merge sort of a; returns the sorted list and the key comparisons it made."""
+    """Stable merge sort of a; returns the sorted list and the key comparisons it made.
+
+    One key costs no comparison and two keys one, the merge of two
+    singletons: the right key goes first only if it is smaller.  A list of
+    at most two keys already in order is returned as it is, not copied.
+    """
     if len(a) <= 1:
         return a, 0
+    if len(a) == 2:
+        return ([a[1], a[0]] if a[1] < a[0] else a), 1
     mid = len(a) // 2
     left, comparisons = _merge_sort(a[:mid])
     right, more = _merge_sort(a[mid:])
@@ -291,46 +298,31 @@ def _merge_sort(a: list) -> tuple[list, int]:
 def update_step(state: EngineState, stats: RunStats) -> None:
     """Fold the buffered frontier-slab points, at least one, into the maxima staircase.
 
-    Sorts the buffer by x (ties by y then index), sweeps right to left, and
+    Sorts the buffer's (x, y, index) keys, sweeps them right to left, and
     keeps the running y-realizer as both dominance witness and next leftmost
     maximum.  The previous leftmost maximum seeds the sweep: everything
-    already in the staircase lies strictly to the right of the buffer.  A
-    one-point buffer needs no sort and a two-point buffer one comparison,
-    which is what _merge_sort would count for them; longer buffers go
-    through _merge_sort.
+    already in the staircase lies strictly to the right of the buffer.  With
+    none yet, the sweep starts from (-inf, -inf), so the rightmost key
+    becomes the first maximum unchecked and the fold counts one check
+    fewer than it has points.  _merge_sort may hand back the buffer itself,
+    so the buffer is cleared only after the sweep.
     """
     buf = state.buffer
-    xs, ys = state.xs, state.ys
-    if len(buf) == 1:
-        i = buf[0]
-        keyed, comparisons = ((xs[i], ys[i], i),), 0
-    elif len(buf) == 2:
-        i, j = buf
-        a, b = (xs[i], ys[i], i), (xs[j], ys[j], j)
-        keyed, comparisons = ((b, a) if b < a else (a, b)), 1  # the merge of two singletons
-    else:
-        keyed, comparisons = _merge_sort([(xs[i], ys[i], i) for i in buf])
+    keyed, comparisons = _merge_sort(buf)
     stats.update_sorted_points += len(buf)
     stats.update_sort_comparisons += comparisons
-
     r = state.phat
-    rx = xs[r] if r >= 0 else 0.0
-    ry = ys[r] if r >= 0 else 0.0
+    stats.dominance_checks += len(buf) - (r < 0)
+    rx, ry = (state.xs[r], state.ys[r]) if r >= 0 else (-math.inf, -math.inf)
     maxima_rev = state.maxima_rev
     dominators = state.dominators
-    checks = 0
     for px, py, i in reversed(keyed):
-        if r >= 0:
-            checks += 1
-            if rx >= px and ry >= py and (rx > px or ry > py):  # buffered points share a slab, so x can tie
-                dominators[i] = r
-                continue
-            if py > ry:
-                r, rx, ry = i, px, py
-        else:
+        if rx >= px and ry >= py and (rx > px or ry > py):  # buffered points share a slab, so x can tie
+            dominators[i] = r
+            continue
+        if py > ry:
             r, rx, ry = i, px, py
         maxima_rev.append(i)
-    stats.dominance_checks += checks
     state.phat = r
     buf.clear()
 
@@ -456,7 +448,7 @@ def run_maxima(
                 slab_lo[i], node[i] = lo, nid
                 break
         else:
-            buffer.append(i)
+            buffer.append((px, py, i))
     stats.tree_steps += steps
     stats.dominance_checks += checks
     stats.decrease_keys += decreases
@@ -488,7 +480,7 @@ def _check_drain(state: EngineState, slab: np.ndarray) -> None:
         hi.size != moved.size
         or not np.array_equal(np.sort(moved), np.flatnonzero(slab < top))
         or ((step > 0) | ((step == 0) & (gap <= 0))).any()
-        or state.buffer != np.flatnonzero(slab == top).tolist()
+        or [i for _, _, i in state.buffer] != np.flatnonzero(slab == top).tolist()
     ):
         raise AssertionError(f"top-bucket drain moved {moved.size} points and buffered {state.buffer}, but the slabs say otherwise")
     lo = np.asarray(state.slab_lo, dtype=np.intp)[moved]

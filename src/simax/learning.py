@@ -580,7 +580,7 @@ class TrainedModel:
     entropy_per_point: np.ndarray
 
     def __post_init__(self):
-        if type(self.seed) is not int:  # SeededRng would take 1.5, "7" or True, and the file would not load
+        if type(self.seed) is not int:  # SeededRng takes a numpy integer, which the file's JSON header would not
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
         SeededRng(self.seed)  # the stream's own 64-bit seed check
         if np.shape(self.entropy_per_point) != (self.n,):

@@ -99,6 +99,8 @@ def test_read_rejects_malformed_rows(tmp_path):
     [
         ("n", "0"),
         ("n", "-4"),
+        ("seed", "-1"),
+        ("seed", "18446744073709551616"),
         ("tree_steps", "-1"),
         ("dominance_checks", "-2"),
         ("sort_comparisons", "-3"),
@@ -172,6 +174,12 @@ def test_trial_inputs_replay_from_the_seed_column(model_cache):
     b = run_trials(model, 1, 8)
     # trial 1 of seed 7 and trial 0 of seed 8 are the same input: seed column 8
     assert [r for r in a if r.seed == 8] == b
+
+
+def test_run_trials_rejects_a_seed_that_is_not_an_integer(model_cache):
+    # a seed cell of 1.5 would not read back
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        run_trials(model_cache("uniform_square", 16), 1, seed=1.5)
 
 
 def test_timing_flag_fills_wall_time(model_cache):

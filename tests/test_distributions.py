@@ -147,6 +147,18 @@ def test_seed_range_checked():
         SeededRng(2**64)
 
 
+@pytest.mark.parametrize("seed", [1.5, True, "7", np.float64(2.0), np.bool_(True)])
+def test_seeded_rng_takes_only_integers(seed):
+    # int() would read 1.5 as 1, True as 1 and "7" as 7, and the stream would replay a seed no caller gave
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        SeededRng(seed)
+
+
+def test_seeded_rng_takes_numpy_integers():
+    assert SeededRng(np.uint64(2**64 - 1)).seed == 2**64 - 1
+    assert np.array_equal(SeededRng(np.int32(7)).random(4), SeededRng(7).random(4))
+
+
 # ---------------------------------------------------------------------------
 # sampling
 

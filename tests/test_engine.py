@@ -103,13 +103,17 @@ def test_entropy_is_maximal_for_uniform_rows():
 # update_step unit behavior
 
 
-def _bare_state(points) -> EngineState:
-    return EngineState(xs=[float(p[0]) for p in points], ys=[float(p[1]) for p in points])
+def _keys(points, indices) -> list[tuple[float, float, int]]:
+    """The (x, y, index) buffer keys of the points at indices, in that order."""
+    return [(float(points[i][0]), float(points[i][1]), i) for i in indices]
+
+
+def _bare_state(points, buffered=()) -> EngineState:
+    return EngineState(xs=[float(x) for x, _ in points], ys=[float(y) for _, y in points], buffer=_keys(points, buffered))
 
 
 def test_update_step_folds_a_dominated_chain():
-    state = _bare_state([(1, 1), (2, 2), (3, 3)])
-    state.buffer = [0, 1, 2]
+    state = _bare_state([(1, 1), (2, 2), (3, 3)], [0, 1, 2])
     stats = RunStats()
     update_step(state, stats)
     assert state.maxima_rev == [2]
@@ -121,8 +125,7 @@ def test_update_step_folds_a_dominated_chain():
 
 
 def test_update_step_keeps_a_staircase_in_order():
-    state = _bare_state([(1, 3), (2, 2), (3, 1)])
-    state.buffer = [2, 0, 1]  # arbitrary arrival order
+    state = _bare_state([(1, 3), (2, 2), (3, 1)], [2, 0, 1])  # arbitrary arrival order
     stats = RunStats()
     update_step(state, stats)
     assert state.maxima_rev == [2, 1, 0]  # rightmost first
@@ -133,10 +136,9 @@ def test_update_step_keeps_a_staircase_in_order():
 
 
 def test_update_step_seeds_sweep_with_previous_leftmost_maximum():
-    state = _bare_state([(5, 5), (4, 1), (3, 6)])
+    state = _bare_state([(5, 5), (4, 1), (3, 6)], [1, 2])
     state.maxima_rev = [0]
     state.phat = 0
-    state.buffer = [1, 2]
     stats = RunStats()
     update_step(state, stats)
     # (4,1) dies against the old maximum, (3,6) rises above it
@@ -145,51 +147,48 @@ def test_update_step_seeds_sweep_with_previous_leftmost_maximum():
     assert state.phat == 2
 
 
-def _reference_update_step(state: EngineState, stats: RunStats) -> None:
-    """update_step as it was before its short-buffer paths: every buffer goes through _merge_sort."""
-    buf = state.buffer
-    xs, ys = state.xs, state.ys
-    keyed, comparisons = engine._merge_sort([(xs[i], ys[i], i) for i in buf])
-    stats.update_sorted_points += len(buf)
-    stats.update_sort_comparisons += comparisons
-    r = state.phat
-    rx = xs[r] if r >= 0 else 0.0
-    ry = ys[r] if r >= 0 else 0.0
-    for px, py, i in reversed(keyed):
-        if r >= 0:
-            stats.dominance_checks += 1
-            if rx >= px and ry >= py and (rx > px or ry > py):
-                state.dominators[i] = r
-                continue
-            if py > ry:
-                r, rx, ry = i, px, py
-        else:
-            r, rx, ry = i, px, py
-        state.maxima_rev.append(i)
-    state.phat = r
-    buf.clear()
+@pytest.mark.parametrize("k", range(1, 7))
+def test_update_step_checks_every_point_of_a_fold_but_the_first_maximum(k):
+    # the first fold has no leftmost maximum to check its rightmost point
+    # against; a later fold checks all of its points against the running one
+    points = [(3 + j % 3, (2 * j) % 3) for j in range(k)] + [(j % 3, (2 * j) % 3 + 1) for j in range(k)]
+    state = _bare_state(points, range(k))
+    stats = RunStats()
+    update_step(state, stats)
+    assert (stats.update_sorted_points, stats.dominance_checks) == (k, k - 1)
+    assert len(state.maxima_rev) + len(state.dominators) == k and state.buffer == []
+    state.buffer = _keys(points, range(k, 2 * k))
+    update_step(state, stats)
+    assert (stats.update_sorted_points, stats.dominance_checks) == (2 * k, 2 * k - 1)
+    assert len(state.maxima_rev) + len(state.dominators) == 2 * k and state.buffer == []
 
 
-def test_update_step_short_buffers_fold_as_the_merge_sort_reference():
-    # every buffer of 1-4 points drawn from a 3x3 grid (duplicates, equal x
-    # and equal y included), arriving in index order and in reverse, on a
-    # fresh staircase and on one whose leftmost maximum (3, 1) lies right of
-    # the grid and dominates its lower rows
+def _textbook_merge_sort(keys: list) -> tuple[list, int]:
+    """Top-down merge sort counting one comparison per merge step; on a tie the left key goes first."""
+    if len(keys) <= 1:
+        return list(keys), 0
+    mid = len(keys) // 2
+    left, a = _textbook_merge_sort(keys[:mid])
+    right, b = _textbook_merge_sort(keys[mid:])
+    out, count = [], a + b
+    while left and right:
+        count += 1
+        out.append(right.pop(0) if right[0] < left[0] else left.pop(0))
+    return out + left + right, count
+
+
+def test_merge_sort_matches_a_textbook_counted_merge_sort():
+    # every ordering of 1-6 (x, y, index) keys drawn from a 3x3 grid: every
+    # draw of up to 3 points, and 12 seeded draws of 4-6 points, so equal x,
+    # equal y and one point under distinct indices all occur
     grid = [(x, y) for x in range(3) for y in range(3)]
-    for k in range(1, 5):
-        for pick, arrival, prior in itertools.product(
-            itertools.product(grid, repeat=k), (range(k), range(k - 1, -1, -1)), (None, (3, 1))
-        ):
-            folds = []
-            for fold in (update_step, _reference_update_step):
-                state = _bare_state(list(pick) + ([prior] if prior else []))
-                if prior:
-                    state.maxima_rev, state.phat = [k], k
-                state.buffer = list(arrival)
-                stats = RunStats()
-                fold(state, stats)
-                folds.append((state.maxima_rev, state.dominators, state.phat, state.buffer, stats))
-            assert folds[0] == folds[1], (pick, list(arrival), prior)
+    gen = np.random.Generator(np.random.PCG64(34))
+    draws = [d for k in (1, 2, 3) for d in itertools.product(grid, repeat=k)]
+    draws += [[grid[j] for j in gen.integers(0, 9, k)] for k in (4, 5, 6) for _ in range(12)]
+    for draw in draws:
+        keys = [(float(x), float(y), i) for i, (x, y) in enumerate(draw)]
+        for order in itertools.permutations(keys):
+            assert engine._merge_sort(list(order)) == _textbook_merge_sort(list(order)), order
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +461,7 @@ def _reference_run_maxima(model: TrainedModel, inp: InputSet, stats: RunStats) -
                         slab_lo[i], node[i] = lo, nid
                         break
                 if lo == hi:
-                    state.buffer.append(i)
+                    state.buffer.append((px, py, i))
                     break
     if state.buffer:
         update_step(state, stats)
@@ -669,7 +668,7 @@ def _poison_unread_nodes(monkeypatch) -> list[int]:
 
     def poisoning_drain(state, model, xs):
         out = real_drain(state, model, xs)
-        one_slab = list(state.buffer)  # located in the top slab
+        one_slab = [i for _, _, i in state.buffer]  # located in the top slab
         one_slab += [i for i, hi in zip(state.drained, state.drained_slab) if state.slab_lo[i] == hi]
         for i in one_slab:
             state.node[i] = 2**31 - 1

@@ -1373,10 +1373,15 @@ def test_load_model_rejects_corrupt_provenance(tmp_path, model_cache, field, val
         load_model(_write_model(tmp_path, obj))
 
 
-@pytest.mark.parametrize("seed", [1.5, True, "7"])
+@pytest.mark.parametrize("seed", [1.5, True, "7", np.int64(7)])
 def test_model_rejects_a_seed_its_file_could_not_load(model_cache, seed):
     with pytest.raises(ValueError, match="seed must be an integer"):
         dataclasses.replace(model_cache("uniform_square", 16), seed=seed)
+
+
+def test_train_model_rejects_a_seed_that_is_not_an_integer():
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        train_model(build_scenario("uniform_square", 16), seed=1.5)
 
 
 def _hand_built_model(num_slabs: int, splits: list) -> TrainedModel:
