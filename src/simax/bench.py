@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 import time
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -140,7 +141,7 @@ ALGORITHMS = {"self_improving": _run_engine, "sort_scan": _run_sort_scan, "brute
 
 
 def _trial_input(model: TrainedModel, seed: int, trial: int) -> tuple[int, InputSet]:
-    eff = (seed + trial) % 2**64
+    eff = (int(seed) + trial) % 2**64  # a numpy integer's sum would overflow before the wrap
     return eff, sample_input(model.scenario, SeededRng(eff))
 
 
@@ -148,6 +149,8 @@ def run_trials(model: TrainedModel, trials: int, seed: int, timing: bool = False
     """Drive model over `trials` fresh inputs; one row per (trial, algorithm), deterministic order."""
     if trials < 1:
         raise BenchError(f"trials must be >= 1, got {trials}")
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):  # as SeededRng: int() would take 1.5 or True
+        raise ValueError(f"seed must be an integer, got {seed!r}")
     rows: list[ReportRow] = []
     for t in range(trials):
         eff, inp = _trial_input(model, seed, t)

@@ -81,13 +81,18 @@ class ScenarioSpec:
     with numpy alone.  One uniform batch is drawn per input and consumed in
     position order (a rectangle takes two, a segment or a mixture one, a
     point mass none), so samples depend only on (scenario, stream state).
+    The formulas read one column of uniforms each, so a (rounds, draws)
+    batch gives a block of inputs as rounds single draws would.  A draw
+    fills its coordinates grouped by formula (point masses, rectangles and
+    segments, then each mixture group) and permutes them into position
+    order unless the groups already are in it, as in the built-ins.
     Rectangles and segments share x = x0 + (x1 - x0)*u[ux], y = y0 +
-    (y1 - y0)*u[uy], where a segment has uy == ux.  Point masses are copied,
-    so a -0.0 stays -0.0.  A mixture picks atom k, the number of its
-    cumulative weights <= u: mixtures with the same atom count share one
-    (count, mixtures) table, so the count is a sum down a column and the
-    tables hold one cell per atom.  Specs are equal when their names and
-    column bytes are, so -0.0 differs from 0.0.
+    (y1 - y0)*u[uy], where a segment has uy == ux; both extents must be
+    finite.  Point masses are copied, so a -0.0 stays -0.0.  A mixture
+    picks atom k, the number of its cumulative weights <= u: mixtures with
+    the same atom count share one (count, mixtures) table, so the count is
+    a sum over its rows and the tables hold one cell per atom.  Specs are
+    equal when their names and column bytes are, so -0.0 differs from 0.0.
     """
 
     def __init__(self, name: str, **columns):
@@ -116,8 +121,11 @@ class ScenarioSpec:
         _check("weight", weight > 0, weight, "must be positive")
         affine = np.flatnonzero((kind == _RECT) | (kind == _SEGMENT))
         rect = kind[affine] == _RECT
+        with np.errstate(over="ignore"):  # a difference past the float range is rejected below, not warned about
+            extent = {"x0": c["x1"] - c["x0"], "y0": c["y1"] - c["y0"]}
         for lo, hi in (("x0", "x1"), ("y0", "y1")):
             _check(lo, ~rect | (c[lo] <= c[hi]), c[lo], f"a uniform_rect's extents must satisfy {lo} <= {hi}")
+            _check(hi, np.isfinite(extent[lo]), extent[lo], "the extent from the opposite end must be finite")
         mix, start = np.flatnonzero(kind == _MIXTURE), np.cumsum(atoms) - atoms
         sums = np.add.reduceat(weight, start)  # numpy's own summation order, pairwise past 8 atoms
         bad = np.flatnonzero(np.abs(sums - 1.0) > 1e-9)
@@ -128,10 +136,12 @@ class ScenarioSpec:
         draws = np.array([0, 2, 1, 1])[kind]  # uniforms per input, by kind code
         first = np.cumsum(draws) - draws  # each position's first uniform
         self._draws = int(draws.sum())
-        self._mass = np.flatnonzero(kind == _MASS)
         ux = first[affine]
-        uy = ux + rect if rect.any() else ux  # segments only: a draw gathers their uniforms once
-        self._affine = (affine, ux, uy, c["x0"], c["x1"] - c["x0"], c["y0"], c["y1"] - c["y0"])
+        # per axis: the point masses' values, then the affine group's uniforms, low ends and extents; a segment's y reuses its x uniform
+        self._axes = {
+            "x": (c["mass_x"], ux, c["x0"], extent["x0"]),
+            "y": (c["mass_y"], ux + rect, c["y0"], extent["y0"]),
+        }
         self._mixtures = []
         for count in np.unique(atoms).tolist():
             r = np.flatnonzero(atoms == count)
@@ -140,8 +150,12 @@ class ScenarioSpec:
             cw = np.cumsum(w / w.sum(axis=1, keepdims=True), axis=1)  # a row sum is a 1-d sum of its weights
             cw[:, -1] = 1.0  # draws are < 1, so the last atom takes any rounding shortfall
             base = np.arange(r.size) * count
-            x, y = c["atom_x"][cells].ravel(), c["atom_y"][cells].ravel()
-            self._mixtures.append((mix[r], first[mix[r]], np.ascontiguousarray(cw.T), x, y, base))
+            xy = {"x": c["atom_x"][cells].ravel(), "y": c["atom_y"][cells].ravel()}
+            # cw.T is (count, mixtures); the middle axis broadcasts over a block's rows of uniforms
+            self._mixtures.append((mix[r], first[mix[r]], np.ascontiguousarray(cw.T)[:, None], base, xy))
+        # the positions in a draw's grouped order; _order takes a draw back to position order
+        grouped = np.concatenate([np.flatnonzero(kind == _MASS), affine, *(m[0] for m in self._mixtures)])
+        self._order = None if (grouped == np.arange(self.n)).all() else np.argsort(grouped)
 
     @property
     def n(self) -> int:
@@ -178,23 +192,43 @@ class SeededRng:
         return f"SeededRng(seed={self.seed})"
 
 
+def _coordinates(spec: ScenarioSpec, u: np.ndarray, axes: str) -> list[np.ndarray]:
+    """The coordinates drawn from uniform rows u, each row one input's batch: a (rows, n) array per axis in axes."""
+    # a mixture's atom is the sum of (row <= its uniform) over its weight rows, per atom-count group
+    atoms = [base + (cw <= u.take(ui, axis=1)).sum(axis=0) for _, ui, cw, base, _ in spec._mixtures]
+    out = []
+    for axis in axes:
+        mass, ua, lo, extent = spec._axes[axis]
+        col = np.empty((u.shape[0], spec.n))  # grouped by formula, as spec._order reads them
+        end = mass.size + ua.size
+        if mass.size:
+            col[:, : mass.size] = mass
+        if ua.size:
+            affine = col[:, mass.size : end]
+            np.multiply(u.take(ua, axis=1), extent, out=affine)
+            affine += lo  # lo + extent * u
+        for (idx, *_, xy), atom in zip(spec._mixtures, atoms):
+            col[:, end : end + idx.size] = xy[axis][atom]
+            end += idx.size
+        out.append(col if spec._order is None else col.take(spec._order, axis=1))
+    return out
+
+
 def sample_input(spec: ScenarioSpec, rng: SeededRng) -> InputSet:
     """Draw one input set from the scenario, advancing the stream (see ScenarioSpec for the formulas)."""
-    u = rng.random(spec._draws)
-    xs = np.empty(spec.n)
-    ys = np.empty(spec.n)
-    xs[spec._mass] = spec.columns["mass_x"]
-    ys[spec._mass] = spec.columns["mass_y"]
-    idx, ux, uy, x0, dx, y0, dy = spec._affine
-    if idx.size:
-        vx = u[ux]
-        xs[idx] = x0 + dx * vx
-        ys[idx] = y0 + dy * (vx if uy is ux else u[uy])
-    for idx, ui, cw, ax, ay, base in spec._mixtures:
-        atom = base + (cw <= u[ui]).sum(axis=0)
-        xs[idx] = ax[atom]
-        ys[idx] = ay[atom]
-    return InputSet(xs, ys)
+    xs, ys = _coordinates(spec, rng.random((1, spec._draws)), "xy")
+    return InputSet(xs[0], ys[0])
+
+
+def sample_xs(spec: ScenarioSpec, rng: SeededRng, rounds: int) -> np.ndarray:
+    """The x coordinates of `rounds` successive sample_input draws, as one (rounds, n) array.
+
+    PCG64 gives one output per double, so one (rounds, draws) batch holds
+    the batches of `rounds` successive draws row by row, and leaves the
+    stream where they would.  The y coordinates are not computed, and the
+    values are not checked finite as InputSet checks them.
+    """
+    return _coordinates(spec, rng.random((rounds, spec._draws)), "x")[0]
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import engine
-from .distributions import SCENARIO_COLUMNS, ScenarioSpec, SeededRng, sample_input
+from .distributions import SCENARIO_COLUMNS, ScenarioSpec, SeededRng, sample_input, sample_xs
 from .geometry import InputSet
 
 MODEL_FORMAT = "simax-model"
@@ -29,6 +29,9 @@ MODEL_VERSION = 10
 # the forest's splits column is uint16 while every slab index fits in it, int32 above
 _SPLIT_U2_MAX_SLABS = 65536
 
+
+# collect_frequencies draws and locates its rounds in blocks of at most this many points, and at least one round
+_BLOCK_POINTS = 2**14
 
 # the bucket grid of SlabStructure.locate_array: cells per boundary, and the
 # most boundaries one cell may hold before its points take the sorted search
@@ -245,9 +248,12 @@ class FrequencyTable:
 def collect_frequencies(spec: ScenarioSpec, slabs: SlabStructure, rounds: int, rng: SeededRng) -> FrequencyTable:
     """Sample `rounds` fresh inputs and count leaf-slab hits per position.
 
-    Each round's x values are located in position order by the slabs'
-    bucket grid, and each hit lands through the table's flat view at
-    row * num_slabs + slab.
+    The rounds come in blocks of at most _BLOCK_POINTS points, and at least
+    one round.  sample_xs draws a block's x values as successive sample_input
+    calls would, so the table and the stream's next draw are theirs; a
+    non-finite value raises InputSet's error.  The slabs' bucket grid
+    locates the whole block at once, and each round's hits land through the
+    table's flat view at row * num_slabs + slab.
     """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
@@ -256,10 +262,17 @@ def collect_frequencies(spec: ScenarioSpec, slabs: SlabStructure, rounds: int, r
     counts = np.zeros((n, num_slabs), dtype=dtype)
     flat = counts.reshape(-1)
     row_start = np.arange(n) * num_slabs
-    for _ in range(rounds):
-        xs = sample_input(spec, rng).xs
-        # one hit per row per round, so the keys are unique and a plain fancy-index increment is safe
-        flat[row_start + slabs.locate_array(xs)] += 1
+    block = max(1, _BLOCK_POINTS // n)
+    for done in range(0, rounds, block):
+        xs = sample_xs(spec, rng, min(block, rounds - done))
+        if not np.isfinite(xs).all():
+            raise ValueError("coordinates must be finite")
+        keys = slabs.locate_array(xs)
+        keys += row_start
+        for round_keys in keys:
+            # one hit per row per round, so the keys are unique and a plain fancy-index increment is safe
+            flat[round_keys] += 1
+        del xs, keys  # so the next block's draw does not hold this block's arrays as well
     return FrequencyTable(counts=counts, rounds=rounds)
 
 

@@ -180,6 +180,20 @@ def test_run_trials_rejects_a_seed_that_is_not_an_integer(model_cache):
     # a seed cell of 1.5 would not read back
     with pytest.raises(ValueError, match="seed must be an integer"):
         run_trials(model_cache("uniform_square", 16), 1, seed=1.5)
+    with pytest.raises(ValueError, match="seed must be an integer, got True"):  # SeededRng takes no bool either
+        run_trials(model_cache("uniform_square", 16), 1, seed=True)
+
+
+def test_run_trials_takes_numpy_integer_seeds(model_cache):
+    # a numpy integer's seed + trial would overflow its own type before the wrap to 64 bits
+    model = model_cache("uniform_square", 16)
+    want = run_trials(model, 2, seed=5)
+    assert run_trials(model, 2, seed=np.int64(5)) == want
+    assert run_trials(model, 2, seed=np.uint64(5)) == want
+    wrapped = run_trials(model, 2, seed=np.uint64(2**64 - 1))
+    assert wrapped == run_trials(model, 2, seed=2**64 - 1)
+    assert [r.seed for r in wrapped] == [2**64 - 1] * 3 + [0] * 3
+    assert all(type(r.seed) is int for r in wrapped)
 
 
 def test_timing_flag_fills_wall_time(model_cache):

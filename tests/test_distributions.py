@@ -272,16 +272,21 @@ def _normalised_mixture(pairs):
     return _mixture([a for a, _ in pairs], [w / total for _, w in pairs])
 
 
-def _mixed_dist_strategy():
-    """Every kind, with -0.0 coordinates, degenerate rectangles and segments, and mixtures of 1 to 3 and of 9 to 12 atoms."""
+def _kind_strategies(atom_counts=((1, 3), (9, 12))):
+    """One strategy per kind, with -0.0 coordinates and degenerate rectangles and segments; a mixture has atoms in one of the (min, max) ranges."""
     coord = st.one_of(st.just(-0.0), st.integers(-50, 50).map(lambda v: v / 4), st.floats(-1e6, 1e6))
     extent = st.one_of(st.just(0.0), st.floats(0, 1e3))
     mass = st.builds(_mass, coord, coord)
     rect = st.builds(lambda x0, dx, y0, dy: _rect(x0, x0 + dx, y0, y0 + dy), coord, extent, coord, extent)
     seg = st.builds(_segment, coord, coord, coord, coord)
     atom = st.tuples(st.tuples(coord, coord), st.integers(1, 1000))
-    narrow, wide = st.lists(atom, min_size=1, max_size=3), st.lists(atom, min_size=9, max_size=12)  # 9+ weights sum pairwise
-    return st.one_of(mass, rect, seg, narrow.map(_normalised_mixture), wide.map(_normalised_mixture))
+    mixture = st.one_of(*(st.lists(atom, min_size=lo, max_size=hi).map(_normalised_mixture) for lo, hi in atom_counts))
+    return mass, rect, seg, mixture
+
+
+def _mixed_dist_strategy():
+    """Every kind, and mixtures of 1 to 3 and of 9 to 12 atoms (9 or more weights sum pairwise)."""
+    return st.one_of(*_kind_strategies())
 
 
 @settings(deadline=None)
@@ -296,6 +301,27 @@ def test_sampler_matches_the_per_position_reference(dists, seed):
         assert inp.xs.tobytes() == xs.tobytes() and inp.ys.tobytes() == ys.tobytes()
 
 
+def _all_kinds_strategy():
+    """Scenarios holding every kind at least once, in any order, with mixtures of 1 to 4 atoms."""
+    kinds = _kind_strategies(atom_counts=((1, 4),))
+    extra = st.lists(st.one_of(*kinds), max_size=12)
+    return st.tuples(st.tuples(*kinds), extra).flatmap(lambda t: st.permutations(list(t[0]) + t[1]))
+
+
+@settings(deadline=None)
+@given(dists=_all_kinds_strategy(), rounds=st.integers(1, 5), seed=st.integers(0, 2**32))
+def test_block_draw_is_successive_single_draws(dists, rounds, seed):
+    # training counts blocks drawn by sample_xs, so each row must be the xs a sample_input call would draw, and the stream must end where theirs do
+    spec = _spec("mixed", dists)
+    rng, ref = SeededRng(seed), SeededRng(seed)
+    block = distributions.sample_xs(spec, rng, rounds)
+    assert block.shape == (rounds, spec.n) and block.dtype == np.float64
+    for row in block:
+        assert row.tobytes() == sample_input(spec, ref).xs.tobytes()
+    after, want = sample_input(spec, rng), sample_input(spec, ref)
+    assert after.xs.tobytes() == want.xs.tobytes() and after.ys.tobytes() == want.ys.tobytes()
+
+
 def test_mixture_tables_hold_one_cell_per_atom():
     # one wide mixture must not pad every other mixture's table to its width
     pair = _mixture(((0.0, 1.0), (1.0, 0.0)), (0.25, 0.75))
@@ -308,6 +334,17 @@ def test_mixture_tables_hold_one_cell_per_atom():
     inp = sample_input(spec, SeededRng(3))
     xs, ys = _sample_reference(dists, SeededRng(3))
     assert inp.xs.tobytes() == xs.tobytes() and inp.ys.tobytes() == ys.tobytes()
+
+
+def test_an_extent_past_the_float_range_is_rejected():
+    # x1 - x0 of 2e308 overflows to inf, which would make every draw of the position non-finite
+    with pytest.raises(ScenarioError, match=r"^scenario\.x1\[0\]: the extent from the opposite end must be finite, got inf$"):
+        ScenarioSpec("wide", kind=[1], x0=[-1e308], x1=[1e308], y0=[0.0], y1=[1.0])
+    with pytest.raises(ScenarioError, match=r"^scenario\.y1\[1\]: the extent from the opposite end must be finite, got -inf$") as e:
+        ScenarioSpec("wide", kind=[2, 0, 2], mass_x=[0.0], mass_y=[0.0], x0=[0.0, 0.0], x1=[1.0, 1.0], y0=[0.0, 1e308], y1=[1.0, -1e308])
+    assert (e.value.column, e.value.entry) == ("y1", 1)
+    spec = ScenarioSpec("wide", kind=[1], x0=[-8e307], x1=[8e307], y0=[0.0], y1=[1.0])  # 1.6e308 is still finite
+    assert np.isfinite(sample_input(spec, SeededRng(0)).xs).all()
 
 
 def test_spec_columns_are_checked_by_name():
@@ -488,11 +525,13 @@ _PAIR = (((0.0, 1.0), (1.0, 0.0)), (0.25, 0.75))
         ([_rect(0, 1, 0, 1), _mass(0, 0), _rect(0, 1, 0, float("inf"))], r"^per_point\[2\]\.y1: must be finite, got inf$"),
         ([_segment(0, 0, 1, 1), _segment(float("nan"), 0, 1, 1)], r"^per_point\[1\]\.ax: must be finite, got nan$"),
         ([_rect(0, 1, 0, 1), _segment(0, 0, 1, 1), _rect(2.0, 1.0, 0, 1)], r"^per_point\[2\]\.x0: a uniform_rect's extents must satisfy x0 <= x1, got 2\.0$"),
+        ([_segment(0, 0, 1, 1), _rect(-1e308, 1e308, 0, 1)], r"^per_point\[1\]\.x1: the extent from the opposite end must be finite, got inf$"),
+        ([_mass(0, 0), _segment(0, 1e308, 1, -1e308)], r"^per_point\[1\]\.by: the extent from the opposite end must be finite, got -inf$"),
         ([_mixture(*_PAIR), _mass(0, 0), _mixture(((0, 0), (1, 1), (2, 2)), (0.5, 0.0, 0.5))], r"^per_point\[2\]\.atoms\[1\]\.weight: must be positive, got 0\.0$"),
         ([_mixture(*_PAIR), _mixture(*_PAIR), _mixture(((0, 0), (1, 1)), (0.5, 0.6))], r"^per_point\[2\]\.atoms: the mixture at position 2 sums to 1\.1, expected 1 within 1e-9$"),
         ([_mixture(*_PAIR), {"kind": "finite_mixture", "atoms": []}], r"^per_point\[1\]\.atoms: a mixture needs at least one atom, got 0$"),
     ],
-    ids=["NaN in a second point mass", "Infinity in a rectangle", "NaN in a segment", "x0 > x1", "weight 0", "weights sum to 1.1", "no atoms"],
+    ids=["NaN in a second point mass", "Infinity in a rectangle", "NaN in a segment", "x0 > x1", "rect width overflows", "segment height overflows", "weight 0", "weights sum to 1.1", "no atoms"],
 )
 def test_file_errors_name_the_position(per_point, message):
     # json.dumps writes NaN and Infinity literals, which json.loads reads back as floats for ScenarioSpec to reject

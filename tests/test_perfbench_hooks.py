@@ -70,13 +70,22 @@ def test_every_wrapped_name_is_on_its_path(workloads, tmp_path):
 
 
 def test_training_draws_every_round_through_the_hooked_name(monkeypatch):
-    # perfbench counts draws by wrapping learning.sample_input, so a draw that bypasses it would go uncounted
-    calls = []
-    real = learning.sample_input
-    monkeypatch.setattr(learning, "sample_input", lambda spec, rng: calls.append(1) or real(spec, rng))
+    # perfbench counts the slab rounds' draws by wrapping learning.sample_input, and times the tree rounds' block draws
+    # inside its learning.collect_frequencies span; a draw that bypasses both learning attributes would go unseen
+    calls, rows = [], []
+    real_input, real_xs = learning.sample_input, learning.sample_xs
+    monkeypatch.setattr(learning, "sample_input", lambda spec, rng: calls.append(1) or real_input(spec, rng))
+
+    def block(spec, rng, rounds):
+        xs = real_xs(spec, rng, rounds)
+        rows.append(len(xs))
+        return xs
+
+    monkeypatch.setattr(learning, "sample_xs", block)
     config = learning.TrainingConfig()
     learning.train_model(build_scenario("uniform_square", 16), config, seed=3)
-    assert len(calls) == config.slab_rounds(16) + config.tree_rounds(16)
+    assert len(calls) == config.slab_rounds(16)
+    assert sum(rows) == config.tree_rounds(16)
 
 
 def test_training_collects_one_frequency_table(monkeypatch):
